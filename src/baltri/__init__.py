@@ -43,6 +43,7 @@ from .errors import (
     Disconnected,
     DuplicateFace,
     ExpansionNotFound,
+    ImpossibleSurface,
     InvalidEmbedding,
     InvalidSite,
     MissingColoring,

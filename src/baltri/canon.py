@@ -11,28 +11,37 @@ minimum over all 6F start flags (both directions of every face edge, which
 also covers the two local orientations on non-orientable surfaces) removes
 the dependence on vertex numbering.
 
+Each sweep is compared with the least stream so far one face triple at a
+time, as in plantri (Brinkmann & McKay 2007): it is dropped at the first
+larger triple, and after the first smaller one it stops comparing and
+becomes the new least.  Only the winner is encoded.  Symmetric inputs still
+cost O(|Aut| F), since every automorphism ties to the end.
+
 Color handling appends one byte per relabeled vertex after the face stream;
 the stream length is fixed by (V, F), so byte-wise comparison stays
-lexicographic on (faces, colors).
+lexicographic on (faces, colors).  Up to permutation, colors are renamed in
+order of first appearance along the labels: a proper 3-coloring uses all
+three, so this is the unique permutation with the least suffix.
+
+Layout: V, F, then the 3F labels, all big-endian of one width: 2 bytes
+while F < 65536 (which bounds V and every label below 65536), else 4.
 """
 
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain
 
 from .errors import MissingColoring
-from .surface import Coloring, Triangulation, edge_key, validate
+from .surface import Coloring, Triangulation, validate
 
 
 class ColorMode(enum.Enum):
     IGNORE = "ignore"
     FIXED = "fixed"
     UP_TO_PERMUTATION = "up-to-permutation"
-
-
-_COLOR_PERMS = tuple(permutations(range(3)))
 
 
 @dataclass(frozen=True, order=True)
@@ -46,34 +55,42 @@ class CanonicalCode:
         return self.data.hex()
 
 
-def _emit_from_flag(
-    t: Triangulation, face, u: int, v: int
-) -> tuple[list[int], dict[int, int]]:
-    """Label stream of the deterministic sweep started at flag (face, u->v)."""
+def _emit_from_flag(t: Triangulation, face, u: int, v: int, best):
+    """Sweep from flag (face, u->v) against the least stream `best` so far.
+
+    Returns (stream of label triples or None if it exceeds best, labels,
+    whether it ties best).  With best None nothing is compared.
+    """
     label: dict[int, int] = {}
-    out: list[int] = []
+    out: list[tuple[int, int, int]] = []
     visited = {face}
     # queue entries: (face key, entry direction a->b)
     queue = [(face, u, v)]
     head = 0
     edge_faces = t._edge_faces
+    setdefault = label.setdefault
+    tied = best is not None
     while head < len(queue):
         f, a, b = queue[head]
         head += 1
-        c = next(x for x in f if x != a and x != b)
-        for x in (a, b, c):
-            if x not in label:
-                label[x] = len(label)
-        out.append(label[a])
-        out.append(label[b])
-        out.append(label[c])
+        c = f[0] + f[1] + f[2] - a - b  # the corner off the entry edge
+        triple = (
+            setdefault(a, len(label)),
+            setdefault(b, len(label)),
+            setdefault(c, len(label)),
+        )
+        if tied and triple != best[head - 1]:
+            if triple > best[head - 1]:
+                return None, label, False
+            tied = False
+        out.append(triple)
         for x, y in ((a, b), (b, c), (c, a)):
-            g1, g2 = edge_faces[edge_key(x, y)]
+            g1, g2 = edge_faces[(x, y) if x < y else (y, x)]
             g = g2 if g1 == f else g1
             if g not in visited:
                 visited.add(g)
                 queue.append((g, y, x))
-    return out, label
+    return out, label, tied
 
 
 def _start_flags(t: Triangulation):
@@ -101,11 +118,14 @@ def _start_flags(t: Triangulation):
     return flags
 
 
-def _color_suffix(label: dict[int, int], col: Coloring, perm) -> bytes:
-    by_label = [0] * len(label)
-    for v, i in label.items():
-        by_label[i] = perm[col[v]]
-    return bytes(by_label)
+def _color_suffix(label: dict[int, int], col: Coloring, mode: ColorMode):
+    """The colors in label order, and the color renaming applied to them."""
+    colors = [col[v] for v in label]
+    if mode is ColorMode.FIXED:
+        perm = {0: 0, 1: 1, 2: 2}
+    else:
+        perm = {c: i for i, c in enumerate(dict.fromkeys(colors))}
+    return bytes(map(perm.__getitem__, colors)), perm
 
 
 def _default_mode(col: Coloring | None, mode: ColorMode | None) -> ColorMode:
@@ -120,8 +140,7 @@ def canonical_code(
     mode: ColorMode | None = None,
 ) -> CanonicalCode:
     """Lexicographically least code over all start flags (and color perms)."""
-    code, _, _ = _canonical(t, col, _default_mode(col, mode))
-    return code
+    return _canonical(t, col, _default_mode(col, mode))[0]
 
 
 def canonical_form(
@@ -136,56 +155,42 @@ def canonical_form(
     representatives, which makes the form usable as a search-state key that
     can still be flipped further.
     """
-    mode = _default_mode(col, mode)
-    _, labels, perm = _canonical(t, col, mode)
+    _, labels, perm = _canonical(t, col, _default_mode(col, mode))
+    return (*_relabel(t, col, labels, perm), labels)
+
+
+def _relabel(t: Triangulation, col, labels: dict[int, int], perm):
+    """The form under a label map, and its coloring renamed by perm (or None)."""
     faces = [
         tuple(sorted((labels[a], labels[b], labels[c])))
         for a, b, c in t.faces
     ]
-    form = validate(faces)
     new_col = None
-    if mode is not ColorMode.IGNORE:
-        assert col is not None
+    if perm is not None:
         new_col = Coloring({labels[v]: perm[col[v]] for v in t.vertices})
-    return form, new_col, labels
+    return validate(faces), new_col
 
 
 def _canonical(t, col, mode):
+    """(code, label map, color renaming or None in IGNORE mode)."""
     if mode is not ColorMode.IGNORE and col is None:
         raise MissingColoring(f"mode {mode.value!r} requires a coloring")
-    header = len(t.vertices).to_bytes(2, "big") + len(t.faces).to_bytes(2, "big")
-    perms = _COLOR_PERMS if mode is ColorMode.UP_TO_PERMUTATION else (
-        (0, 1, 2),
-    )
-
-    best_body: bytes | None = None
+    best = best_labels = best_perm = None
     best_suffix = b""
-    best_labels: dict[int, int] = {}
-    best_perm = (0, 1, 2)
     for f, u, v in _start_flags(t):
-        stream, labels = _emit_from_flag(t, f, u, v)
-        body = b"".join(x.to_bytes(2, "big") for x in stream)
-        if best_body is not None and body > best_body:
+        stream, labels, tied = _emit_from_flag(t, f, u, v, best)
+        if stream is None:
             continue
-        if mode is ColorMode.IGNORE:
-            if best_body is None or body < best_body:
-                best_body, best_labels = body, labels
-            continue
-        for perm in perms:
-            suffix = _color_suffix(labels, col, perm)
-            if (
-                best_body is None
-                or body < best_body
-                or (body == best_body and suffix < best_suffix)
-            ):
-                best_body, best_suffix = body, suffix
-                best_labels, best_perm = labels, perm
-    assert best_body is not None
-    return (
-        CanonicalCode(mode.value, header + best_body + best_suffix),
-        best_labels,
-        best_perm,
-    )
+        suffix, perm = b"", None
+        if mode is not ColorMode.IGNORE:
+            suffix, perm = _color_suffix(labels, col, mode)
+        if not tied or suffix < best_suffix:
+            best, best_suffix = stream, suffix
+            best_labels, best_perm = labels, perm
+    nv, nf = len(t.vertices), len(t.faces)
+    width = "H" if nf < 65536 else "I"
+    body = struct.pack(f">{2 + 3 * nf}{width}", nv, nf, *chain.from_iterable(best))
+    return CanonicalCode(mode.value, body + best_suffix), best_labels, best_perm
 
 
 def is_isomorphic(

@@ -4,7 +4,8 @@ Triangulation arguments accept either a .tri file path or one of the
 gallery names (octahedron, k333-torus, cube-subdivision).  Sites are
 written kind:v1,v2,... with 1-based vertex numbers, matching the numbers
 in .tri files.  Exit status: 0 on success, 1 when a domain rule rejects
-the request, 2 for unreadable or malformed input.
+the request or an unexpected internal error occurs, 2 for unreadable or
+malformed input.
 """
 
 from __future__ import annotations
@@ -370,6 +371,9 @@ def main(argv=None) -> int:
         return 2
     except BaltriError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a fault in baltri itself; still no traceback
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -41,6 +41,10 @@ class Disconnected(TriangulationError):
     """The face-adjacency graph is not connected."""
 
 
+class ImpossibleSurface(TriangulationError):
+    """Euler characteristic and orientability fit no closed surface."""
+
+
 class NotBalanced(BaltriError):
     """No proper 3-coloring exists (or a supplied coloring is improper)."""
 

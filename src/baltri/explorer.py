@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .canon import CanonicalCode, ColorMode, canonical_code, canonical_form
+from .canon import _canonical, _relabel
 from .embeddings import cube_embedding, face_subdivision
 from .errors import NotConnectedWithinCaps, SurfaceMismatch
 from .flips import (
@@ -112,9 +113,9 @@ def bfs(
     kinds = _norm_kinds(kinds)
     col = col if col is not None else find_coloring(t)
     mode = ColorMode.UP_TO_PERMUTATION
-    start = canonical_code(t, col, mode)
-    form, fcol, _ = canonical_form(t, col, mode)
-    states: dict[CanonicalCode, tuple[Triangulation, Coloring]] = {start: (form, fcol)}
+    start, labels, perm = _canonical(t, col, mode)
+    states: dict[CanonicalCode, tuple[Triangulation, Coloring]] = {}
+    states[start] = _relabel(t, col, labels, perm)
     edges: set[tuple[CanonicalCode, FlipKind, CanonicalCode]] = set()
     frontier = [start]
     truncated = False
@@ -126,12 +127,12 @@ def bfs(
                 if cur.vertex_count + VERTEX_DELTA[site.kind] > max_vertices:
                     continue
                 child, childcol = apply_flip(cur, site, ccol)
-                ccode = canonical_code(child, childcol, mode)
+                ccode, labels, perm = _canonical(child, childcol, mode)
                 if ccode not in states:
                     if len(states) >= max_states:
                         truncated = True
                         continue
-                    states[ccode] = canonical_form(child, childcol, mode)[:2]
+                    states[ccode] = _relabel(child, childcol, labels, perm)
                     nxt.append(ccode)
                 edges.add((code, site.kind, ccode))
         frontier = nxt
@@ -186,8 +187,8 @@ def connect(
     sides: list[dict[CanonicalCode, tuple]] = [{}, {}]
     frontiers: list[list[CanonicalCode]] = [[], []]
     for idx, (t, col) in enumerate(((t1, col1), (t2, col2))):
-        code = canonical_code(t, col, mode)
-        sides[idx][code] = (canonical_form(t, col, mode)[:2], None, None)
+        code, labels, perm = _canonical(t, col, mode)
+        sides[idx][code] = (_relabel(t, col, labels, perm), None, None)
         frontiers[idx] = [code]
 
     def assemble(meet: CanonicalCode) -> list[FlipSite]:
@@ -230,21 +231,21 @@ def connect(
                 if cur.vertex_count + VERTEX_DELTA[site.kind] > max_vertices:
                     continue
                 raw, rawcol = apply_flip(cur, site, ccol)
-                ccode = canonical_code(raw, rawcol, mode)
+                ccode, labels, perm = _canonical(raw, rawcol, mode)
                 if ccode in here:
                     continue
                 # a state closing the path is admitted even past the cap
                 if len(here) >= max_states and ccode not in there:
                     continue
-                form, fcol, labels = canonical_form(raw, rawcol, mode)
+                state = _relabel(raw, rawcol, labels, perm)
                 if idx == 0:
-                    here[ccode] = ((form, fcol), code, site)
+                    here[ccode] = (state, code, site)
                 else:
                     back = inverse_site(cur, site)
                     mapped = FlipSite(
                         back.kind, tuple(labels[v] for v in back.vertices)
                     )
-                    here[ccode] = ((form, fcol), code, mapped)
+                    here[ccode] = (state, code, mapped)
                 if ccode in there:
                     return assemble(ccode)
                 nxt.append(ccode)

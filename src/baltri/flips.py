@@ -385,7 +385,8 @@ def apply_flip(
     face_set = set(t.faces)
     face_set.difference_update(rem)
     for f in add:
-        assert f not in face_set  # guaranteed by the precondition checks
+        if f in face_set:  # the precondition checks should rule this out
+            raise WouldCreateDuplicateFace(f"face {f} already exists")
         face_set.add(f)
     t2 = validate(sorted(face_set))
     if col is None:

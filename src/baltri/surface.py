@@ -20,6 +20,7 @@ from .errors import (
     DegenerateFace,
     Disconnected,
     DuplicateFace,
+    ImpossibleSurface,
     NonManifoldEdge,
     NotBalanced,
     PinchedVertex,
@@ -146,9 +147,9 @@ class Triangulation:
 def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
     """Check that a face list describes a closed surface and index it.
 
-    Raises DegenerateFace, DuplicateFace, NonManifoldEdge, PinchedVertex or
-    Disconnected; on success returns the immutable Triangulation with all
-    derived structure (edges, links, adjacency) computed.
+    Raises DegenerateFace, DuplicateFace, NonManifoldEdge, PinchedVertex,
+    Disconnected or ImpossibleSurface; on success returns the Triangulation
+    with all derived structure (edges, links, adjacency) computed.
     """
     faces: list[Face] = []
     seen: set[Face] = set()
@@ -249,7 +250,10 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
     # Closed-surface sanity: the classification forces chi <= 2, with even
     # chi on orientable surfaces.
     chi = t.euler_characteristic()
-    assert chi <= 2 and (not is_orientable(t) or chi % 2 == 0)
+    if chi > 2 or (chi % 2 and is_orientable(t)):
+        raise ImpossibleSurface(
+            f"no closed surface has Euler characteristic {chi} and this orientability"
+        )
     return t
 
 

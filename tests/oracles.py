@@ -3,9 +3,11 @@
 Everything here is written straight from the definitions and on purpose uses
 different algorithms than the package: isomorphism by backtracking over vertex
 bijections instead of canonical codes, site scans directly off the face list.
-Slow is fine, the inputs stay small.  These functions take plain data (face
-tuples, dicts, edge pairs), not package objects, so they cannot accidentally
-lean on package internals.
+The exception is reference_canonical, the slow form of the package's own
+canonical code, which the fast path must match byte for byte.  Slow is fine,
+the inputs stay small.  These functions take plain data (face tuples, dicts,
+edge pairs), not package objects, so they cannot accidentally lean on package
+internals.
 """
 
 from __future__ import annotations
@@ -93,6 +95,78 @@ def naive_ps_sites(faces):
 
 def color_permutations():
     return list(permutations((0, 1, 2)))
+
+
+def _reference_sweep(edge_faces, face, u, v):
+    """Label stream of the breadth-first sweep started at flag (face, u->v)."""
+    label = {}
+    out = []
+    visited = {face}
+    queue = [(face, u, v)]
+    head = 0
+    while head < len(queue):
+        f, a, b = queue[head]
+        head += 1
+        c = next(x for x in f if x != a and x != b)
+        for x in (a, b, c):
+            if x not in label:
+                label[x] = len(label)
+        out.extend((label[a], label[b], label[c]))
+        for x, y in ((a, b), (b, c), (c, a)):
+            g1, g2 = edge_faces[tuple(sorted((x, y)))]
+            g = g2 if g1 == f else g1
+            if g not in visited:
+                visited.add(g)
+                queue.append((g, y, x))
+    return out, label
+
+
+def reference_canonical(faces, col=None, mode="ignore"):
+    """(code bytes, label map, color permutation) by the full sweep.
+
+    Every start flag in the least degree-triple class is swept to the end
+    and encoded to bytes, and up to permutation all six color permutations
+    are tried on every flag; the least (body, color suffix) wins, the first
+    one found on ties.  Flags are taken in the package's order: faces as
+    sorted triples in sorted order, six directions per face.
+    """
+    faces = sorted(tuple(sorted(f)) for f in faces)
+    edge_faces = {}
+    for a, b, c in faces:
+        for e in ((a, b), (a, c), (b, c)):
+            edge_faces.setdefault(e, []).append((a, b, c))
+    deg = {v: len(n) for v, n in neighbors_of(faces).items()}
+    best_key, flags = None, []
+    for f in faces:
+        a, b, c = f
+        for x, y, z in (
+            (a, b, c), (b, a, c), (a, c, b), (c, a, b), (b, c, a), (c, b, a)
+        ):
+            key = (deg[x], deg[y], deg[z])
+            if best_key is None or key < best_key:
+                best_key, flags = key, [(f, x, y)]
+            elif key == best_key:
+                flags.append((f, x, y))
+    width = 2 if len(faces) < 65536 else 4
+    header = b"".join(n.to_bytes(width, "big") for n in (len(deg), len(faces)))
+    perms = color_permutations() if mode == "up-to-permutation" else [(0, 1, 2)]
+    best = None
+    for f, u, v in flags:
+        stream, labels = _reference_sweep(edge_faces, f, u, v)
+        body = b"".join(x.to_bytes(width, "big") for x in stream)
+        if best is not None and body > best[0]:
+            continue
+        for perm in perms:
+            suffix = b""
+            if mode != "ignore":
+                by_label = [0] * len(labels)
+                for x, i in labels.items():
+                    by_label[i] = perm[col[x]]
+                suffix = bytes(by_label)
+            if best is None or (body, suffix) < best[:2]:
+                best = (body, suffix, labels, perm)
+    body, suffix, labels, perm = best
+    return header + body + suffix, labels, perm
 
 
 def _backtrack(order, candidates, adj1, adj2, faces1_set, faces2_set):

@@ -1,6 +1,9 @@
-"""Canonical codes: invariance, modes, and agreement with brute force."""
+"""Canonical codes: invariance, modes, agreement with brute force and with
+the full-sweep reference, pinned bytes, and wide codes."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +16,11 @@ from baltri import (
     is_isomorphic,
     validate,
 )
+from baltri.cli import GALLERY
 from baltri.explorer import build_k333_torus, build_octahedron
+from baltri.flips import FlipKind, FlipSite, apply_flip
 
-from oracles import brute_isomorphism, color_permutations
+from oracles import brute_isomorphism, color_permutations, reference_canonical
 
 
 def relabeled(t, col, seed):
@@ -149,3 +154,80 @@ class TestOracleAgreement:
                 t.faces, t2.faces, col.as_dict(), col3.as_dict(), "up-to-permutation"
             )
             assert ref is not None
+
+
+def grid_torus(n):
+    """The n x n 6-regular torus with its coloring; n must be a multiple of 3."""
+
+    def v(i, j):
+        return (i % n) * n + (j % n)
+
+    faces = []
+    for i in range(n):
+        for j in range(n):
+            faces.append((v(i, j), v(i + 1, j), v(i, j + 1)))
+            faces.append((v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)))
+    col = Coloring({v(i, j): (i - j) % 3 for i in range(n) for j in range(n)})
+    return validate(faces), col
+
+
+def check_against_reference(t, col, mode):
+    code, labels, perm = reference_canonical(t.faces, col, mode.value)
+    assert canonical_code(t, col, mode).data == code
+    form, fcol, got_labels = canonical_form(t, col, mode)
+    assert got_labels == labels
+    assert form.faces == tuple(
+        sorted(tuple(sorted(labels[v] for v in f)) for f in t.faces)
+    )
+    if mode is ColorMode.IGNORE:
+        assert fcol is None
+    else:
+        assert fcol == Coloring({labels[v]: perm[col[v]] for v in t.vertices})
+
+
+class TestReferenceAgreement:
+    """The early-abort sweep against the full sweep, byte for byte."""
+
+    @pytest.mark.parametrize("mode", list(ColorMode))
+    def test_relabeled_walks(self, mode, mixed_samples_14):
+        for seed, (t, col) in enumerate(mixed_samples_14[::4]):
+            check_against_reference(t, col, mode)
+            check_against_reference(*relabeled(t, col, seed), mode)
+
+    @pytest.mark.parametrize("mode", list(ColorMode))
+    @pytest.mark.parametrize(
+        "build",
+        [
+            build_octahedron,
+            build_k333_torus,
+            lambda: grid_torus(6),
+            lambda: grid_torus(9),
+        ],
+        ids=["octahedron", "k333-torus", "grid6", "grid9"],
+    )
+    def test_inputs_where_every_sweep_ties(self, mode, build):
+        t, col = build()
+        check_against_reference(t, col, mode)
+        check_against_reference(*relabeled(t, col, 5), mode)
+
+    def test_gallery_codes_are_pinned(self):
+        with open(Path(__file__).with_name("gallery_codes.json")) as fh:
+            pinned = json.load(fh)
+        for name, build in GALLERY.items():
+            t, col = build()
+            for mode in ColorMode:
+                assert canonical_code(t, col, mode).hex() == pinned[name][mode.value]
+
+
+class TestWideCodes:
+    def test_past_65535_faces(self):
+        # one triple subdivision breaks the torus's symmetry, so only a few
+        # start flags reach the least degree triple
+        t, col = grid_torus(183)
+        t, col = apply_flip(t, FlipSite(FlipKind.BTS, t.faces[0]), col)
+        assert t.face_count >= 65536
+        code = canonical_code(t, col)
+        assert code == canonical_code(*relabeled(t, col, 7))
+        assert int.from_bytes(code.data[:4], "big") == t.vertex_count
+        assert int.from_bytes(code.data[4:8], "big") == t.face_count
+        assert len(code.data) == 8 + 12 * t.face_count + t.vertex_count

@@ -67,6 +67,20 @@ class TestValidate:
         assert "parse error" in err
 
 
+class TestUnexpectedErrors:
+    def test_internal_fault_exits_one_without_a_traceback(self, capsys, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise OverflowError("int too big to convert")
+
+        monkeypatch.setattr("baltri.cli.canonical_code", overflow)
+        code, out, err = run(capsys, "canon", "octahedron")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "OverflowError" in err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+
+
 class TestCanon:
     def test_known_prefix(self, capsys):
         code, out, _ = run(capsys, "canon", "octahedron")

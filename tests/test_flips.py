@@ -7,12 +7,14 @@ from baltri import (
     ColorMode,
     InvalidSite,
     ParseError,
+    WouldCreateDuplicateFace,
     canonical_code,
     euler_characteristic,
     is_orientable,
     is_proper,
 )
 from baltri.explorer import build_k333_torus, build_octahedron
+from baltri import flips
 from baltri.flips import (
     INVERSE_KIND,
     SITE_ARITY,
@@ -99,6 +101,16 @@ class TestApply:
         f = t.faces[0]
         with pytest.raises(InvalidSite):
             apply_flip(t, FlipSite(FlipKind.BES, (f[0], f[1], f[2], f[2])), col)
+
+    def test_new_face_check_survives_optimization(self, monkeypatch):
+        # the precondition checks rule this out, so fake a faulty rewrite
+        # that adds a face the triangulation already has
+        t, col = build_octahedron()
+        monkeypatch.setitem(
+            flips._REWRITES, FlipKind.BTS, lambda t, v: ((), (t.faces[1],), (), {})
+        )
+        with pytest.raises(WouldCreateDuplicateFace):
+            apply_flip(t, FlipSite(FlipKind.BTS, t.faces[0]), col)
 
     def test_input_is_never_mutated(self):
         t, col = build_octahedron()

@@ -9,6 +9,7 @@ from baltri import (
     DegenerateFace,
     Disconnected,
     DuplicateFace,
+    ImpossibleSurface,
     NonManifoldEdge,
     NotBalanced,
     PinchedVertex,
@@ -73,6 +74,13 @@ class TestValidate:
         second = [(4, 5, 6), (4, 5, 7), (4, 6, 7), (5, 6, 7)]
         with pytest.raises(Disconnected):
             validate(TETRAHEDRON + second)
+
+    def test_euler_characteristic_check_survives_optimization(self, monkeypatch):
+        # no closed surface reaches this check, so fake an orientable
+        # projective plane (odd chi)
+        monkeypatch.setattr("baltri.surface.is_orientable", lambda t: True)
+        with pytest.raises(ImpossibleSurface):
+            validate(PROJECTIVE_PLANE)
 
     def test_vertex_ids_need_not_be_contiguous(self):
         faces = [tuple(10 * v + 3 for v in f) for f in TETRAHEDRON]
