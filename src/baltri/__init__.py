@@ -56,6 +56,7 @@ from .errors import (
     PinchedVertex,
     PreconditionViolated,
     RewriteBudgetExceeded,
+    RewriteUnsound,
     SurfaceMismatch,
     TriangulationError,
     WouldCreateDoubleEdge,

@@ -11,9 +11,15 @@ inverse op).  Soundness leans on one structural fact: before the first
 inverse, the sequence is all-forward, and forward ops never lower the degree
 of an existing vertex, so any vertex of degree 1 or 2 at that point was
 created by the forward prefix itself and its whole neighborhood is known.
-Each rewrite is verified on the spot by rebuilding both results and finding
-an isomorphism between them; the relabeling found is pushed through the
-remaining ops.
+Each rewrite is verified on the spot by finding an isomorphism between the
+graphs the old and the new pair reach; a relabeling other than the identity
+is pushed through the remaining ops.
+
+Ops cost what they change: `apply_bip` patches copies of its input's dicts
+and shares every neighbor frozenset it does not touch.  The normalizer
+applies the script once, which rejects a script that does not apply, and
+caches the graph after each prefix; a rewrite at position i keeps the
+prefixes before i and rebuilds later ones only as rewriting reaches them.
 """
 
 from __future__ import annotations
@@ -22,12 +28,11 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
-
 from .errors import (
     NotApplicable,
     PreconditionViolated,
     RewriteBudgetExceeded,
+    RewriteUnsound,
     WrongDegree,
 )
 
@@ -35,7 +40,7 @@ from .errors import (
 class BipGraph:
     """A simple bipartite graph: parts[v] in {0, 1}, edges across parts."""
 
-    __slots__ = ("parts", "edges", "_adj")
+    __slots__ = ("parts", "_adj", "_edges")
 
     def __init__(self, parts: Mapping[int, int], edges: Iterable[tuple[int, int]]):
         self.parts: dict[int, int] = dict(parts)
@@ -50,17 +55,30 @@ class BipGraph:
                     f"edge {{{u},{v}}} joins two part-{self.parts[u]} vertices"
                 )
             es.add((u, v) if u < v else (v, u))
-        self.edges: frozenset[tuple[int, int]] = frozenset(es)
+        self._edges: frozenset[tuple[int, int]] | None = frozenset(es)
         for v, p in self.parts.items():
             if p not in (0, 1):
                 raise PreconditionViolated(f"vertex {v} has part {p}, not 0/1")
         adj: dict[int, set[int]] = {v: set() for v in self.parts}
-        for u, v in self.edges:
+        for u, v in es:
             adj[u].add(v)
             adj[v].add(u)
-        self._adj = adj
+        self._adj: dict[int, frozenset[int]] = {v: frozenset(n) for v, n in adj.items()}
+
+    @classmethod
+    def _trusted(cls, parts: dict[int, int], adj: dict[int, frozenset[int]]) -> BipGraph:
+        """A graph on dicts the caller vouches for; nothing is checked or copied."""
+        g = cls.__new__(cls)
+        g.parts, g._adj, g._edges = parts, adj, None
+        return g
 
     # -- queries --------------------------------------------------------
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        if self._edges is None:
+            self._edges = frozenset((u, v) for u, ns in self._adj.items() for v in ns if u < v)
+        return self._edges
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -71,11 +89,11 @@ class BipGraph:
 
     def __eq__(self, other):
         if isinstance(other, BipGraph):
-            return self.parts == other.parts and self.edges == other.edges
+            return self.parts == other.parts and self._adj == other._adj
         return NotImplemented
 
     def __repr__(self):
-        return f"BipGraph(V={len(self.parts)}, E={len(self.edges)})"
+        return f"BipGraph(V={len(self.parts)}, E={self.edge_count()})"
 
     def part(self, v: int) -> int:
         return self.parts[v]
@@ -84,13 +102,13 @@ class BipGraph:
         return len(self._adj[v])
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(self._adj[v])
+        return self._adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return v in self._adj.get(u, ())
 
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._adj.values())) // 2
 
     def min_degree(self) -> int:
         return min((len(n) for n in self._adj.values()), default=0)
@@ -178,11 +196,18 @@ def _need(cond: bool, msg: str) -> None:
 def apply_bip(g: BipGraph, op: BipOp) -> BipGraph:
     """Apply one operation, or raise NotApplicable naming the violation."""
     k, a = op.kind, op.args
+    # the checks below leave a simple bipartite graph: patch g, skip revalidation
     parts = dict(g.parts)
-    edges = set(g.edges)
+    adj = dict(g._adj)
 
     def add_edge(u, v):
-        edges.add((u, v) if u < v else (v, u))
+        adj[u] = adj.get(u, frozenset()) | {v}
+        adj[v] = adj.get(v, frozenset()) | {u}
+
+    def del_vertex(w):
+        for v in adj.pop(w):
+            adj[v] = adj[v] - {w}
+        del parts[w]
 
     if k is BipOpKind.ADD_LEAF:
         v, w = a
@@ -194,7 +219,8 @@ def apply_bip(g: BipGraph, op: BipOp) -> BipGraph:
         u, v, p, q = a
         _need(g.has_edge(u, v), f"no edge {{{u},{v}}}")
         _need(p not in g and q not in g and p != q, f"{p}, {q} must be two new vertices")
-        edges.remove((min(u, v), max(u, v)))
+        adj[u] = adj[u] - {v}
+        adj[v] = adj[v] - {u}
         parts[p] = g.part(v)
         parts[q] = g.part(u)
         add_edge(u, p)
@@ -214,32 +240,26 @@ def apply_bip(g: BipGraph, op: BipOp) -> BipGraph:
         (w,) = a
         _need(w in g, f"no vertex {w}")
         _need(g.degree(w) == 1, f"vertex {w} has degree {g.degree(w)}, not a leaf")
-        (v,) = g.neighbors(w)
-        edges.remove((min(v, w), max(v, w)))
-        del parts[w]
+        del_vertex(w)
     elif k is BipOpKind.SMOOTH_PATH:
         u, p, q, v = a
-        _need(all(x in g for x in a), f"vertices {a} must exist")
+        _need(len(set(a)) == 4 and all(x in g for x in a), f"{a} must be 4 existing vertices")
         _need(
             g.has_edge(u, p) and g.has_edge(p, q) and g.has_edge(q, v),
             f"no path {u}-{p}-{q}-{v}",
         )
         _need(g.degree(p) == 2 and g.degree(q) == 2, f"{p}, {q} must have degree 2")
         _need(is_smoothable(g, p, q), f"pair {p}, {q} lies on a 4-cycle")
-        for x, y in ((u, p), (p, q), (q, v)):
-            edges.remove((min(x, y), max(x, y)))
-        del parts[p], parts[q]
+        del_vertex(p)
+        del_vertex(q)
         add_edge(u, v)
-    else:
-        assert k is BipOpKind.DEL_CORNER
+    else:  # DEL_CORNER
         (w,) = a
         _need(w in g, f"no vertex {w}")
         _need(g.degree(w) == 2, f"vertex {w} has degree {g.degree(w)}, not 2")
         _need(is_removable(g, w), f"vertex {w} lies on no 4-cycle")
-        for v in g.neighbors(w):
-            edges.remove((min(v, w), max(v, w)))
-        del parts[w]
-    return BipGraph(parts, edges)
+        del_vertex(w)
+    return BipGraph._trusted(parts, adj)
 
 
 def apply_sequence(g: BipGraph, ops: Sequence[BipOp]) -> BipGraph:
@@ -250,13 +270,6 @@ def apply_sequence(g: BipGraph, ops: Sequence[BipOp]) -> BipGraph:
 
 # -- isomorphism --------------------------------------------------------------
 
-def _as_nx(g: BipGraph) -> "nx.Graph":
-    out = nx.Graph()
-    out.add_nodes_from(g.vertices)
-    out.add_edges_from(sorted(g.edges))
-    return out
-
-
 def find_isomorphism(g1: BipGraph, g2: BipGraph) -> dict[int, int] | None:
     """Some graph isomorphism g1 -> g2 as a vertex map, or None.
 
@@ -264,11 +277,19 @@ def find_isomorphism(g1: BipGraph, g2: BipGraph) -> dict[int, int] | None:
     valid bipartition to another, which is all the relabeling of later
     operations needs.
     """
-    if len(g1.parts) != len(g2.parts) or len(g1.edges) != len(g2.edges):
+    if len(g1.parts) != len(g2.parts) or g1.edge_count() != g2.edge_count():
         return None
-    if g1.parts == g2.parts and g1.edges == g2.edges:
+    if g1 == g2:
         return {v: v for v in g1.parts}
-    matcher = nx.algorithms.isomorphism.GraphMatcher(_as_nx(g1), _as_nx(g2))
+    # networkx takes ~0.2 s to import, so only a real VF2 search loads it
+    from networkx import Graph
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    nx1, nx2 = Graph(), Graph()
+    for g, out in ((g1, nx1), (g2, nx2)):
+        out.add_nodes_from(g.vertices)
+        out.add_edges_from(sorted(g.edges))
+    matcher = GraphMatcher(nx1, nx2)
     if matcher.is_isomorphic():
         return dict(matcher.mapping)
     return None
@@ -281,12 +302,15 @@ def bip_isomorphic(g1: BipGraph, g2: BipGraph) -> bool:
 
 # -- sequence normalization ----------------------------------------------------
 
-def _freshen(g: BipGraph, ops: Sequence[BipOp]) -> tuple[list[BipOp], int]:
-    """Rename colliding created ids so every creation is globally unique.
+def _freshen(g: BipGraph, ops: Sequence[BipOp]) -> tuple[list[BipOp], list[BipGraph], int]:
+    """Apply ops once, renaming re-created ids so every creation is unique.
 
     Input sequences may reuse ids (create, delete, re-create); downstream
     rewriting assumes created ids are unique and collision-free.  Ids that
-    are already unique are kept as-is.
+    are already unique are kept as-is, and so is a created id that is still
+    live, which apply_bip then rejects just as apply_sequence would.
+    Returns the renamed ops, the prefix graphs (prefix[i] is g after the
+    first i ops) and the largest id in use.
     """
     used = set(g.parts)
     for op in ops:
@@ -295,15 +319,23 @@ def _freshen(g: BipGraph, ops: Sequence[BipOp]) -> tuple[list[BipOp], int]:
     seen = set(g.parts)
     rename: dict[int, int] = {}
     out: list[BipOp] = []
+    prefix = [g]
     for op in ops:
         op = op.relabeled(rename)
         for c in op.created():
-            if c in seen:
+            if c in seen and c not in prefix[-1]:
                 counter += 1
                 rename[c] = counter
             seen.add(rename.get(c, c))
-        out.append(op.relabeled(rename))
-    return out, counter
+        op = op.relabeled(rename)
+        out.append(op)
+        prefix.append(apply_bip(prefix[-1], op))
+    return out, prefix, counter
+
+
+def _sound(cond: bool, msg: str) -> None:
+    if not cond:
+        raise RewriteUnsound(msg)
 
 
 def _rewrite_pair(g_before, f: BipOp, inv: BipOp, fresh) -> list[BipOp]:
@@ -317,7 +349,7 @@ def _rewrite_pair(g_before, f: BipOp, inv: BipOp, fresh) -> list[BipOp]:
         (w,) = inv.args
         if w not in g_before:
             # only a just-added leaf can have degree 1 while being new
-            assert f.kind is K.ADD_LEAF and f.args[1] == w
+            _sound(f.kind is K.ADD_LEAF and f.args[1] == w, "a new leaf must be f's")
             return []
         if f.kind is K.SPLIT_EDGE and w in f.args[:2]:
             # splitting w's pendant edge then dropping w leaves the stub
@@ -333,7 +365,7 @@ def _rewrite_pair(g_before, f: BipOp, inv: BipOp, fresh) -> list[BipOp]:
             # that the smoothing precondition rules out); whether the split
             # made both, or one plus swallowing an old degree-2 endpoint,
             # the two ops cancel up to renaming
-            assert f.kind is K.SPLIT_EDGE
+            _sound(f.kind is K.SPLIT_EDGE, "a new smoothing pair must be f's")
             return []
         if f.kind is K.SPLIT_EDGE:
             a, b = f.args[:2]
@@ -348,15 +380,15 @@ def _rewrite_pair(g_before, f: BipOp, inv: BipOp, fresh) -> list[BipOp]:
             return [BipOp(K.DEL_LEAF, (f.args[0],))]
         return [inv, f]
 
-    assert inv.kind is K.DEL_CORNER
+    _sound(inv.kind is K.DEL_CORNER, f"{inv.kind.value} is not an inverse op")
     (w,) = inv.args
     if w not in g_before:
-        assert f.kind is K.ADD_CORNER and f.args[3] == w
+        _sound(f.kind is K.ADD_CORNER and f.args[3] == w, "a new corner must be f's")
         return []
     if g_before.degree(w) == 1:
         # only a corner added on top of the pendant w gives it degree 2;
         # trimming w and re-hanging a leaf at the far endpoint matches
-        assert f.kind is K.ADD_CORNER and w in f.args[:2]
+        _sound(f.kind is K.ADD_CORNER and w in f.args[:2], "w must end f's corner")
         far = f.args[1] if f.args[0] == w else f.args[0]
         return [BipOp(K.DEL_LEAF, (w,)), BipOp(K.ADD_LEAF, (far, f.args[3]))]
     if is_removable(g_before, w):
@@ -369,23 +401,24 @@ def _rewrite_pair(g_before, f: BipOp, inv: BipOp, fresh) -> list[BipOp]:
         return [inv, f]
     # w only became removable through f: f must be a corner across w's
     # own neighbors, and that corner replaces w wholesale
-    assert f.kind is K.ADD_CORNER and set(f.args[:2]) == set(g_before.neighbors(w))
+    spans = f.kind is K.ADD_CORNER and set(f.args[:2]) == g_before.neighbors(w)
+    _sound(spans, "only a corner across w's neighbors makes w removable")
     return []
 
 
 def normalize_sequence(g: BipGraph, ops: Sequence[BipOp]) -> list[BipOp]:
     """Rewrite ops into a forward-only sequence with an isomorphic result.
 
-    Requires min degree >= 3 on g (PreconditionViolated otherwise).  The
-    output is never longer than the input.  Internally bounded by |ops|^2
-    rewriting steps; exceeding the bound raises RewriteBudgetExceeded and
-    would indicate a bug in the case analysis rather than a hard input.
+    Requires min degree >= 3 on g (PreconditionViolated otherwise) and ops
+    that apply to g (NotApplicable otherwise).  The output is never longer
+    than the input.  RewriteBudgetExceeded (past |ops|^2 rewriting steps) or
+    RewriteUnsound would indicate a bug in the case analysis, not a hard input.
     """
     if g.min_degree() < 3:
         raise PreconditionViolated(
             f"minimum degree {g.min_degree()} < 3; normalization not defined"
         )
-    seq, counter = _freshen(g, ops)
+    seq, prefix, counter = _freshen(g, ops)
 
     def fresh() -> int:
         nonlocal counter
@@ -393,28 +426,32 @@ def normalize_sequence(g: BipGraph, ops: Sequence[BipOp]) -> list[BipOp]:
         return counter
 
     budget = max(1, len(seq)) ** 2
-    steps = 0
+    steps = first_inv = 0
     while True:
-        first_inv = next(
-            (i for i, op in enumerate(seq) if not op.is_forward()), None
-        )
+        start = max(first_inv - 1, 0)  # the ops before the last rewrite are forward
+        first_inv = next((i for i in range(start, len(seq)) if not seq[i].is_forward()), None)
         if first_inv is None:
             return seq
-        assert first_inv > 0, "an inverse op cannot apply to a min-degree-3 graph"
+        _sound(first_inv > 0, "an inverse op cannot apply to a min-degree-3 graph")
         steps += 1
         if steps > budget:
             raise RewriteBudgetExceeded(
                 f"exceeded {budget} rewriting steps on a {len(ops)}-op sequence"
             )
-        before = apply_sequence(g, seq[: first_inv - 1])
-        f, inv = seq[first_inv - 1], seq[first_inv]
-        replacement = _rewrite_pair(before, f, inv, fresh)
-        got = apply_sequence(before, replacement)
-        want = apply_bip(apply_bip(before, f), inv)
-        relabel = find_isomorphism(want, got)
-        assert relabel is not None, "rewrite changed the graph up to isomorphism"
-        seq = (
-            seq[: first_inv - 1]
-            + replacement
-            + [op.relabeled(relabel) for op in seq[first_inv + 1 :]]
-        )
+        try:
+            while len(prefix) <= first_inv + 1:
+                prefix.append(apply_bip(prefix[-1], seq[len(prefix) - 1]))
+            before, want = prefix[first_inv - 1], prefix[first_inv + 1]
+            replacement = _rewrite_pair(before, seq[first_inv - 1], seq[first_inv], fresh)
+            del prefix[first_inv:]
+            for op in replacement:
+                prefix.append(apply_bip(prefix[-1], op))
+        except NotApplicable as exc:
+            # the input applied as a whole, so this is the rewrite's fault
+            raise RewriteUnsound(f"rewritten script stopped applying: {exc}") from exc
+        relabel = find_isomorphism(want, prefix[-1])
+        _sound(relabel is not None, "rewrite changed the graph up to isomorphism")
+        tail = seq[first_inv + 1 :]
+        if any(u != v for u, v in relabel.items()):
+            tail = [op.relabeled(relabel) for op in tail]
+        seq[first_inv - 1 :] = replacement + tail

@@ -11,6 +11,7 @@ malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -285,6 +286,7 @@ def _cmd_bip_normalize(args) -> None:
 
 # -- wiring ----------------------------------------------------------------------
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="baltri",

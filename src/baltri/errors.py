@@ -97,6 +97,10 @@ class RewriteBudgetExceeded(BaltriError):
     """
 
 
+class RewriteUnsound(BaltriError):
+    """A normalizer rewrite failed its own check: a bug in the case analysis."""
+
+
 # --- embeddings ------------------------------------------------------------
 
 class InvalidEmbedding(BaltriError):

@@ -6,9 +6,14 @@ Session scope keeps the expensive corpora shared across test modules.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import baltri
 
 from baltri import random_walk
 from baltri.bipartite import (
@@ -69,6 +74,16 @@ def small_samples_50():
             walk_sample(300 + seed, steps=8, max_vertices=12, start="k333-torus")
         )
     return out
+
+
+def run_python(code, *flags):
+    """Run code in a fresh interpreter that imports baltri from this tree."""
+    src = os.path.dirname(os.path.dirname(baltri.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 # --- bipartite sampling -------------------------------------------------------

@@ -3,11 +3,13 @@
 Everything here is written straight from the definitions and on purpose uses
 different algorithms than the package: isomorphism by backtracking over vertex
 bijections instead of canonical codes, site scans directly off the face list.
-The exception is reference_canonical, the slow form of the package's own
-canonical code, which the fast path must match byte for byte.  Slow is fine,
-the inputs stay small.  These functions take plain data (face tuples, dicts,
-edge pairs), not package objects, so they cannot accidentally lean on package
-internals.
+The exceptions are reference_canonical, the slow form of the package's own
+canonical code, which the fast path must match byte for byte, and
+reference_normalize, the replay-from-scratch normalizer, which shares the
+package's rewrite case analysis and must match its output op for op.  Slow
+is fine, the inputs stay small.  The other functions take plain data (face
+tuples, dicts, edge pairs), not package objects, so they cannot
+accidentally lean on package internals.
 """
 
 from __future__ import annotations
@@ -313,3 +315,123 @@ def brute_bip_isomorphism(parts1, edges1, parts2, edges2):
         if place(0):
             return dict(assign)
     return None
+
+
+def reference_apply_bip(parts, edges, kind, args):
+    """One bipartite operation on plain data, written from its definition.
+
+    kind is the operation's name (add-leaf, split-edge, add-corner, del-leaf,
+    smooth-path, del-corner).  Returns the new (parts, edges), or None when
+    a precondition fails.
+    """
+    parts = dict(parts)
+    edges = {tuple(sorted(e)) for e in edges}
+    nbr = bip_neighbors(parts, edges)
+
+    def edge(u, v):
+        return tuple(sorted((u, v))) in edges
+
+    def new(*vs):
+        return len(set(vs)) == len(vs) and not any(v in parts for v in vs)
+
+    def drop(w):
+        for v in nbr[w]:
+            edges.discard(tuple(sorted((v, w))))
+        del parts[w]
+
+    if kind == "add-leaf":
+        v, w = args
+        if v not in parts or not new(w):
+            return None
+        parts[w] = 1 - parts[v]
+        edges.add(tuple(sorted((v, w))))
+    elif kind == "split-edge":
+        u, v, p, q = args
+        if not edge(u, v) or not new(p, q):
+            return None
+        edges.remove(tuple(sorted((u, v))))
+        parts[p], parts[q] = parts[v], parts[u]
+        edges.update(tuple(sorted(e)) for e in ((u, p), (p, q), (q, v)))
+    elif kind == "add-corner":
+        x, y, z, w = args
+        if not (x != y and edge(x, z) and edge(y, z)) or edge(x, y) or not new(w):
+            return None
+        parts[w] = 1 - parts[x]
+        edges.update(tuple(sorted(e)) for e in ((x, w), (y, w)))
+    elif kind == "del-leaf":
+        (w,) = args
+        if len(nbr.get(w, ())) != 1:
+            return None
+        drop(w)
+    elif kind == "smooth-path":
+        u, p, q, v = args
+        if len({u, p, q, v}) != 4 or not (edge(u, p) and edge(p, q) and edge(q, v)):
+            return None
+        if len(nbr[p]) != 2 or len(nbr[q]) != 2 or edge(u, v):
+            return None
+        drop(p)
+        drop(q)
+        edges.add(tuple(sorted((u, v))))
+    else:
+        (w,) = args
+        if len(nbr.get(w, ())) != 2:
+            return None
+        x, y = nbr[w]
+        if not (nbr[x] & nbr[y]) - {w}:
+            return None
+        drop(w)
+    return parts, edges
+
+
+def reference_normalize(g, ops):
+    """normalize_sequence by replaying the whole prefix from g at every step.
+
+    Every graph is built through the validating BipGraph constructor from
+    reference_apply_bip's plain data; the rewrite case analysis and the
+    isomorphism search are the package's.  Takes and returns package
+    objects.  Assumes ops apply to g.
+    """
+    from baltri.bipartite import BipGraph, _rewrite_pair, find_isomorphism
+
+    def replay(h, seq):
+        for op in seq:
+            out = reference_apply_bip(h.parts, h.edges, op.kind.value, op.args)
+            assert out is not None, f"{op} does not apply"
+            h = BipGraph(*out)
+        return h
+
+    # rename re-created ids, so that every creation is globally unique
+    used = set(g.parts)
+    for op in ops:
+        used.update(op.args)
+    counter = max(used, default=-1)
+    seen = set(g.parts)
+    rename = {}
+    seq = []
+    for op in ops:
+        op = op.relabeled(rename)
+        for c in op.created():
+            if c in seen:
+                counter += 1
+                rename[c] = counter
+            seen.add(rename.get(c, c))
+        seq.append(op.relabeled(rename))
+
+    def fresh():
+        nonlocal counter
+        counter += 1
+        return counter
+
+    while True:
+        inverses = [i for i, op in enumerate(seq) if not op.is_forward()]
+        if not inverses:
+            return seq
+        i = inverses[0]
+        assert i > 0
+        before = replay(g, seq[: i - 1])
+        replacement = _rewrite_pair(before, seq[i - 1], seq[i], fresh)
+        relabel = find_isomorphism(
+            replay(before, seq[i - 1 : i + 1]), replay(before, replacement)
+        )
+        assert relabel is not None
+        seq = seq[: i - 1] + replacement + [op.relabeled(relabel) for op in seq[i + 1 :]]

@@ -1,11 +1,14 @@
 """Bipartite graphs, the six operations, and sequence normalization."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from baltri import (
     NotApplicable,
     PreconditionViolated,
+    RewriteUnsound,
     WrongDegree,
 )
 from baltri.bipartite import (
@@ -23,8 +26,8 @@ from baltri.bipartite import (
     normalize_sequence,
 )
 
-from conftest import k33, random_bip_case
-from oracles import brute_bip_isomorphism
+from conftest import k33, random_bip_case, run_python
+from oracles import brute_bip_isomorphism, reference_apply_bip, reference_normalize
 
 
 def oracle_iso(g1, g2):
@@ -35,6 +38,28 @@ def oracle_iso(g1, g2):
 
 def path4():
     return BipGraph({0: 0, 1: 1, 2: 0, 3: 1}, [(0, 1), (1, 2), (2, 3)])
+
+
+def random_op(rng, ids):
+    """An op of a random kind on ids drawn from ids and two unused ones."""
+    pool = sorted(ids) + [max(ids) + 1, max(ids) + 2]
+    kind = rng.choice(list(BipOpKind))
+    return BipOp(kind, tuple(rng.choice(pool) for _ in range(OP_ARITY[kind])))
+
+
+def corrupted(rng, g, ops):
+    """ops with one op replaced, dropped or repeated."""
+    i = rng.randrange(len(ops))
+    how = rng.randrange(3)
+    if how == 0:
+        ids = set(g.parts).union(*(op.args for op in ops))
+        return ops[:i] + [random_op(rng, ids)] + ops[i + 1 :]
+    if how == 1:
+        return ops[:i] + ops[i + 1 :]
+    return ops[: i + 1] + ops[i:]
+
+
+CANCELLING = [BipOp(BipOpKind.ADD_LEAF, (0, 6)), BipOp(BipOpKind.DEL_LEAF, (6,))]
 
 
 class TestGraph:
@@ -137,6 +162,12 @@ class TestOps:
         with pytest.raises(NotApplicable):
             apply_bip(square, BipOp(BipOpKind.SMOOTH_PATH, (0, 1, 2, 3)))
 
+    def test_smooth_path_needs_four_distinct_vertices(self):
+        g = apply_bip(k33(), BipOp(BipOpKind.SPLIT_EDGE, (0, 3, 6, 7)))
+        # 7-6-7-3 passes the edge checks, but u = q is not a path
+        with pytest.raises(NotApplicable):
+            apply_bip(g, BipOp(BipOpKind.SMOOTH_PATH, (7, 6, 7, 3)))
+
     def test_del_corner_undoes_add_corner(self):
         g = apply_bip(k33(), BipOp(BipOpKind.ADD_CORNER, (3, 4, 0, 6)))
         back = apply_bip(g, BipOp(BipOpKind.DEL_CORNER, (6,)))
@@ -147,6 +178,36 @@ class TestOps:
         # vertex 1 has degree 2 but its neighbors share no other neighbor
         with pytest.raises(NotApplicable):
             apply_bip(g, BipOp(BipOpKind.DEL_CORNER, (1,)))
+
+
+class TestPatchedApply:
+    """apply_bip patches its input; the definitions rebuild from scratch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_matches_the_validating_rebuild(self, seed):
+        rng = random.Random(seed)
+        g, ops = random_bip_case(seed % 4000, max_side=6, max_len=32)
+        for op in ops:
+            stray = random_op(rng, g.parts)
+            want = reference_apply_bip(g.parts, g.edges, stray.kind.value, stray.args)
+            if want is None:
+                with pytest.raises(NotApplicable):
+                    apply_bip(g, stray)
+            else:
+                assert apply_bip(g, stray) == BipGraph(*want)
+            before = dict(g.parts), {v: g.neighbors(v) for v in g.vertices}
+            h = apply_bip(g, op)
+            parts, edges = reference_apply_bip(g.parts, g.edges, op.kind.value, op.args)
+            rebuilt = BipGraph(h.parts, h.edges)
+            assert h.parts == parts == rebuilt.parts
+            assert h.edges == edges == rebuilt.edges
+            assert all(h.neighbors(v) == rebuilt.neighbors(v) for v in h.vertices)
+            assert h.edge_count() == len(edges)
+            assert h.min_degree() == rebuilt.min_degree()
+            # copy on write: the input graph is left as it was
+            assert (dict(g.parts), {v: g.neighbors(v) for v in g.vertices}) == before
+            g = h
 
 
 class TestPredicates:
@@ -195,11 +256,7 @@ class TestIsomorphism:
 
 class TestNormalize:
     def test_cancellation(self):
-        ops = [
-            BipOp(BipOpKind.ADD_LEAF, (0, 6)),
-            BipOp(BipOpKind.DEL_LEAF, (6,)),
-        ]
-        assert normalize_sequence(k33(), ops) == []
+        assert normalize_sequence(k33(), CANCELLING) == []
 
     def test_pinned_example(self):
         ops = [
@@ -240,3 +297,57 @@ class TestNormalize:
         result = apply_sequence(g, normal)
         if oracle_iso(result, g) is None:
             assert result.edge_count() > g.edge_count()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), max_len=st.sampled_from([8, 32, 128]))
+    def test_matches_the_replay_reference(self, seed, max_len):
+        g, ops = random_bip_case(seed % 4000, max_side=6, max_len=max_len)
+        assert normalize_sequence(g, ops) == reference_normalize(g, ops)
+
+    def test_scripts_that_do_not_apply_are_rejected(self):
+        K = BipOpKind
+        for ops in (
+            [BipOp(K.DEL_LEAF, (0,)), BipOp(K.ADD_LEAF, (0, 9))],
+            [BipOp(K.ADD_LEAF, (0, 1))],  # creates the live vertex 1
+        ):
+            with pytest.raises(NotApplicable):
+                apply_sequence(k33(), ops)
+            with pytest.raises(NotApplicable):
+                normalize_sequence(k33(), ops)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_rejects_exactly_what_apply_rejects(self, seed):
+        g, ops = random_bip_case(seed % 4000, max_len=12)
+        ops = corrupted(random.Random(seed), g, ops)
+        try:
+            want = apply_sequence(g, ops)
+        except NotApplicable:
+            with pytest.raises(NotApplicable):
+                normalize_sequence(g, ops)
+        else:
+            got = apply_sequence(g, normalize_sequence(g, ops))
+            assert oracle_iso(want, got) is not None
+
+    def test_failed_rewrite_check_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr("baltri.bipartite.find_isomorphism", lambda g1, g2: None)
+        with pytest.raises(RewriteUnsound):
+            normalize_sequence(k33(), CANCELLING)
+
+    def test_failed_rewrite_check_survives_optimization(self):
+        code = (
+            "import baltri.bipartite as b\n"
+            "from baltri import RewriteUnsound\n"
+            "b.find_isomorphism = lambda g1, g2: None\n"
+            "g = b.BipGraph({v: v // 3 for v in range(6)},"
+            " [(i, j) for i in range(3) for j in range(3, 6)])\n"
+            "ops = [b.BipOp(b.BipOpKind.ADD_LEAF, (0, 6)),"
+            " b.BipOp(b.BipOpKind.DEL_LEAF, (6,))]\n"
+            "try:\n"
+            "    b.normalize_sequence(g, ops)\n"
+            "except RewriteUnsound:\n"
+            "    print('typed')\n"
+        )
+        done = run_python(code, "-O")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "typed\n"

@@ -5,8 +5,10 @@ import os
 import pytest
 
 from baltri import parse_bip, parse_tri, format_tri
-from baltri.cli import main
+from baltri.cli import _build_parser, main
 from baltri.explorer import build_octahedron
+
+from conftest import run_python
 
 
 def run(capsys, *argv):
@@ -21,6 +23,37 @@ def octa_file(tmp_path):
     p = tmp_path / "octa.tri"
     p.write_text(format_tri(t, col))
     return str(p)
+
+
+class TestProcess:
+    def test_import_leaves_networkx_unloaded(self):
+        done = run_python("import sys, baltri.cli; print('networkx' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
+    def test_reused_parser_answers_like_a_fresh_one(self, capsys):
+        argvs = [
+            ["validate", "octahedron"],
+            ["sites", "octahedron", "--kinds", "zzz"],
+            ["canon", "k333-torus", "--mode", "fixed"],
+            ["classify", "octahedron"],
+            ["gallery"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr().out
+
+        reused = [outcome(argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            _build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert reused == fresh
+        assert [code for code, _ in reused] == [0, 2, 0, 0, 0]
 
 
 class TestValidate:
@@ -324,3 +357,21 @@ class TestBip:
         code, _, err = run(capsys, "bip", "apply", g, s)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "del-leaf 1\nadd-leaf 1 10\n",
+            "add-leaf 1 2\n",  # vertex 2 is live
+        ],
+    )
+    def test_normalize_rejects_what_apply_rejects(self, capsys, tmp_path, script):
+        g = str(tmp_path / "g.bip")
+        s = str(tmp_path / "s.ops")
+        open(g, "w").write(self.K33_TEXT)
+        open(s, "w").write(script)
+        for command in ("apply", "normalize"):
+            code, out, err = run(capsys, "bip", command, g, s)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "internal" not in err
