@@ -109,7 +109,6 @@ from .rewrites import (
 from .surface import (
     Coloring,
     Triangulation,
-    euler_characteristic,
     find_coloring,
     is_orientable,
     is_proper,

@@ -175,8 +175,7 @@ def is_smoothable(g: BipGraph, p: int, q: int) -> bool:
     if not g.has_edge(p, q):
         raise NotApplicable(f"vertices {p} and {q} are not adjacent")
     (u,) = g.neighbors(p) - {q}
-    (v,) = g.neighbors(q) - {p}
-    assert u != v  # opposite parts
+    (v,) = g.neighbors(q) - {p}  # u and v lie in opposite parts
     return not g.has_edge(u, v)
 
 

@@ -47,7 +47,6 @@ from .rewrites import (
 from .surface import (
     Coloring,
     Triangulation,
-    euler_characteristic,
     find_coloring,
     is_orientable,
     is_proper,
@@ -61,12 +60,19 @@ GALLERY = {
 }
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_tri(path: str) -> tuple[Triangulation, Coloring | None]:
     name = path.removeprefix("gallery:")
     if name in GALLERY:
         return GALLERY[name]()
-    with open(path) as fh:
-        return parse_tri(fh.read())
+    return parse_tri(_read_text(path))
 
 
 def _coloring(tri: Triangulation, col: Coloring | None) -> Coloring:
@@ -112,7 +118,7 @@ def _cmd_validate(args) -> None:
     print(f"vertices {tri.vertex_count}")
     print(f"edges {tri.edge_count}")
     print(f"faces {tri.face_count}")
-    print(f"euler {euler_characteristic(tri)}")
+    print(f"euler {tri.euler_characteristic()}")
     print(f"orientable {_yesno(is_orientable(tri))}")
     print(f"surface {surface_name(tri)}")
     print(f"coloring {'given' if given else 'found'}")
@@ -163,7 +169,7 @@ def _cmd_expand(args) -> None:
     via = args.via or _DEFAULT_VIA.get(site.kind)
     if via is None:
         raise BaltriError(f"no expansion recipe applies to a {site.kind.value} site")
-    seq = _EXPANDERS[via](tri, site, col)
+    seq = _EXPANDERS[via](tri, site)
     if not verify_expansion(tri, site, seq, col):
         raise BaltriError("expansion failed verification")
     for step in seq:
@@ -267,11 +273,7 @@ def _cmd_gallery(args) -> None:
 
 
 def _load_bip_and_script(args):
-    with open(args.graph) as fh:
-        g = parse_bip(fh.read())
-    with open(args.script) as fh:
-        ops = parse_bip_script(fh.read())
-    return g, ops
+    return parse_bip(_read_text(args.graph)), parse_bip_script(_read_text(args.script))
 
 
 def _cmd_bip_apply(args) -> None:

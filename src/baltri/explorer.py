@@ -50,7 +50,6 @@ def build_k333_torus() -> tuple[Triangulation, Coloring]:
             faces.add(tuple(sorted((v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)))))
     tri = validate(sorted(faces))
     col = Coloring({3 * i + j: (i - j) % 3 for i in range(3) for j in range(3)})
-    assert all(tri.degree(x) == 6 for x in tri.vertices)  # complete tripartite
     return tri, col
 
 
@@ -70,6 +69,9 @@ def classify(t: Triangulation) -> dict[str, bool]:
 
 
 # -- breadth-first exploration --------------------------------------------------
+
+_MODE = ColorMode.UP_TO_PERMUTATION  # search states are codes up to color permutation
+
 
 @dataclass
 class FlipGraphView:
@@ -92,8 +94,16 @@ class FlipGraphView:
 def _norm_kinds(kinds: Iterable[FlipKind] | None) -> tuple[FlipKind, ...]:
     if kinds is None:
         return tuple(FlipKind)
-    out = tuple(dict.fromkeys(kinds))
-    return out
+    return tuple(dict.fromkeys(kinds))
+
+
+def _children(cur: Triangulation, ccol: Coloring, kinds, max_vertices: int):
+    """(site, child, child coloring, code, labels, perm) per child within the cap."""
+    for site in enumerate_sites(cur, kinds):
+        if cur.vertex_count + VERTEX_DELTA[site.kind] > max_vertices:
+            continue
+        child, childcol = apply_flip(cur, site, ccol)
+        yield (site, child, childcol, *_canonical(child, childcol, _MODE))
 
 
 def bfs(
@@ -112,8 +122,7 @@ def bfs(
     """
     kinds = _norm_kinds(kinds)
     col = col if col is not None else find_coloring(t)
-    mode = ColorMode.UP_TO_PERMUTATION
-    start, labels, perm = _canonical(t, col, mode)
+    start, labels, perm = _canonical(t, col, _MODE)
     states: dict[CanonicalCode, tuple[Triangulation, Coloring]] = {}
     states[start] = _relabel(t, col, labels, perm)
     edges: set[tuple[CanonicalCode, FlipKind, CanonicalCode]] = set()
@@ -123,11 +132,9 @@ def bfs(
         nxt: list[CanonicalCode] = []
         for code in sorted(frontier):
             cur, ccol = states[code]
-            for site in enumerate_sites(cur, kinds):
-                if cur.vertex_count + VERTEX_DELTA[site.kind] > max_vertices:
-                    continue
-                child, childcol = apply_flip(cur, site, ccol)
-                ccode, labels, perm = _canonical(child, childcol, mode)
+            for site, child, childcol, ccode, labels, perm in _children(
+                cur, ccol, kinds, max_vertices
+            ):
                 if ccode not in states:
                     if len(states) >= max_states:
                         truncated = True
@@ -147,11 +154,20 @@ def replay_path(
 ) -> tuple[Triangulation, Coloring]:
     """Apply steps where each one addresses the canonical form so far."""
     col = col if col is not None else find_coloring(t)
-    cur, ccol, _ = canonical_form(t, col, ColorMode.UP_TO_PERMUTATION)
+    cur, ccol, _ = canonical_form(t, col, _MODE)
     for site in steps:
         raw, rawcol = apply_flip(cur, site, ccol)
-        cur, ccol, _ = canonical_form(raw, rawcol, ColorMode.UP_TO_PERMUTATION)
+        cur, ccol, _ = canonical_form(raw, rawcol, _MODE)
     return cur, ccol
+
+
+def _path_to_start(side: dict, code: CanonicalCode) -> list[FlipSite]:
+    """The sites recorded on the parent links from code back to the side's start."""
+    steps: list[FlipSite] = []
+    while side[code][1] is not None:
+        _, code, site = side[code]
+        steps.append(site)
+    return steps
 
 
 def connect(
@@ -180,35 +196,18 @@ def connect(
         raise SurfaceMismatch(
             "no flip changes the underlying surface, the inputs lie on two"
         )
-    mode = ColorMode.UP_TO_PERMUTATION
 
     # side 0 entry: (state, parent code, site on the parent form reaching here)
     # side 1 entry: (state, parent code, site on THIS form stepping toward t2)
     sides: list[dict[CanonicalCode, tuple]] = [{}, {}]
     frontiers: list[list[CanonicalCode]] = [[], []]
     for idx, (t, col) in enumerate(((t1, col1), (t2, col2))):
-        code, labels, perm = _canonical(t, col, mode)
+        code, labels, perm = _canonical(t, col, _MODE)
         sides[idx][code] = (_relabel(t, col, labels, perm), None, None)
         frontiers[idx] = [code]
 
     def assemble(meet: CanonicalCode) -> list[FlipSite]:
-        steps: list[FlipSite] = []
-        cur = meet
-        while True:
-            _, parent, site = sides[0][cur]
-            if parent is None:
-                break
-            steps.append(site)
-            cur = parent
-        steps.reverse()
-        cur = meet
-        while True:
-            _, parent, site = sides[1][cur]
-            if parent is None:
-                break
-            steps.append(site)
-            cur = parent
-        return steps
+        return _path_to_start(sides[0], meet)[::-1] + _path_to_start(sides[1], meet)
 
     start1 = frontiers[0][0]
     if start1 in sides[1]:
@@ -227,11 +226,9 @@ def connect(
         nxt: list[CanonicalCode] = []
         for code in sorted(frontiers[idx]):
             cur, ccol = here[code][0]
-            for site in enumerate_sites(cur, use_kinds):
-                if cur.vertex_count + VERTEX_DELTA[site.kind] > max_vertices:
-                    continue
-                raw, rawcol = apply_flip(cur, site, ccol)
-                ccode, labels, perm = _canonical(raw, rawcol, mode)
+            for site, raw, rawcol, ccode, labels, perm in _children(
+                cur, ccol, use_kinds, max_vertices
+            ):
                 if ccode in here:
                     continue
                 # a state closing the path is admitted even past the cap

@@ -124,7 +124,7 @@ def format_tri(tri: Triangulation, col: Coloring | None = None) -> str:
 
 def _parse_parts_edges(nv, ne, rest, allow):
     parts: list[int] | None = None
-    edges: list[tuple[int, int]] = []
+    edges: dict[tuple[int, int], None] = {}  # in file order
     extra = []
     for ln, fields in rest:
         if fields[0] == "n":
@@ -140,7 +140,10 @@ def _parse_parts_edges(nv, ne, rest, allow):
             vals = _int_fields(ln, fields[1:], "edge endpoints")
             if len(vals) != 2:
                 raise ParseError(f"line {ln}: an edge needs 2 endpoints")
-            edges.append(tuple(_vertex(ln, v, nv) for v in vals))
+            u, v = (_vertex(ln, x, nv) for x in vals)
+            if (u, v) in edges or (v, u) in edges:
+                raise ParseError(f"line {ln}: repeated edge {{{u + 1},{v + 1}}}")
+            edges[u, v] = None
         elif fields[0] in allow:
             extra.append((ln, fields))
         else:
@@ -149,7 +152,7 @@ def _parse_parts_edges(nv, ne, rest, allow):
         raise ParseError("missing 'n' parts line")
     if len(edges) != ne:
         raise ParseError(f"header promises {ne} edges, found {len(edges)}")
-    return parts, edges, extra
+    return parts, list(edges), extra
 
 
 def parse_bip(text: str) -> BipGraph:

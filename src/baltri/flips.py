@@ -149,14 +149,15 @@ def _need_distinct(verts) -> None:
         raise InvalidSite(f"site vertices {verts} are not distinct")
 
 
-def _need_vertex(t: Triangulation, v: int) -> None:
-    if v not in t._degrees:
-        raise InvalidSite(f"no vertex {v}")
-
-
-def _need_face(t: Triangulation, a: int, b: int, c: int) -> None:
-    if not t.has_face(a, b, c):
-        raise InvalidSite(f"missing face {{{a},{b},{c}}}")
+def _take(t: Triangulation, *faces: tuple[int, int, int]) -> list[Face]:
+    """The keys of faces, each of which must be present, in the given order."""
+    keys = []
+    for a, b, c in faces:
+        k = face_key(a, b, c)
+        if k not in t._face_set:
+            raise InvalidSite(f"missing face {{{a},{b},{c}}}")
+        keys.append(k)
+    return keys
 
 
 def _need_no_edge(t: Triangulation, u: int, v: int) -> None:
@@ -170,7 +171,8 @@ def _need_no_face(t: Triangulation, a: int, b: int, c: int) -> None:
 
 
 def _need_degree(t: Triangulation, v: int, want: int) -> None:
-    _need_vertex(t, v)
+    if v not in t._degrees:
+        raise InvalidSite(f"no vertex {v}")
     if t.degree(v) != want:
         raise InvalidSite(f"vertex {v} has degree {t.degree(v)}, needs {want}")
 
@@ -188,10 +190,9 @@ _Rewrite = tuple[list[Face], list[Face], tuple[int, ...], dict[int, int]]
 def _rw_bts(t: Triangulation, verts) -> _Rewrite:
     a, b, c = verts
     _need_distinct(verts)
-    _need_face(t, a, b, c)
+    rem = _take(t, (a, b, c))
     m = t.max_vertex_id
     p, q, r = m + 1, m + 2, m + 3  # partners of a, b, c
-    rem = [face_key(a, b, c)]
     add = [
         face_key(a, b, r), face_key(a, q, c), face_key(p, b, c),
         face_key(a, q, r), face_key(p, b, r), face_key(p, q, c),
@@ -205,17 +206,10 @@ def _rw_btw(t: Triangulation, verts) -> _Rewrite:
     _need_distinct(verts)
     for v in (p, q, r):
         _need_degree(t, v, 4)
-    for f in (
-        (p, q, r), (a, b, r), (a, q, c), (p, b, c),
-        (a, q, r), (p, b, r), (p, q, c),
-    ):
-        _need_face(t, *f)
+    rem = _take(
+        t, (p, q, r), (a, b, r), (a, q, c), (p, b, c), (a, q, r), (p, b, r), (p, q, c)
+    )
     _need_no_face(t, a, b, c)
-    rem = [
-        face_key(p, q, r), face_key(a, b, r), face_key(a, q, c),
-        face_key(p, b, c), face_key(a, q, r), face_key(p, b, r),
-        face_key(p, q, c),
-    ]
     return rem, [face_key(a, b, c)], (p, q, r), {}
 
 
@@ -223,11 +217,9 @@ def _rw_bes(t: Triangulation, verts) -> _Rewrite:
     a, b, c, d = verts
     if c == d:
         raise InvalidSite("opposite corners coincide")
-    _need_face(t, a, b, c)
-    _need_face(t, a, b, d)
+    rem = _take(t, (a, b, c), (a, b, d))
     m = t.max_vertex_id
     p, q = m + 1, m + 2  # partners of a, b
-    rem = [face_key(a, b, c), face_key(a, b, d)]
     add = [
         face_key(a, q, c), face_key(p, b, c), face_key(a, q, d),
         face_key(p, b, d), face_key(p, q, c), face_key(p, q, d),
@@ -269,12 +261,7 @@ def _rw_bew(t: Triangulation, verts) -> _Rewrite:
     if a == b:
         raise InvalidSite("patch closes up on itself")
     _need_no_edge(t, a, b)
-    for f in ((p, b, c), (p, b, d), (p, q, c), (p, q, d), (q, a, c), (q, a, d)):
-        _need_face(t, *f)
-    rem = [
-        face_key(p, b, c), face_key(p, b, d), face_key(p, q, c),
-        face_key(p, q, d), face_key(q, a, c), face_key(q, a, d),
-    ]
+    rem = _take(t, (p, b, c), (p, b, d), (p, q, c), (p, q, d), (q, a, c), (q, a, d))
     add = [face_key(a, b, c), face_key(a, b, d)]
     return rem, add, (p, q), {}
 
@@ -282,12 +269,9 @@ def _rw_bew(t: Triangulation, verts) -> _Rewrite:
 def _rw_ps(t: Triangulation, verts) -> _Rewrite:
     v, w, x, y, z = verts
     _need_distinct((w, x, y, z))
-    _need_face(t, v, w, x)
-    _need_face(t, v, x, y)
-    _need_face(t, v, y, z)
+    rem = _take(t, (v, w, x), (v, x, y), (v, y, z))
     _need_no_edge(t, w, z)
     n = t.max_vertex_id + 1
-    rem = [face_key(v, w, x), face_key(v, x, y), face_key(v, y, z)]
     add = [
         face_key(v, w, z), face_key(n, w, x), face_key(n, x, y),
         face_key(n, y, z), face_key(n, w, z),
@@ -299,15 +283,9 @@ def _rw_pc(t: Triangulation, verts) -> _Rewrite:
     u, w, x, y, z, v = verts
     _need_distinct(verts)
     _need_degree(t, u, 4)
-    for f in ((u, w, x), (u, x, y), (u, y, z), (u, w, z)):
-        _need_face(t, *f)
-    _need_face(t, v, w, z)
+    rem = _take(t, (u, w, x), (u, x, y), (u, y, z), (u, w, z), (v, w, z))
     _need_no_edge(t, v, x)
     _need_no_edge(t, v, y)
-    rem = [
-        face_key(u, w, x), face_key(u, x, y), face_key(u, y, z),
-        face_key(u, w, z), face_key(v, w, z),
-    ]
     add = [face_key(v, w, x), face_key(v, x, y), face_key(v, y, z)]
     return rem, add, (u,), {}
 
@@ -315,15 +293,10 @@ def _rw_pc(t: Triangulation, verts) -> _Rewrite:
 def _rw_nflip(t: Triangulation, verts) -> _Rewrite:
     v1, v2, v3, v4, v5, v6 = verts
     _need_distinct(verts)
-    for f in ((v1, v2, v3), (v1, v3, v4), (v1, v4, v6), (v4, v5, v6)):
-        _need_face(t, *f)
+    rem = _take(t, (v1, v2, v3), (v1, v3, v4), (v1, v4, v6), (v4, v5, v6))
     _need_no_edge(t, v2, v6)
     _need_no_edge(t, v2, v5)
     _need_no_edge(t, v3, v5)
-    rem = [
-        face_key(v1, v2, v3), face_key(v1, v3, v4),
-        face_key(v1, v4, v6), face_key(v4, v5, v6),
-    ]
     add = [
         face_key(v1, v2, v6), face_key(v2, v5, v6),
         face_key(v2, v3, v5), face_key(v3, v4, v5),
@@ -336,19 +309,13 @@ def _rw_p2flip(t: Triangulation, verts) -> _Rewrite:
     _need_distinct(verts)
     _need_degree(t, q, 4)
     _need_degree(t, p, 4)
-    for f in (
-        (v1, v2, v3), (v1, v3, q), (q, v3, p), (p, v3, v4),
+    rem = _take(
+        t, (v1, v2, v3), (v1, v3, q), (q, v3, p), (p, v3, v4),
         (p, v4, v5), (q, p, v5), (v1, q, v5),
-    ):
-        _need_face(t, *f)
+    )
     _need_no_edge(t, v1, v4)
     m = t.max_vertex_id
     q2, p2 = m + 1, m + 2  # q2 takes v3's color, p2 takes v1's
-    rem = [
-        face_key(v1, v2, v3), face_key(v1, v3, q), face_key(q, v3, p),
-        face_key(p, v3, v4), face_key(p, v4, v5), face_key(q, p, v5),
-        face_key(v1, q, v5),
-    ]
     add = [
         face_key(v1, v2, q2), face_key(v2, p2, q2), face_key(v2, v3, p2),
         face_key(p2, v3, v4), face_key(q2, p2, v4), face_key(v1, q2, v4),
@@ -432,7 +399,7 @@ def inverse_site(t: Triangulation, site: FlipSite) -> FlipSite:
         v1, v2, v3, v4, v5, v6 = v
         back = (v2, v1, v6, v5, v4, v3)
         return FlipSite(FlipKind.NFLIP, min(back, back[3:] + back[:3]))
-    assert k is FlipKind.P2FLIP
+    # the last kind, P2FLIP
     v1, v2, v3, v4, v5, _, _ = v
     return FlipSite(FlipKind.P2FLIP, (v1, v5, v4, v3, v2, m + 1, m + 2))
 

@@ -32,9 +32,17 @@ def _as_bes(site: FlipSite) -> tuple[int, int, int, int]:
     return site.vertices
 
 
-def expand_bes_via_ps(
-    t: Triangulation, site: FlipSite, col: Coloring | None = None
-) -> list[FlipSite]:
+def _two_ps_orientation(t: Triangulation, site: FlipSite) -> tuple[int, ...] | None:
+    """(u, x, y, v0, v1) of the first unblocked two-split orientation, or None."""
+    a, b, c, d = _as_bes(site)
+    for x, y, v0, v1 in ((c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)):
+        u = t.other_face_third(x, v1, v0)
+        if u != y and not t.has_edge(u, y):
+            return u, x, y, v0, v1
+    return None
+
+
+def expand_bes_via_ps(t: Triangulation, site: FlipSite) -> list[FlipSite]:
     """Realize a double edge subdivision as two single splits.
 
     With the subdivided edge v0v1 and its opposite corners x, y, the first
@@ -43,34 +51,25 @@ def expand_bes_via_ps(
     (x,y,v0,v1), (y,x,v0,v1), (x,y,v1,v0), (y,x,v1,v0) are tried in order;
     if every one is blocked, NoEligibleOrientation is raised.
     """
-    a, b, c, d = _as_bes(site)
-    for x, y, v0, v1 in ((c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)):
-        u = t.other_face_third(x, v1, v0)
-        if u == y or t.has_edge(u, y):
-            continue
-        n1 = t.max_vertex_id + 1  # created by the first split
-        return [
-            FlipSite(FlipKind.PS, (v1, u, x, v0, y)),
-            FlipSite(FlipKind.PS, (u, x, n1, y, v1)),
-        ]
-    raise NoEligibleOrientation(
-        f"all four orientations of bes site {site.vertices} have the blocking chord"
-    )
+    found = _two_ps_orientation(t, site)
+    if found is None:
+        raise NoEligibleOrientation(
+            f"all four orientations of bes site {site.vertices} have the blocking chord"
+        )
+    u, x, y, v0, v1 = found
+    n1 = t.max_vertex_id + 1  # created by the first split
+    return [
+        FlipSite(FlipKind.PS, (v1, u, x, v0, y)),
+        FlipSite(FlipKind.PS, (u, x, n1, y, v1)),
+    ]
 
 
 def expand_bes_via_ps_available(t: Triangulation, site: FlipSite) -> bool:
     """Whether some orientation of the two-split recipe is unblocked."""
-    a, b, c, d = _as_bes(site)
-    for x, y, v0, v1 in ((c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)):
-        u = t.other_face_third(x, v1, v0)
-        if u != y and not t.has_edge(u, y):
-            return True
-    return False
+    return _two_ps_orientation(t, site) is not None
 
 
-def expand_bes_via_bts_pc(
-    t: Triangulation, site: FlipSite, col: Coloring | None = None
-) -> list[FlipSite]:
+def expand_bes_via_bts_pc(t: Triangulation, site: FlipSite) -> list[FlipSite]:
     """Realize a double edge subdivision as a triple subdivision plus a
     contraction.
 
@@ -89,9 +88,7 @@ def expand_bes_via_bts_pc(
     ]
 
 
-def expand_bew_via_ps_btw(
-    t: Triangulation, site: FlipSite, col: Coloring | None = None
-) -> list[FlipSite]:
+def expand_bew_via_ps_btw(t: Triangulation, site: FlipSite) -> list[FlipSite]:
     """Realize a double edge weld as a split plus a triple weld (the mirror
     of expand_bes_via_bts_pc).
 
@@ -138,7 +135,7 @@ _FACE_CHURN = {k: 8 for k in FlipKind} | {FlipKind.P2FLIP: 14}
 def expand_via_budget(
     t: Triangulation,
     site: FlipSite,
-    col: Coloring | None = None,
+    *,
     budget: Mapping[FlipKind, int] | None = None,
 ) -> list[FlipSite]:
     """Find a move sequence equivalent to `site` within a per-kind budget.
@@ -244,6 +241,4 @@ def verify_expansion(
             cur, cur_col = apply_flip(cur, s, cur_col)
     except InvalidSite:
         return False
-    if col is None:
-        return canonical_code(cur) == canonical_code(direct)
     return canonical_code(cur, cur_col) == canonical_code(direct, direct_col)

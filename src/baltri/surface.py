@@ -114,10 +114,6 @@ class Triangulation:
     def has_face(self, a: int, b: int, c: int) -> bool:
         return face_key(a, b, c) in self._face_set
 
-    def faces_of_edge(self, u: int, v: int) -> tuple[Face, Face]:
-        """The two faces containing edge uv."""
-        return self._edge_faces[edge_key(u, v)]
-
     def edge_opposites(self, u: int, v: int) -> tuple[int, int]:
         """The two vertices completing the faces on edge uv, sorted."""
         f, g = self._edge_faces[edge_key(u, v)]
@@ -227,7 +223,6 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
         degrees[v] = len(cycle)
 
     # Face-adjacency graph must be connected (one surface at a time).
-    index = {f: i for i, f in enumerate(faces)}
     seen_faces = {faces[0]}
     queue = deque([faces[0]])
     while queue:
@@ -255,10 +250,6 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
             f"no closed surface has Euler characteristic {chi} and this orientability"
         )
     return t
-
-
-def euler_characteristic(t: Triangulation) -> int:
-    return t.euler_characteristic()
 
 
 def is_orientable(t: Triangulation) -> bool:

@@ -51,7 +51,6 @@ from baltri.rewrites import (
     verify_expansion,
 )
 from baltri.surface import (
-    euler_characteristic,
     find_coloring,
     is_orientable,
     is_proper,
@@ -101,7 +100,7 @@ def test_octahedron_counts_and_split_freeness():
     assert t.vertex_count == 6
     assert t.edge_count == 12
     assert t.face_count == 8
-    assert euler_characteristic(t) == 2
+    assert t.euler_characteristic() == 2
     assert surface_id(t) == (True, 0)
     assert is_proper(t, col)
     find_coloring(t)  # balanced: a proper 3-coloring exists
@@ -130,7 +129,7 @@ def test_random_flips_keep_surfaces_valid_and_undo_cleanly(flip_fuzz):
         t2, c2 = apply_flip(t, site, col)
         again = validate(t2.faces)
         assert set(again.faces) == set(t2.faces)
-        assert euler_characteristic(t2) == euler_characteristic(t)
+        assert t2.euler_characteristic() == t.euler_characteristic()
         assert is_orientable(t2) == is_orientable(t)
         assert is_proper(t2, c2)
         undo = inverse_site(t, site)
@@ -154,7 +153,7 @@ def test_unblocked_double_splits_factor_into_two_single_splits(mixed_samples_14)
             if not expand_bes_via_ps_available(t, site):
                 continue
             eligible += 1
-            seq = expand_bes_via_ps(t, site, col)
+            seq = expand_bes_via_ps(t, site)
             assert [s.kind for s in seq] == [FlipKind.PS, FlipKind.PS]
             direct, direct_col = apply_flip(t, site, col)
             cur, cur_col = t, col
@@ -177,7 +176,7 @@ def test_closed_form_recipes_match_their_direct_moves(mixed_samples_14):
             break
         sites = enumerate_sites(t, kinds=[FlipKind.BES])
         for site in rng.sample(sites, min(2, len(sites))):
-            seq = expand_bes_via_bts_pc(t, site, col)
+            seq = expand_bes_via_bts_pc(t, site)
             assert [s.kind for s in seq] == [FlipKind.BTS, FlipKind.PC]
             direct, direct_col = apply_flip(t, site, col)
             cur, cur_col = t, col
@@ -203,7 +202,7 @@ def test_closed_form_recipes_match_their_direct_moves(mixed_samples_14):
             bew_cases.append((t2, c2, undo))
     bew_done = 0
     for t, col, site in bew_cases[:250]:
-        seq = expand_bew_via_ps_btw(t, site, col)
+        seq = expand_bew_via_ps_btw(t, site)
         assert [s.kind for s in seq] == [FlipKind.PS, FlipKind.BTW]
         direct, direct_col = apply_flip(t, site, col)
         cur, cur_col = t, col

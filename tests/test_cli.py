@@ -99,6 +99,14 @@ class TestValidate:
         assert code == 2
         assert "parse error" in err
 
+    def test_non_utf8_file_exits_two(self, capsys, tmp_path):
+        t, col = build_octahedron()
+        p = tmp_path / "octa.tri"
+        p.write_bytes(format_tri(t, col).encode() + b"# \xff\n")
+        code, _, err = run(capsys, "validate", str(p))
+        assert code == 2
+        assert err.startswith("parse error:") and "not UTF-8" in err
+
 
 class TestUnexpectedErrors:
     def test_internal_fault_exits_one_without_a_traceback(self, capsys, monkeypatch):
@@ -375,3 +383,25 @@ class TestBip:
             assert code == 1
             assert out == ""
             assert err.startswith("error:") and "internal" not in err
+
+    @pytest.mark.parametrize("bad", ["graph", "script"])
+    def test_non_utf8_file_exits_two(self, capsys, tmp_path, bad):
+        files = {"graph": self.K33_TEXT.encode(), "script": self.SCRIPT.encode()}
+        files[bad] = b"\xff" + files[bad]
+        g, s = str(tmp_path / "g.bip"), str(tmp_path / "s.ops")
+        open(g, "wb").write(files["graph"])
+        open(s, "wb").write(files["script"])
+        for command in ("apply", "normalize"):
+            code, out, err = run(capsys, "bip", command, g, s)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("parse error:") and "not UTF-8" in err
+
+    def test_repeated_edge_exits_two(self, capsys, tmp_path):
+        g, s = str(tmp_path / "g.bip"), str(tmp_path / "s.ops")
+        open(g, "w").write("p bip 2 2\nn 0 1\ne 1 2\ne 1 2\n")
+        open(s, "w").write("")
+        code, out, err = run(capsys, "bip", "apply", g, s)
+        assert code == 2
+        assert out == ""
+        assert "line 4: repeated edge" in err

@@ -8,7 +8,6 @@ from baltri import (
     Verdict,
     cube_embedding,
     delete_color_class,
-    euler_characteristic,
     face_subdivision,
     hex_prism_embedding,
     is_isomorphic,

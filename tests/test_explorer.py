@@ -6,7 +6,6 @@ from baltri import (
     NotConnectedWithinCaps,
     SurfaceMismatch,
     canonical_code,
-    euler_characteristic,
     is_proper,
     surface_name,
 )
@@ -208,7 +207,7 @@ class TestRandomWalk:
             cur, ccol = apply_flip(cur, site, ccol)
             assert cur.vertex_count <= 10
         assert is_proper(cur, ccol)
-        assert euler_characteristic(cur) == 2
+        assert cur.euler_characteristic() == 2
 
     def test_stops_when_no_sites_remain(self):
         t, col = build_octahedron()

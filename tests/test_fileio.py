@@ -142,6 +142,11 @@ class TestBip:
         with pytest.raises(ParseError, match="promises 2 edges"):
             parse_bip("p bip 2 2\nn 0 1\ne 1 2\n")
 
+    @pytest.mark.parametrize("again", ["e 1 2", "e 2 1"])
+    def test_repeated_edge(self, again):
+        with pytest.raises(ParseError, match="line 4: repeated edge"):
+            parse_bip(f"p bip 2 2\nn 0 1\ne 1 2\n{again}\n")
+
 
 class TestEmb:
     def test_round_trip(self):
@@ -165,6 +170,10 @@ class TestEmb:
     def test_short_walk_line(self):
         with pytest.raises(ParseError, match="at least 4"):
             parse_emb("p emb 2 1 1\nn 0 1\ne 1 2\nw 1 2\n")
+
+    def test_repeated_edge(self):
+        with pytest.raises(ParseError, match="line 4: repeated edge"):
+            parse_emb("p emb 2 2 0\nn 0 1\ne 1 2\ne 1 2\n")
 
 
 class TestScripts:

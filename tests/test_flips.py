@@ -9,7 +9,6 @@ from baltri import (
     ParseError,
     WouldCreateDuplicateFace,
     canonical_code,
-    euler_characteristic,
     is_orientable,
     is_proper,
 )
@@ -150,7 +149,7 @@ def test_random_flip_soundness(seed, pick):
     site = sites[pick % len(sites)]
     t2, col2 = apply_flip(t, site, col)
     assert t2.vertex_count == t.vertex_count + VERTEX_DELTA[site.kind]
-    assert euler_characteristic(t2) == euler_characteristic(t)
+    assert t2.euler_characteristic() == t.euler_characteristic()
     assert is_orientable(t2) == is_orientable(t)
     assert is_proper(t2, col2)
 

@@ -47,7 +47,7 @@ class TestTwoSplits:
             for site in enumerate_sites(t, [FlipKind.BES]):
                 if not expand_bes_via_ps_available(t, site):
                     continue
-                seq = expand_bes_via_ps(t, site, col)
+                seq = expand_bes_via_ps(t, site)
                 assert [s.kind for s in seq] == [FlipKind.PS, FlipKind.PS]
                 direct = apply_flip(t, site, col)
                 composite = replay(t, col, seq)
@@ -67,7 +67,7 @@ class TestTripleThenContract:
         checked = 0
         for t, col in sphere_samples_12[:25]:
             for site in enumerate_sites(t, [FlipKind.BES]):
-                seq = expand_bes_via_bts_pc(t, site, col)
+                seq = expand_bes_via_bts_pc(t, site)
                 assert [s.kind for s in seq] == [FlipKind.BTS, FlipKind.PC]
                 dt, dcol = apply_flip(t, site, col)
                 ct, ccol = replay(t, col, seq)
@@ -87,7 +87,7 @@ class TestSplitThenTripleWeld:
         checked = 0
         for t, col in sphere_samples_12:
             for site in enumerate_sites(t, [FlipKind.BEW]):
-                seq = expand_bew_via_ps_btw(t, site, col)
+                seq = expand_bew_via_ps_btw(t, site)
                 direct = apply_flip(t, site, col)
                 composite = replay(t, col, seq)
                 assert fixed_code(*composite) == fixed_code(*direct)
@@ -100,7 +100,7 @@ class TestBudgetSearch:
         found = 0
         for t, col in small_samples_50:
             for site in enumerate_sites(t, [FlipKind.NFLIP]):
-                seq = expand_via_budget(t, site, col)
+                seq = expand_via_budget(t, site)
                 assert verify_expansion(t, site, seq, col)
                 assert len(seq) <= 8
                 found += 1
@@ -112,7 +112,7 @@ class TestBudgetSearch:
         found = 0
         for t, col in small_samples_50:
             for site in enumerate_sites(t, [FlipKind.P2FLIP]):
-                seq = expand_via_budget(t, site, col)
+                seq = expand_via_budget(t, site)
                 assert [s.kind for s in seq] == [FlipKind.BEW, FlipKind.BES]
                 assert verify_expansion(t, site, seq, col)
                 found += 1
@@ -124,8 +124,8 @@ class TestBudgetSearch:
         for t, col in small_samples_50:
             sites = enumerate_sites(t, [FlipKind.NFLIP])
             if sites:
-                assert expand_via_budget(t, sites[0], col) == expand_via_budget(
-                    t, sites[0], col
+                assert expand_via_budget(t, sites[0]) == expand_via_budget(
+                    t, sites[0]
                 )
                 return
         pytest.skip("no hexagon site in the corpus")
@@ -135,7 +135,7 @@ class TestBudgetSearch:
             sites = enumerate_sites(t, [FlipKind.NFLIP])
             if sites:
                 with pytest.raises(ExpansionNotFound):
-                    expand_via_budget(t, sites[0], col, budget={FlipKind.PS: 1})
+                    expand_via_budget(t, sites[0], budget={FlipKind.PS: 1})
                 return
         pytest.skip("no hexagon site in the corpus")
 
@@ -143,16 +143,22 @@ class TestBudgetSearch:
         t, col = build_octahedron()
         site = enumerate_sites(t, [FlipKind.BES])[0]
         with pytest.raises(ExpansionNotFound, match="no default budget"):
-            expand_via_budget(t, site, col)
+            expand_via_budget(t, site)
 
     def test_explicit_budget_can_cover_a_primitive_move(self):
         # the double subdivision decomposes inside {bts:1, pc:1}
         t, col = build_octahedron()
         site = enumerate_sites(t, [FlipKind.BES])[0]
         seq = expand_via_budget(
-            t, site, col, budget={FlipKind.BTS: 1, FlipKind.PC: 1}
+            t, site, budget={FlipKind.BTS: 1, FlipKind.PC: 1}
         )
         assert verify_expansion(t, site, seq, col)
+
+    def test_budget_is_keyword_only(self):
+        t, col = build_octahedron()
+        site = enumerate_sites(t, [FlipKind.BES])[0]
+        with pytest.raises(TypeError):
+            expand_via_budget(t, site, {FlipKind.BTS: 1, FlipKind.PC: 1})
 
 
 class TestVerifyExpansion:

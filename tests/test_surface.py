@@ -13,7 +13,6 @@ from baltri import (
     NonManifoldEdge,
     NotBalanced,
     PinchedVertex,
-    euler_characteristic,
     find_coloring,
     is_orientable,
     is_proper,
@@ -123,20 +122,21 @@ class TestAccessors:
 class TestSurfaces:
     def test_sphere(self):
         t, _ = build_octahedron()
-        assert euler_characteristic(t) == 2
+        assert t.euler_characteristic() == 2
         assert is_orientable(t)
         assert surface_id(t) == (True, 0)
         assert surface_name(t) == "sphere"
 
     def test_torus(self):
         t, _ = build_k333_torus()
-        assert euler_characteristic(t) == 0
+        assert all(t.degree(v) == 6 for v in t.vertices)  # complete tripartite
+        assert t.euler_characteristic() == 0
         assert surface_id(t) == (True, 1)
         assert surface_name(t) == "torus"
 
     def test_projective_plane(self):
         t = validate(PROJECTIVE_PLANE)
-        assert euler_characteristic(t) == 1
+        assert t.euler_characteristic() == 1
         assert not is_orientable(t)
         assert surface_id(t) == (False, 1)
         assert surface_name(t) == "projective plane"
