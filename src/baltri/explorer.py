@@ -22,6 +22,7 @@ from .flips import (
     VERTEX_DELTA,
     FlipKind,
     FlipSite,
+    _sites_after,
     apply_flip,
     enumerate_sites,
     inverse_site,
@@ -271,17 +272,24 @@ def random_walk(
     col = col if col is not None else find_coloring(t)
     rng = random.Random(seed)
     taken: list[FlipSite] = []
+    prev, sites = None, []
     for _ in range(steps):
-        sites = enumerate_sites(t, kinds)
+        # after the first step only the sites near the last move change
+        if prev is None:
+            sites = enumerate_sites(t, kinds)
+        else:
+            sites = _sites_after(prev, t, sites, kinds)
+        pool = sites
         if max_vertices is not None:
-            sites = [
+            pool = [
                 s
                 for s in sites
                 if t.vertex_count + VERTEX_DELTA[s.kind] <= max_vertices
             ]
-        if not sites:
+        if not pool:
             break
-        site = rng.choice(sites)
+        site = rng.choice(pool)
+        prev = t
         t, col = apply_flip(t, site, col)
         taken.append(site)
     return t, col, taken

@@ -33,7 +33,10 @@ in-memory vertices 0..4.
 from __future__ import annotations
 
 import enum
+import functools
+from bisect import insort
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (
     InvalidSite,
@@ -41,7 +44,7 @@ from .errors import (
     WouldCreateDoubleEdge,
     WouldCreateDuplicateFace,
 )
-from .surface import Coloring, Face, Triangulation, face_key, validate
+from .surface import Coloring, Face, Triangulation, _swap_faces, edge_key, face_key
 
 
 class FlipKind(enum.Enum):
@@ -108,9 +111,9 @@ class FlipSite:
             )
 
     def __lt__(self, other: "FlipSite") -> bool:
-        a = (_KIND_ORDER[self.kind], self.vertices)
-        b = (_KIND_ORDER[other.kind], other.vertices)
-        return a < b
+        if self.kind is other.kind:
+            return self.vertices < other.vertices
+        return _KIND_ORDER[self.kind] < _KIND_ORDER[other.kind]
 
     def __str__(self) -> str:
         return site_to_str(self)
@@ -180,11 +183,14 @@ def _need_degree(t: Triangulation, v: int, want: int) -> None:
 # -- rewrite rules ------------------------------------------------------------
 #
 # Each _rw_* validates the site against t and returns
-#   (faces to remove, faces to add, vertices removed, color sources)
-# where color sources maps each created vertex id to the existing vertex
-# whose color it copies.
+#   (faces to remove, vertices removed, build)
+# where build() gives (faces to add, color sources), and color sources maps
+# each created vertex id to the existing vertex whose color it copies.
+# Only apply_flip calls build(); enumerate_sites needs just the checks.
 
-_Rewrite = tuple[list[Face], list[Face], tuple[int, ...], dict[int, int]]
+_Rewrite = tuple[
+    list[Face], tuple[int, ...], Callable[[], tuple[list[Face], dict[int, int]]]
+]
 
 
 def _rw_bts(t: Triangulation, verts) -> _Rewrite:
@@ -193,12 +199,11 @@ def _rw_bts(t: Triangulation, verts) -> _Rewrite:
     rem = _take(t, (a, b, c))
     m = t.max_vertex_id
     p, q, r = m + 1, m + 2, m + 3  # partners of a, b, c
-    add = [
+    return rem, (), lambda: ([
         face_key(a, b, r), face_key(a, q, c), face_key(p, b, c),
         face_key(a, q, r), face_key(p, b, r), face_key(p, q, c),
         face_key(p, q, r),
-    ]
-    return rem, add, (), {p: a, q: b, r: c}
+    ], {p: a, q: b, r: c})
 
 
 def _rw_btw(t: Triangulation, verts) -> _Rewrite:
@@ -210,7 +215,7 @@ def _rw_btw(t: Triangulation, verts) -> _Rewrite:
         t, (p, q, r), (a, b, r), (a, q, c), (p, b, c), (a, q, r), (p, b, r), (p, q, c)
     )
     _need_no_face(t, a, b, c)
-    return rem, [face_key(a, b, c)], (p, q, r), {}
+    return rem, (p, q, r), lambda: ([face_key(a, b, c)], {})
 
 
 def _rw_bes(t: Triangulation, verts) -> _Rewrite:
@@ -220,11 +225,10 @@ def _rw_bes(t: Triangulation, verts) -> _Rewrite:
     rem = _take(t, (a, b, c), (a, b, d))
     m = t.max_vertex_id
     p, q = m + 1, m + 2  # partners of a, b
-    add = [
+    return rem, (), lambda: ([
         face_key(a, q, c), face_key(p, b, c), face_key(a, q, d),
         face_key(p, b, d), face_key(p, q, c), face_key(p, q, d),
-    ]
-    return rem, add, (), {p: a, q: b}
+    ], {p: a, q: b})
 
 
 def bew_patch(t: Triangulation, p: int, q: int) -> tuple[int, int, int, int]:
@@ -262,8 +266,7 @@ def _rw_bew(t: Triangulation, verts) -> _Rewrite:
         raise InvalidSite("patch closes up on itself")
     _need_no_edge(t, a, b)
     rem = _take(t, (p, b, c), (p, b, d), (p, q, c), (p, q, d), (q, a, c), (q, a, d))
-    add = [face_key(a, b, c), face_key(a, b, d)]
-    return rem, add, (p, q), {}
+    return rem, (p, q), lambda: ([face_key(a, b, c), face_key(a, b, d)], {})
 
 
 def _rw_ps(t: Triangulation, verts) -> _Rewrite:
@@ -272,11 +275,10 @@ def _rw_ps(t: Triangulation, verts) -> _Rewrite:
     rem = _take(t, (v, w, x), (v, x, y), (v, y, z))
     _need_no_edge(t, w, z)
     n = t.max_vertex_id + 1
-    add = [
+    return rem, (), lambda: ([
         face_key(v, w, z), face_key(n, w, x), face_key(n, x, y),
         face_key(n, y, z), face_key(n, w, z),
-    ]
-    return rem, add, (), {n: v}
+    ], {n: v})
 
 
 def _rw_pc(t: Triangulation, verts) -> _Rewrite:
@@ -286,8 +288,9 @@ def _rw_pc(t: Triangulation, verts) -> _Rewrite:
     rem = _take(t, (u, w, x), (u, x, y), (u, y, z), (u, w, z), (v, w, z))
     _need_no_edge(t, v, x)
     _need_no_edge(t, v, y)
-    add = [face_key(v, w, x), face_key(v, x, y), face_key(v, y, z)]
-    return rem, add, (u,), {}
+    return rem, (u,), lambda: (
+        [face_key(v, w, x), face_key(v, x, y), face_key(v, y, z)], {}
+    )
 
 
 def _rw_nflip(t: Triangulation, verts) -> _Rewrite:
@@ -297,11 +300,10 @@ def _rw_nflip(t: Triangulation, verts) -> _Rewrite:
     _need_no_edge(t, v2, v6)
     _need_no_edge(t, v2, v5)
     _need_no_edge(t, v3, v5)
-    add = [
+    return rem, (), lambda: ([
         face_key(v1, v2, v6), face_key(v2, v5, v6),
         face_key(v2, v3, v5), face_key(v3, v4, v5),
-    ]
-    return rem, add, (), {}
+    ], {})
 
 
 def _rw_p2flip(t: Triangulation, verts) -> _Rewrite:
@@ -316,12 +318,11 @@ def _rw_p2flip(t: Triangulation, verts) -> _Rewrite:
     _need_no_edge(t, v1, v4)
     m = t.max_vertex_id
     q2, p2 = m + 1, m + 2  # q2 takes v3's color, p2 takes v1's
-    add = [
+    return rem, (q, p), lambda: ([
         face_key(v1, v2, q2), face_key(v2, p2, q2), face_key(v2, v3, p2),
         face_key(p2, v3, v4), face_key(q2, p2, v4), face_key(v1, q2, v4),
         face_key(v1, v4, v5),
-    ]
-    return rem, add, (q, p), {q2: v3, p2: v1}
+    ], {q2: v3, p2: v1})
 
 
 _REWRITES = {
@@ -346,16 +347,19 @@ def apply_flip(
     Raises InvalidSite (or a subclass) when a precondition fails; in that
     case nothing is modified.  The input tuple may be any orientation the
     rewrite rule accepts, it is not required to be in enumerate_sites()'s
-    normalized form.
+    normalized form.  Only the stars of the vertices on the exchanged faces
+    are re-indexed and re-checked; every other index entry carries over.
     """
-    rem, add, gone, color_src = _REWRITES[site.kind](t, site.vertices)
-    face_set = set(t.faces)
-    face_set.difference_update(rem)
+    rem, gone, build = _REWRITES[site.kind](t, site.vertices)
+    add, color_src = build()
+    rem = t._face_set.intersection(rem)
+    new: set[Face] = set()
     for f in add:
-        if f in face_set:  # the precondition checks should rule this out
+        # the precondition checks should rule this out
+        if f in new or (f in t._face_set and f not in rem):
             raise WouldCreateDuplicateFace(f"face {f} already exists")
-        face_set.add(f)
-    t2 = validate(sorted(face_set))
+        new.add(f)
+    t2 = _swap_faces(t, rem, add)
     if col is None:
         return t2, None
     col2 = col.updated({v: col[src] for v, src in color_src.items()}, removed=gone)
@@ -411,20 +415,28 @@ def site_footprint(t: Triangulation, site: FlipSite) -> frozenset[int]:
     patch-boundary vertices its two-vertex site leaves implicit.
     """
     _REWRITES[site.kind](t, site.vertices)
+    return frozenset(_footprint(t, site))
+
+
+def _footprint(t: Triangulation, site: FlipSite) -> tuple[int, ...]:
+    """The vertices of site_footprint, for a site that applies to t."""
     if site.kind is FlipKind.BEW:
-        return frozenset(site.vertices) | frozenset(bew_patch(t, *site.vertices))
-    return frozenset(site.vertices)
+        return site.vertices + bew_patch(t, *site.vertices)
+    return site.vertices
 
 
 # -- site enumeration ---------------------------------------------------------
+#
+# Each _candidates_* reads candidate tuples off the given faces, edges or
+# vertices of t, one element at a time; _scan keeps those the rule accepts.
 
-def _candidates_bts(t: Triangulation):
-    yield from t.faces
+def _candidates_bts(t: Triangulation, faces):
+    yield from faces
 
 
-def _candidates_btw(t: Triangulation):
+def _candidates_btw(t: Triangulation, faces):
     deg = t._degrees
-    for f in t.faces:
+    for f in faces:
         p, q, r = f
         if deg[p] != 4 or deg[q] != 4 or deg[r] != 4:
             continue
@@ -441,21 +453,21 @@ def _candidates_btw(t: Triangulation):
             yield (p, q, r, *partners)
 
 
-def _candidates_bes(t: Triangulation):
-    for a, b in t.edges:
+def _candidates_bes(t: Triangulation, edges):
+    for a, b in edges:
         c, d = t.edge_opposites(a, b)
         yield (a, b, c, d)
 
 
-def _candidates_bew(t: Triangulation):
+def _candidates_bew(t: Triangulation, edges):
     deg = t._degrees
-    for p, q in t.edges:
+    for p, q in edges:
         if deg[p] == 4 and deg[q] == 4:
             yield (p, q)
 
 
-def _candidates_ps(t: Triangulation):
-    for v in t.vertices:
+def _candidates_ps(t: Triangulation, vertices):
+    for v in vertices:
         link = t.link_cycle(v)
         d = len(link)
         if d < 4:
@@ -469,8 +481,8 @@ def _candidates_ps(t: Triangulation):
             yield (v, w, x, y, z)
 
 
-def _candidates_pc(t: Triangulation):
-    for u in t.vertices:
+def _candidates_pc(t: Triangulation, vertices):
+    for u in vertices:
         if t.degree(u) != 4:
             continue
         link = t.link_cycle(u)
@@ -485,8 +497,8 @@ def _candidates_pc(t: Triangulation):
             yield (u, w, x, y, z, v)
 
 
-def _candidates_nflip(t: Triangulation):
-    for e1, e2 in t.edges:
+def _candidates_nflip(t: Triangulation, edges):
+    for e1, e2 in edges:
         thirds = t.edge_opposites(e1, e2)
         for v1, v4 in ((e1, e2), (e2, e1)):
             for v3 in thirds:
@@ -497,9 +509,9 @@ def _candidates_nflip(t: Triangulation):
                 yield min(tup, tup[3:] + tup[:3])
 
 
-def _candidates_p2flip(t: Triangulation):
+def _candidates_p2flip(t: Triangulation, edges):
     deg = t._degrees
-    for e1, e2 in t.edges:
+    for e1, e2 in edges:
         if deg[e1] != 4 or deg[e2] != 4:
             continue
         thirds = t.edge_opposites(e1, e2)
@@ -518,16 +530,48 @@ def _candidates_p2flip(t: Triangulation):
                 yield (v1, v2, v3, v4, v5, q, p)
 
 
+# kind -> (candidate reader, the elements it reads, radius): every vertex of
+# a site's footprint lies within radius edges of a corner of the element
+# its tuple is read off.
 _CANDIDATES = {
-    FlipKind.BTS: _candidates_bts,
-    FlipKind.BTW: _candidates_btw,
-    FlipKind.BES: _candidates_bes,
-    FlipKind.BEW: _candidates_bew,
-    FlipKind.PS: _candidates_ps,
-    FlipKind.PC: _candidates_pc,
-    FlipKind.NFLIP: _candidates_nflip,
-    FlipKind.P2FLIP: _candidates_p2flip,
+    FlipKind.BTS: (_candidates_bts, "faces", 0),
+    FlipKind.BTW: (_candidates_btw, "faces", 1),
+    FlipKind.BES: (_candidates_bes, "edges", 1),
+    FlipKind.BEW: (_candidates_bew, "edges", 1),
+    FlipKind.PS: (_candidates_ps, "vertices", 1),
+    FlipKind.PC: (_candidates_pc, "vertices", 2),
+    FlipKind.NFLIP: (_candidates_nflip, "edges", 1),
+    FlipKind.P2FLIP: (_candidates_p2flip, "edges", 2),
 }
+
+
+def _scan(t: Triangulation, kinds, source) -> list[FlipSite]:
+    """The sites the rules accept among the candidates read off source.
+
+    source(elements, radius) gives the faces, edges or vertices of t to read
+    each kind's candidates off.
+    """
+    if kinds is None:
+        want = tuple(FlipKind)
+    else:
+        want = tuple(sorted(set(kinds), key=_KIND_ORDER.__getitem__))
+    out: list[FlipSite] = []
+    for kind in want:
+        candidates, elements, radius = _CANDIDATES[kind]
+        rewrite = _REWRITES[kind]
+        seen: set[tuple[int, ...]] = set()
+        found = []
+        for tup in candidates(t, source(elements, radius)):
+            if tup in seen:
+                continue
+            seen.add(tup)
+            try:
+                rewrite(t, tup)
+            except InvalidSite:
+                continue
+            found.append(tup)
+        out.extend(FlipSite(kind, tup) for tup in sorted(found))
+    return out
 
 
 def enumerate_sites(t: Triangulation, kinds=None) -> list[FlipSite]:
@@ -537,22 +581,40 @@ def enumerate_sites(t: Triangulation, kinds=None) -> list[FlipSite]:
     orientations of the same rewrite are collapsed to a normal form (least
     fan end for the splitting moves, least rotation for the hexagon move).
     """
-    if kinds is None:
-        want = tuple(FlipKind)
-    else:
-        want = tuple(sorted(set(kinds), key=_KIND_ORDER.__getitem__))
-    out: list[FlipSite] = []
-    for kind in want:
-        rewrite = _REWRITES[kind]
-        found = set()
-        for verts in _CANDIDATES[kind](t):
-            tup = tuple(verts)
-            if tup in found:
-                continue
-            try:
-                rewrite(t, tup)
-            except InvalidSite:
-                continue
-            found.add(tup)
-        out.extend(FlipSite(kind, tup) for tup in sorted(found))
+    return _scan(t, kinds, lambda elements, radius: getattr(t, elements))
+
+
+def _sites_after(
+    old: Triangulation, new: Triangulation, sites: list[FlipSite], kinds
+) -> list[FlipSite]:
+    """enumerate_sites(new, kinds), where new is old after one move and
+    sites is enumerate_sites(old, kinds).
+
+    Whether a site applies depends only on the stars of its footprint, and
+    the move changed only the stars of the vertices on its faces.  So the
+    old sites whose footprint misses those vertices still apply, and every
+    other site is read off the elements within its kind's radius of them.
+    """
+    touched = {v for f in old._face_set ^ new._face_set for v in f}
+    rings = [touched.intersection(new._degrees)]
+    for _ in range(2):
+        rings.append(rings[-1].union(*(new.neighbors(v) for v in rings[-1])))
+
+    @functools.cache
+    def near(elements: str, radius: int):
+        ring = rings[radius]
+        if elements == "vertices":
+            return ring
+        if elements == "edges":
+            return {edge_key(v, w) for v in ring for w in new.neighbors(v)}
+        faces = set()
+        for v in ring:
+            link = new.link_cycle(v)
+            faces.update(face_key(v, link[i - 1], link[i]) for i in range(len(link)))
+        return faces
+
+    out = [s for s in sites if touched.isdisjoint(_footprint(old, s))]
+    for site in _scan(new, kinds, near):
+        if not touched.isdisjoint(_footprint(new, site)):
+            insort(out, site)
     return out

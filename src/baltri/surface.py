@@ -6,13 +6,18 @@ and no rotation system is needed.  Vertex ids may be any non-negative
 integers in memory (local moves create ids above the current maximum and may
 delete ids in the middle); the text file format renumbers contiguously.
 
-Instances are immutable.  Construct them through validate(); every operation
-elsewhere in the package goes back through it, so an existing Triangulation
-is always a closed surface.
+Instances are immutable.  Construct them through validate(), the only public
+constructor.  A move (flips.apply_flip) goes through _swap_faces instead,
+which exchanges one disk of faces for another with the same boundary and
+re-checks only the edges and vertex links it touches, as validate() would;
+the surface type carries over.  So an existing Triangulation is always a
+closed surface, and validate() stays the reference the patch is tested
+against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -35,8 +40,13 @@ def edge_key(u: int, v: int) -> Edge:
 
 
 def face_key(a: int, b: int, c: int) -> Face:
-    x, y, z = sorted((a, b, c))
-    return (x, y, z)
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+        if a > b:
+            a, b = b, a
+    return (a, b, c)
 
 
 class Triangulation:
@@ -117,16 +127,15 @@ class Triangulation:
     def edge_opposites(self, u: int, v: int) -> tuple[int, int]:
         """The two vertices completing the faces on edge uv, sorted."""
         f, g = self._edge_faces[edge_key(u, v)]
-        a = next(x for x in f if x != u and x != v)
-        b = next(x for x in g if x != u and x != v)
+        a = f[0] + f[1] + f[2] - u - v
+        b = g[0] + g[1] + g[2] - u - v
         return (a, b) if a < b else (b, a)
 
     def other_face_third(self, u: int, v: int, w: int) -> int:
         """Third vertex of the face on edge uv other than face uvw."""
         f, g = self._edge_faces[edge_key(u, v)]
-        fk = face_key(u, v, w)
-        other = g if f == fk else f
-        return next(x for x in other if x != u and x != v)
+        other = g if w in f else f
+        return other[0] + other[1] + other[2] - u - v
 
     def link_cycle(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in cyclic order, canonically rotated.
@@ -138,6 +147,48 @@ class Triangulation:
 
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges) + len(self.faces)
+
+
+def _link_graphs(faces, vertices) -> dict[int, dict[int, list[int]]]:
+    """Each vertex's link graph as adjacency lists.
+
+    Each face contributes, to each of its corners, the link edge between the
+    other two; vertices must hold every corner of faces.
+    """
+    link_adj: dict[int, dict[int, list[int]]] = {v: {} for v in vertices}
+    for a, b, c in faces:
+        link_adj[a].setdefault(b, []).append(c)
+        link_adj[a].setdefault(c, []).append(b)
+        link_adj[b].setdefault(a, []).append(c)
+        link_adj[b].setdefault(c, []).append(a)
+        link_adj[c].setdefault(a, []).append(b)
+        link_adj[c].setdefault(b, []).append(a)
+    return link_adj
+
+
+def _link_cycle(v: int, around: dict[int, list[int]]) -> tuple[int, ...]:
+    """The link of v as Triangulation.link_cycle gives it, or PinchedVertex.
+
+    around maps each neighbor of v to the link neighbors it has, one per
+    face on that edge.
+    """
+    # 2-regularity of the link graph is already implied by the edge check,
+    # but a short guard keeps failure modes separate.
+    for w, nbrs in around.items():
+        if len(nbrs) != 2:
+            raise PinchedVertex(f"link of vertex {v} is not 2-regular at {w}")
+    start = min(around)
+    prev, cur = start, min(around[start])
+    cycle = [start]
+    while cur != start:
+        cycle.append(cur)
+        x, y = around[cur]
+        prev, cur = cur, (y if x == prev else x)
+    if len(cycle) != len(around):
+        raise PinchedVertex(f"link of vertex {v} splits into more than one cycle")
+    if len(cycle) < 3:
+        raise PinchedVertex(f"link of vertex {v} is shorter than 3")
+    return tuple(cycle)
 
 
 def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
@@ -186,41 +237,9 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
     # contributes one link edge between the other two corners; with every
     # edge in exactly two faces the link graph is 2-regular, so it is a
     # single cycle iff it is connected.
-    link_adj: dict[int, dict[int, list[int]]] = {v: {} for v in vertices}
-    for a, b, c in faces:
-        link_adj[a].setdefault(b, []).append(c)
-        link_adj[a].setdefault(c, []).append(b)
-        link_adj[b].setdefault(a, []).append(c)
-        link_adj[b].setdefault(c, []).append(a)
-        link_adj[c].setdefault(a, []).append(b)
-        link_adj[c].setdefault(b, []).append(a)
-
-    links: dict[int, tuple[int, ...]] = {}
-    degrees: dict[int, int] = {}
-    for v in vertices:
-        around = link_adj[v]
-        # 2-regularity of the link graph is already implied by the edge
-        # check, but a short guard keeps failure modes separate.
-        for w, nbrs in around.items():
-            if len(nbrs) != 2:
-                raise PinchedVertex(
-                    f"link of vertex {v} is not 2-regular at {w}"
-                )
-        start = min(around)
-        prev, cur = start, min(around[start])
-        cycle = [start]
-        while cur != start:
-            cycle.append(cur)
-            x, y = around[cur]
-            prev, cur = cur, (y if x == prev else x)
-        if len(cycle) != len(around):
-            raise PinchedVertex(
-                f"link of vertex {v} splits into more than one cycle"
-            )
-        if len(cycle) < 3:
-            raise PinchedVertex(f"link of vertex {v} is shorter than 3")
-        links[v] = tuple(cycle)
-        degrees[v] = len(cycle)
+    link_adj = _link_graphs(faces, vertices)
+    links = {v: _link_cycle(v, link_adj[v]) for v in vertices}
+    degrees = {v: len(link) for v, link in links.items()}
 
     # Face-adjacency graph must be connected (one surface at a time).
     seen_faces = {faces[0]}
@@ -250,6 +269,83 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
             f"no closed surface has Euler characteristic {chi} and this orientability"
         )
     return t
+
+
+def _swap_faces(t: Triangulation, rem: set[Face], add: Sequence[Face]) -> Triangulation:
+    """t with the faces rem exchanged for add, re-indexed only where they lie.
+
+    Every move swaps one disk for another with the same boundary, so the
+    surface, its connectivity and its orientability carry over from t.  The
+    edges and vertex links the swap touches are checked as validate() checks
+    them (NonManifoldEdge, PinchedVertex), and a changed Euler
+    characteristic raises ImpossibleSurface.  rem must be faces of t, and
+    add must not repeat a face of t that stays.
+    """
+    touched = sorted({v for f in (*rem, *add) for v in f})
+    star: set[Face] = set()
+    for v in touched:
+        link = t._links.get(v, ())
+        star.update(face_key(v, link[i - 1], link[i]) for i in range(len(link)))
+    star = star.difference(rem).union(add)
+    link_adj = _link_graphs(star, {v for f in star for v in f})
+
+    edge_faces = dict(t._edge_faces)
+    dropped: list[Edge] = []
+    created: list[Edge] = []
+    for e in sorted({e for a, b, c in (*rem, *add) for e in ((a, b), (a, c), (b, c))}):
+        thirds = link_adj.get(e[0], {}).get(e[1], ())
+        if not thirds:
+            del edge_faces[e]
+            dropped.append(e)
+            continue
+        if len(thirds) != 2:
+            raise NonManifoldEdge(
+                f"edge {{{e[0]},{e[1]}}} lies in {len(thirds)} face(s), expected 2"
+            )
+        if e not in edge_faces:
+            created.append(e)
+        f, g = sorted(face_key(*e, x) for x in thirds)
+        edge_faces[e] = (f, g)
+
+    adjacency, links, degrees = dict(t._adjacency), dict(t._links), dict(t._degrees)
+    lost: list[int] = []
+    born: list[int] = []
+    for v in touched:
+        around = link_adj.get(v)
+        if not around:
+            lost.append(v)
+            del adjacency[v], links[v], degrees[v]
+            continue
+        if v not in links:
+            born.append(v)
+        adjacency[v] = frozenset(around)
+        links[v] = _link_cycle(v, around)
+        degrees[v] = len(links[v])
+
+    t2 = Triangulation(
+        _resorted(t.faces, rem, add),
+        _resorted(t.vertices, lost, born),
+        _resorted(t.edges, dropped, created),
+        edge_faces, adjacency, links, degrees,
+    )
+    chi = t.euler_characteristic()
+    if t2.euler_characteristic() != chi:
+        raise ImpossibleSurface(
+            f"swapping {len(rem)} faces for {len(add)} changes the Euler "
+            f"characteristic from {chi} to {t2.euler_characteristic()}"
+        )
+    t2._orientable = t._orientable
+    return t2
+
+
+def _resorted(items: tuple, drop, put) -> tuple:
+    """The sorted tuple items without drop and with put."""
+    out = list(items)
+    for x in drop:
+        del out[bisect_left(out, x)]
+    for x in put:
+        insort(out, x)
+    return tuple(out)
 
 
 def is_orientable(t: Triangulation) -> bool:

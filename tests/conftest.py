@@ -24,12 +24,23 @@ from baltri.bipartite import (
     is_removable,
     is_smoothable,
 )
-from baltri.explorer import build_k333_torus, build_octahedron
+from baltri.explorer import (
+    build_cube_subdivision,
+    build_k333_torus,
+    build_octahedron,
+)
 
 _BUILDERS = {
     "octahedron": build_octahedron,
     "k333-torus": build_k333_torus,
+    "cube-subdivision": build_cube_subdivision,
 }
+
+# antipodal quotient of the icosahedron; not balanced, so it has no coloring
+PROJECTIVE_PLANE = [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+]
 
 
 def walk_sample(seed, *, steps, max_vertices, start="octahedron", kinds=None):

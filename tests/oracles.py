@@ -4,10 +4,12 @@ Everything here is written straight from the definitions and on purpose uses
 different algorithms than the package: isomorphism by backtracking over vertex
 bijections instead of canonical codes, site scans directly off the face list.
 The exceptions are reference_canonical, the slow form of the package's own
-canonical code, which the fast path must match byte for byte, and
+canonical code, which the fast path must match byte for byte;
 reference_normalize, the replay-from-scratch normalizer, which shares the
-package's rewrite case analysis and must match its output op for op.  Slow
-is fine, the inputs stay small.  The other functions take plain data (face
+package's rewrite case analysis and must match its output op for op; and
+reference_apply_flip, which shares the package's move rules but rebuilds the
+whole triangulation through validate, and which the patching apply_flip must
+match field for field.  Slow is fine, the inputs stay small.  The other functions take plain data (face
 tuples, dicts, edge pairs), not package objects, so they cannot
 accidentally lean on package internals.
 """
@@ -435,3 +437,28 @@ def reference_normalize(g, ops):
         )
         assert relabel is not None
         seq = seq[: i - 1] + replacement + [op.relabeled(relabel) for op in seq[i + 1 :]]
+
+
+def reference_apply_flip(t, site, col=None):
+    """apply_flip by rebuilding: swap the faces, then validate the whole list.
+
+    The move rule (its checks, the faces it removes and adds, the color
+    sources) is the package's; the result comes from the validating
+    constructor alone.  Takes and returns package objects.
+    """
+    from baltri.errors import WouldCreateDuplicateFace
+    from baltri.flips import _REWRITES
+    from baltri.surface import validate
+
+    rem, gone, build = _REWRITES[site.kind](t, site.vertices)
+    add, color_src = build()
+    faces = set(t.faces)
+    faces.difference_update(rem)
+    for f in add:
+        if f in faces:
+            raise WouldCreateDuplicateFace(f"face {f} already exists")
+        faces.add(f)
+    t2 = validate(sorted(faces))
+    if col is None:
+        return t2, None
+    return t2, col.updated({v: col[src] for v, src in color_src.items()}, removed=gone)

@@ -1,7 +1,12 @@
 """Gallery builders, classification, flip-graph search, random walks."""
 
-import pytest
+import random
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from baltri import explorer
 from baltri import (
     NotConnectedWithinCaps,
     SurfaceMismatch,
@@ -19,7 +24,7 @@ from baltri.explorer import (
     random_walk,
     replay_path,
 )
-from baltri.flips import VERTEX_DELTA, FlipKind, apply_flip, enumerate_sites
+from baltri.flips import VERTEX_DELTA, FlipKind, FlipSite, apply_flip, enumerate_sites
 
 SPLITS = (FlipKind.PS, FlipKind.PC)
 
@@ -214,3 +219,88 @@ class TestRandomWalk:
         end, _, path = random_walk(t, col, SPLITS, steps=5, seed=0)
         assert path == []
         assert end == t
+
+
+def grown_octahedron(seed, n):
+    """The octahedron grown by bts on seeded random faces to n vertices or more."""
+    t, col = build_octahedron()
+    rng = random.Random(seed)
+    while t.vertex_count < n:
+        t, col = apply_flip(t, FlipSite(FlipKind.BTS, rng.choice(t.faces)), col)
+    return t, col
+
+
+def walk_against_enumeration(t, col, kinds, steps, seed, max_vertices):
+    """Run random_walk, check the site list it chose from at every step
+    against enumerate_sites, and return the kinds those lists held."""
+    pools = []
+
+    class Recording(random.Random):
+        def choice(self, seq):
+            pools.append(list(seq))
+            return super().choice(seq)
+
+    with mock.patch.object(explorer, "random", mock.Mock(Random=Recording)):
+        _, _, taken = random_walk(
+            t, col, kinds, steps=steps, seed=seed, max_vertices=max_vertices
+        )
+    assert len(pools) == len(taken)
+    seen = set()
+    for i in range(len(taken) + 1):
+        want = [
+            s
+            for s in enumerate_sites(t, kinds)
+            if max_vertices is None
+            or t.vertex_count + VERTEX_DELTA[s.kind] <= max_vertices
+        ]
+        if i == len(taken):
+            # the walk stops early only when nothing is left to choose
+            assert len(taken) == steps or want == []
+            break
+        assert pools[i] == want
+        seen.update(s.kind for s in want)
+        t, col = apply_flip(t, taken[i], col)
+    return seen
+
+
+_WALK_STARTS = {
+    "octahedron": build_octahedron,
+    "k333-torus": build_k333_torus,
+    "cube-subdivision": build_cube_subdivision,
+    "grown-octahedron": lambda: grown_octahedron(7, 30),
+}
+
+
+class TestWalkSites:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        start=st.sampled_from(sorted(_WALK_STARTS)),
+        kinds=st.none() | st.sets(st.sampled_from(list(FlipKind)), min_size=1),
+        steps=st.integers(1, 20),
+        seed=st.integers(0, 10**6),
+        room=st.none() | st.integers(0, 10),
+    )
+    def test_the_walk_chooses_from_the_full_site_list(
+        self, start, kinds, steps, seed, room
+    ):
+        t, col = _WALK_STARTS[start]()
+        cap = None if room is None else t.vertex_count + room
+        walk_against_enumeration(t, col, kinds, steps, seed, cap)
+
+    @pytest.mark.parametrize(
+        "start, kinds, cap",
+        [
+            ("octahedron", "bts,btw,bes,bew,ps,pc", 16),
+            ("cube-subdivision", "ps,pc,nflip,p2flip", 18),
+            ("k333-torus", "bts,bes,bew,ps,pc,nflip,p2flip", 16),
+            ("grown-octahedron", None, None),
+        ],
+    )
+    def test_walks_that_make_degree_four_vertices(self, start, kinds, cap):
+        kinds = None if kinds is None else [FlipKind(k) for k in kinds.split(",")]
+        t, col = _WALK_STARTS[start]()
+        seen = set()
+        for seed in range(4):
+            seen |= walk_against_enumeration(t, col, kinds, 30, seed, cap)
+        # btw, bew, pc and p2flip sites exist only around degree-4 vertices
+        assert seen == set(kinds or FlipKind)

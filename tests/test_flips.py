@@ -1,16 +1,22 @@
 """The eight local moves: inventories, soundness, inverses, site handling."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from baltri import (
     ColorMode,
     InvalidSite,
+    NonManifoldEdge,
     ParseError,
+    TriangulationError,
     WouldCreateDuplicateFace,
     canonical_code,
     is_orientable,
     is_proper,
+    surface_id,
+    validate,
 )
 from baltri.explorer import build_k333_torus, build_octahedron
 from baltri import flips
@@ -29,8 +35,8 @@ from baltri.flips import (
     site_to_str,
 )
 
-from conftest import walk_sample
-from oracles import naive_ps_sites
+from conftest import PROJECTIVE_PLANE, run_python, walk_sample
+from oracles import naive_ps_sites, reference_apply_flip
 
 # Moves that create vertices first restore the original exactly on a
 # round trip; moves that delete first come back with fresh ids, so the
@@ -106,7 +112,7 @@ class TestApply:
         # that adds a face the triangulation already has
         t, col = build_octahedron()
         monkeypatch.setitem(
-            flips._REWRITES, FlipKind.BTS, lambda t, v: ((), (t.faces[1],), (), {})
+            flips._REWRITES, FlipKind.BTS, lambda t, v: ((), (), lambda: ([t.faces[1]], {}))
         )
         with pytest.raises(WouldCreateDuplicateFace):
             apply_flip(t, FlipSite(FlipKind.BTS, t.faces[0]), col)
@@ -259,3 +265,113 @@ class TestPinnedExample:
         t2, col2 = apply_flip(t, site_from_str("bes:1,3,5,6"), col)
         ps = [site_to_str(s) for s in enumerate_sites(t2, [FlipKind.PS])]
         assert "ps:5,1,8,7,3" in ps
+
+
+def assert_same_triangulation(got, want):
+    """Every field of the patched result equals the rebuilt one's."""
+    assert got.faces == want.faces
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
+    assert got._face_set == want._face_set
+    assert got._edge_faces == want._edge_faces
+    # vertex-keyed indexes also keep validate's (sorted) key order
+    for name in ("_adjacency", "_links", "_degrees"):
+        assert list(getattr(got, name).items()) == list(getattr(want, name).items())
+    assert hash(got) == hash(want)
+    assert surface_id(got) == surface_id(want)
+    assert got._orientable == want._orientable
+
+
+class TestPatchedApply:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.sampled_from(["octahedron", "k333-torus", "cube-subdivision"]),
+        seed=st.integers(0, 10**6),
+        steps=st.integers(0, 14),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+    )
+    def test_matches_the_rebuild(self, start, seed, steps, picks):
+        t, col = walk_sample(seed, steps=steps, max_vertices=24, start=start)
+        if seed % 2:
+            is_orientable(t)  # a known orientability is passed on, not recomputed
+        sites = enumerate_sites(t)
+        for pick in picks:
+            site = sites[pick % len(sites)]
+            got, gotcol = apply_flip(t, site, col)
+            want, wantcol = reference_apply_flip(t, site, col)
+            assert_same_triangulation(got, want)
+            assert gotcol == wantcol
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_matches_the_rebuild_on_the_projective_plane(self, seed):
+        # non-orientable and not balanced: flips run without a coloring
+        rng = random.Random(seed)
+        t = validate(PROJECTIVE_PLANE)
+        for _ in range(rng.randint(1, 6)):
+            t, _ = apply_flip(t, FlipSite(FlipKind.BTS, rng.choice(t.faces)))
+        for _ in range(8):
+            site = rng.choice(enumerate_sites(t))
+            got, gotcol = apply_flip(t, site)
+            want, _ = reference_apply_flip(t, site)
+            assert gotcol is None
+            assert_same_triangulation(got, want)
+            assert surface_id(got) == (False, 1)
+            t = got
+
+
+def _dropping_one_face(rule, index):
+    """rule with the index-th added face left out: the patch is no disk."""
+
+    def broken(t, verts):
+        rem, gone, build = rule(t, verts)
+
+        def build_less():
+            add, color_src = build()
+            return add[:index] + add[index + 1:], color_src
+
+        return rem, gone, build_less
+
+    return broken
+
+
+class TestPatchSoundness:
+    def test_a_holed_patch_is_refused(self, monkeypatch, sphere_samples_12):
+        refused = 0
+        for t, col in sphere_samples_12[:10]:
+            for site in enumerate_sites(t):
+                real = flips._REWRITES[site.kind]
+                added = len(real(t, site.vertices)[2]()[0])
+                for index in range(added):
+                    monkeypatch.setitem(
+                        flips._REWRITES, site.kind, _dropping_one_face(real, index)
+                    )
+                    with pytest.raises(TriangulationError):
+                        apply_flip(t, site, col)
+                    monkeypatch.setitem(flips._REWRITES, site.kind, real)
+                    refused += 1
+        assert refused > 500
+
+    def test_a_holed_patch_is_refused_under_optimization(self):
+        done = run_python(
+            "from baltri import flips\n"
+            "from baltri.explorer import build_octahedron\n"
+            "from baltri.flips import FlipKind, FlipSite, apply_flip\n"
+            "real = flips._REWRITES[FlipKind.BES]\n"
+            "def broken(t, v):\n"
+            "    rem, gone, build = real(t, v)\n"
+            "    return rem, gone, lambda: (build()[0][1:], build()[1])\n"
+            "flips._REWRITES[FlipKind.BES] = broken\n"
+            "t, col = build_octahedron()\n"
+            "a, b = t.edges[0]\n"
+            "c, d = t.edge_opposites(a, b)\n"
+            "try:\n"
+            "    apply_flip(t, FlipSite(FlipKind.BES, (a, b, c, d)), col)\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__)\n"
+            "else:\n"
+            "    print('accepted')\n",
+            "-O",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == NonManifoldEdge.__name__

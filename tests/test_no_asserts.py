@@ -5,6 +5,8 @@ import pathlib
 
 import baltri
 
+from conftest import run_python
+
 
 def test_package_source_has_no_assert_statements():
     sources = sorted(pathlib.Path(baltri.__file__).parent.glob("*.py"))
@@ -16,3 +18,14 @@ def test_package_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_flip_tests_pass_under_optimization():
+    # the move layer's soundness checks must hold without asserts
+    tests = pathlib.Path(__file__).with_name("test_flips.py")
+    done = run_python(
+        "import sys, pytest\n"
+        f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', {str(tests)!r}]))",
+        "-O",
+    )
+    assert done.returncode == 0, done.stdout[-3000:]

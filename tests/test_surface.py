@@ -22,13 +22,9 @@ from baltri import (
 )
 from baltri.explorer import build_k333_torus, build_octahedron
 
-TETRAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+from conftest import PROJECTIVE_PLANE
 
-# antipodal quotient of the icosahedron
-PROJECTIVE_PLANE = [
-    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
-    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
-]
+TETRAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
 
 class TestValidate:
