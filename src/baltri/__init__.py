@@ -85,9 +85,6 @@ from .fileio import (
     parse_tri,
 )
 from .flips import (
-    INVERSE_KIND,
-    SITE_ARITY,
-    VERTEX_DELTA,
     FlipKind,
     FlipSite,
     apply_flip,

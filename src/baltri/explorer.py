@@ -18,8 +18,6 @@ from .canon import _canonical, _relabel
 from .embeddings import cube_embedding, face_subdivision
 from .errors import NotConnectedWithinCaps, SurfaceMismatch
 from .flips import (
-    INVERSE_KIND,
-    VERTEX_DELTA,
     FlipKind,
     FlipSite,
     _sites_after,
@@ -101,7 +99,7 @@ def _norm_kinds(kinds: Iterable[FlipKind] | None) -> tuple[FlipKind, ...]:
 def _children(cur: Triangulation, ccol: Coloring, kinds, max_vertices: int):
     """(site, child, child coloring, code, labels, perm) per child within the cap."""
     for site in enumerate_sites(cur, kinds):
-        if cur.vertex_count + VERTEX_DELTA[site.kind] > max_vertices:
+        if cur.vertex_count + site.kind.delta > max_vertices:
             continue
         child, childcol = apply_flip(cur, site, ccol)
         yield (site, child, childcol, *_canonical(child, childcol, _MODE))
@@ -190,7 +188,7 @@ def connect(
     modes; the latter never proves disconnection.
     """
     kinds = _norm_kinds(kinds)
-    back_kinds = tuple(dict.fromkeys(INVERSE_KIND[k] for k in kinds))
+    back_kinds = tuple(dict.fromkeys(k.inverse for k in kinds))
     col1 = col1 if col1 is not None else find_coloring(t1)
     col2 = col2 if col2 is not None else find_coloring(t2)
     if surface_id(t1) != surface_id(t2):
@@ -281,11 +279,7 @@ def random_walk(
             sites = _sites_after(prev, t, sites, kinds)
         pool = sites
         if max_vertices is not None:
-            pool = [
-                s
-                for s in sites
-                if t.vertex_count + VERTEX_DELTA[s.kind] <= max_vertices
-            ]
+            pool = [s for s in sites if t.vertex_count + s.kind.delta <= max_vertices]
         if not pool:
             break
         site = rng.choice(pool)

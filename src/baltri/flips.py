@@ -23,6 +23,9 @@ and enumerate_sites() never needs a coloring.
  p2flip  (v1..v5,q,p)              0             slide the degree-4 pair q,p across the
                                                  pentagon v1..v5
 
+FlipKind carries each kind's facts (arity, delta, inverse, rank).  Each
+kind's rewrite rule also names the site of its own undo, in its own roles.
+
 New vertices take ids above max_vertex_id in the listed order, so results
 are reproducible and inverse_site() can name them before the move runs.
 
@@ -48,51 +51,34 @@ from .surface import Coloring, Face, Triangulation, _swap_faces, edge_key, face_
 
 
 class FlipKind(enum.Enum):
-    BTS = "bts"
-    BTW = "btw"
-    BES = "bes"
-    BEW = "bew"
-    PS = "ps"
-    PC = "pc"
-    NFLIP = "nflip"
-    P2FLIP = "p2flip"
+    """A move kind, valued by its site-string name.
 
+    Each member also carries arity (site tuple length), delta (vertex count
+    change), inverse (the kind that undoes it) and rank (definition order,
+    which orders site lists).
+    """
 
-_KIND_ORDER = {k: i for i, k in enumerate(FlipKind)}
-_KIND_BY_VALUE = {k.value: k for k in FlipKind}
+    BTS = "bts", 3, 3, "btw"
+    BTW = "btw", 6, -3, "bts"
+    BES = "bes", 4, 2, "bew"
+    BEW = "bew", 2, -2, "bes"
+    PS = "ps", 5, 1, "pc"
+    PC = "pc", 6, -1, "ps"
+    NFLIP = "nflip", 6, 0, "nflip"
+    P2FLIP = "p2flip", 7, 0, "p2flip"
 
-SITE_ARITY = {
-    FlipKind.BTS: 3,
-    FlipKind.BTW: 6,
-    FlipKind.BES: 4,
-    FlipKind.BEW: 2,
-    FlipKind.PS: 5,
-    FlipKind.PC: 6,
-    FlipKind.NFLIP: 6,
-    FlipKind.P2FLIP: 7,
-}
+    def __new__(cls, value: str, arity: int, delta: int, inverse: str):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.arity = arity
+        kind.delta = delta
+        kind.rank = len(cls.__members__)
+        kind._inverse = inverse
+        return kind
 
-VERTEX_DELTA = {
-    FlipKind.BTS: 3,
-    FlipKind.BTW: -3,
-    FlipKind.BES: 2,
-    FlipKind.BEW: -2,
-    FlipKind.PS: 1,
-    FlipKind.PC: -1,
-    FlipKind.NFLIP: 0,
-    FlipKind.P2FLIP: 0,
-}
-
-INVERSE_KIND = {
-    FlipKind.BTS: FlipKind.BTW,
-    FlipKind.BTW: FlipKind.BTS,
-    FlipKind.BES: FlipKind.BEW,
-    FlipKind.BEW: FlipKind.BES,
-    FlipKind.PS: FlipKind.PC,
-    FlipKind.PC: FlipKind.PS,
-    FlipKind.NFLIP: FlipKind.NFLIP,
-    FlipKind.P2FLIP: FlipKind.P2FLIP,
-}
+    @property
+    def inverse(self) -> "FlipKind":
+        return FlipKind(self._inverse)
 
 
 @dataclass(frozen=True)
@@ -103,7 +89,7 @@ class FlipSite:
     vertices: tuple[int, ...]
 
     def __post_init__(self):
-        want = SITE_ARITY[self.kind]
+        want = self.kind.arity
         if len(self.vertices) != want:
             raise InvalidSite(
                 f"{self.kind.value} site needs {want} vertices, "
@@ -113,7 +99,7 @@ class FlipSite:
     def __lt__(self, other: "FlipSite") -> bool:
         if self.kind is other.kind:
             return self.vertices < other.vertices
-        return _KIND_ORDER[self.kind] < _KIND_ORDER[other.kind]
+        return self.kind.rank < other.kind.rank
 
     def __str__(self) -> str:
         return site_to_str(self)
@@ -128,17 +114,18 @@ def site_from_str(text: str) -> FlipSite:
     head, sep, rest = text.partition(":")
     if not sep:
         raise ParseError(f"site {text!r} lacks a ':' separator")
-    kind = _KIND_BY_VALUE.get(head.strip().lower())
-    if kind is None:
-        raise ParseError(f"unknown move kind {head.strip()!r}")
+    try:
+        kind = FlipKind(head.strip().lower())
+    except ValueError:
+        raise ParseError(f"unknown move kind {head.strip()!r}") from None
     parts = [p.strip() for p in rest.split(",")] if rest.strip() else []
     try:
         nums = [int(p) for p in parts]
     except ValueError:
         raise ParseError(f"site {text!r} has a non-integer vertex") from None
-    if len(nums) != SITE_ARITY[kind]:
+    if len(nums) != kind.arity:
         raise ParseError(
-            f"{kind.value} site needs {SITE_ARITY[kind]} vertices, got {len(nums)}"
+            f"{kind.value} site needs {kind.arity} vertices, got {len(nums)}"
         )
     if any(n < 1 for n in nums):
         raise ParseError(f"site {text!r} has a vertex below 1 (sites are 1-based)")
@@ -184,13 +171,27 @@ def _need_degree(t: Triangulation, v: int, want: int) -> None:
 #
 # Each _rw_* validates the site against t and returns
 #   (faces to remove, vertices removed, build)
-# where build() gives (faces to add, color sources), and color sources maps
-# each created vertex id to the existing vertex whose color it copies.
-# Only apply_flip calls build(); enumerate_sites needs just the checks.
+# where build() gives (faces to add, color sources, undo): color sources maps
+# each created vertex id to the existing vertex whose color it copies, and
+# undo is the vertex tuple of the kind.inverse site that takes the move back.
+# Only apply_flip and inverse_site call build(); enumerate_sites needs just
+# the checks.
 
 _Rewrite = tuple[
-    list[Face], tuple[int, ...], Callable[[], tuple[list[Face], dict[int, int]]]
+    list[Face],
+    tuple[int, ...],
+    Callable[[], tuple[list[Face], dict[int, int], tuple[int, ...]]],
 ]
+
+
+def _fan(w: int, x: int, y: int, z: int) -> tuple[int, int, int, int]:
+    """The fan w-x-y-z read from its smaller end."""
+    return (z, y, x, w) if w > z else (w, x, y, z)
+
+
+def _hexagon(h: tuple[int, ...]) -> tuple[int, ...]:
+    """The hexagon strip h in the lesser of its two rotations by three."""
+    return min(h, h[3:] + h[:3])
 
 
 def _rw_bts(t: Triangulation, verts) -> _Rewrite:
@@ -203,7 +204,7 @@ def _rw_bts(t: Triangulation, verts) -> _Rewrite:
         face_key(a, b, r), face_key(a, q, c), face_key(p, b, c),
         face_key(a, q, r), face_key(p, b, r), face_key(p, q, c),
         face_key(p, q, r),
-    ], {p: a, q: b, r: c})
+    ], {p: a, q: b, r: c}, (p, q, r, a, b, c))
 
 
 def _rw_btw(t: Triangulation, verts) -> _Rewrite:
@@ -215,7 +216,7 @@ def _rw_btw(t: Triangulation, verts) -> _Rewrite:
         t, (p, q, r), (a, b, r), (a, q, c), (p, b, c), (a, q, r), (p, b, r), (p, q, c)
     )
     _need_no_face(t, a, b, c)
-    return rem, (p, q, r), lambda: ([face_key(a, b, c)], {})
+    return rem, (p, q, r), lambda: ([face_key(a, b, c)], {}, face_key(a, b, c))
 
 
 def _rw_bes(t: Triangulation, verts) -> _Rewrite:
@@ -228,7 +229,7 @@ def _rw_bes(t: Triangulation, verts) -> _Rewrite:
     return rem, (), lambda: ([
         face_key(a, q, c), face_key(p, b, c), face_key(a, q, d),
         face_key(p, b, d), face_key(p, q, c), face_key(p, q, d),
-    ], {p: a, q: b})
+    ], {p: a, q: b}, (p, q))
 
 
 def bew_patch(t: Triangulation, p: int, q: int) -> tuple[int, int, int, int]:
@@ -266,7 +267,9 @@ def _rw_bew(t: Triangulation, verts) -> _Rewrite:
         raise InvalidSite("patch closes up on itself")
     _need_no_edge(t, a, b)
     rem = _take(t, (p, b, c), (p, b, d), (p, q, c), (p, q, d), (q, a, c), (q, a, d))
-    return rem, (p, q), lambda: ([face_key(a, b, c), face_key(a, b, d)], {})
+    return rem, (p, q), lambda: (
+        [face_key(a, b, c), face_key(a, b, d)], {}, (*edge_key(a, b), c, d)
+    )
 
 
 def _rw_ps(t: Triangulation, verts) -> _Rewrite:
@@ -278,7 +281,7 @@ def _rw_ps(t: Triangulation, verts) -> _Rewrite:
     return rem, (), lambda: ([
         face_key(v, w, z), face_key(n, w, x), face_key(n, x, y),
         face_key(n, y, z), face_key(n, w, z),
-    ], {n: v})
+    ], {n: v}, (n, *_fan(w, x, y, z), v))
 
 
 def _rw_pc(t: Triangulation, verts) -> _Rewrite:
@@ -289,7 +292,8 @@ def _rw_pc(t: Triangulation, verts) -> _Rewrite:
     _need_no_edge(t, v, x)
     _need_no_edge(t, v, y)
     return rem, (u,), lambda: (
-        [face_key(v, w, x), face_key(v, x, y), face_key(v, y, z)], {}
+        [face_key(v, w, x), face_key(v, x, y), face_key(v, y, z)], {},
+        (v, *_fan(w, x, y, z)),
     )
 
 
@@ -303,7 +307,7 @@ def _rw_nflip(t: Triangulation, verts) -> _Rewrite:
     return rem, (), lambda: ([
         face_key(v1, v2, v6), face_key(v2, v5, v6),
         face_key(v2, v3, v5), face_key(v3, v4, v5),
-    ], {})
+    ], {}, _hexagon((v2, v1, v6, v5, v4, v3)))
 
 
 def _rw_p2flip(t: Triangulation, verts) -> _Rewrite:
@@ -322,7 +326,7 @@ def _rw_p2flip(t: Triangulation, verts) -> _Rewrite:
         face_key(v1, v2, q2), face_key(v2, p2, q2), face_key(v2, v3, p2),
         face_key(p2, v3, v4), face_key(q2, p2, v4), face_key(v1, q2, v4),
         face_key(v1, v4, v5),
-    ], {q2: v3, p2: v1})
+    ], {q2: v3, p2: v1}, (v1, v5, v4, v3, v2, q2, p2))
 
 
 _REWRITES = {
@@ -351,7 +355,7 @@ def apply_flip(
     are re-indexed and re-checked; every other index entry carries over.
     """
     rem, gone, build = _REWRITES[site.kind](t, site.vertices)
-    add, color_src = build()
+    add, color_src, _ = build()
     rem = t._face_set.intersection(rem)
     new: set[Face] = set()
     for f in add:
@@ -375,37 +379,8 @@ def inverse_site(t: Triangulation, site: FlipSite) -> FlipSite:
     triangulation isomorphic to t (identical to t except that moves whose
     undo re-creates vertices use fresh ids for them).
     """
-    _REWRITES[site.kind](t, site.vertices)  # validate against t
-    m = t.max_vertex_id
-    k, v = site.kind, site.vertices
-    if k is FlipKind.BTS:
-        return FlipSite(FlipKind.BTW, (m + 1, m + 2, m + 3) + v)
-    if k is FlipKind.BTW:
-        return FlipSite(FlipKind.BTS, face_key(*v[3:]))
-    if k is FlipKind.BES:
-        return FlipSite(FlipKind.BEW, (m + 1, m + 2))
-    if k is FlipKind.BEW:
-        a, b, c, d = bew_patch(t, *v)
-        if a > b:
-            a, b = b, a
-        return FlipSite(FlipKind.BES, (a, b, c, d))
-    if k is FlipKind.PS:
-        vv, w, x, y, z = v
-        if w > z:
-            w, x, y, z = z, y, x, w
-        return FlipSite(FlipKind.PC, (m + 1, w, x, y, z, vv))
-    if k is FlipKind.PC:
-        u, w, x, y, z, vv = v
-        if w > z:
-            w, x, y, z = z, y, x, w
-        return FlipSite(FlipKind.PS, (vv, w, x, y, z))
-    if k is FlipKind.NFLIP:
-        v1, v2, v3, v4, v5, v6 = v
-        back = (v2, v1, v6, v5, v4, v3)
-        return FlipSite(FlipKind.NFLIP, min(back, back[3:] + back[:3]))
-    # the last kind, P2FLIP
-    v1, v2, v3, v4, v5, _, _ = v
-    return FlipSite(FlipKind.P2FLIP, (v1, v5, v4, v3, v2, m + 1, m + 2))
+    _, _, build = _REWRITES[site.kind](t, site.vertices)
+    return FlipSite(site.kind.inverse, build()[2])
 
 
 def site_footprint(t: Triangulation, site: FlipSite) -> frozenset[int]:
@@ -469,16 +444,10 @@ def _candidates_bew(t: Triangulation, edges):
 def _candidates_ps(t: Triangulation, vertices):
     for v in vertices:
         link = t.link_cycle(v)
-        d = len(link)
-        if d < 4:
+        if len(link) < 4:
             continue
-        for i in range(d):
-            w, x, y, z = (
-                link[i], link[(i + 1) % d], link[(i + 2) % d], link[(i + 3) % d],
-            )
-            if w > z:
-                w, x, y, z = z, y, x, w
-            yield (v, w, x, y, z)
+        for i in range(len(link)):
+            yield (v, *_fan(link[i - 3], link[i - 2], link[i - 1], link[i]))
 
 
 def _candidates_pc(t: Triangulation, vertices):
@@ -487,12 +456,7 @@ def _candidates_pc(t: Triangulation, vertices):
             continue
         link = t.link_cycle(u)
         for i in range(4):
-            e1, e2 = link[i], link[(i + 1) % 4]
-            far1, far2 = link[(i - 1) % 4], link[(i + 2) % 4]
-            if e1 < e2:
-                w, x, y, z = e1, far1, far2, e2
-            else:
-                w, x, y, z = e2, far2, far1, e1
+            w, x, y, z = _fan(link[i], link[i - 1], link[i - 2], link[i - 3])
             v = t.other_face_third(w, z, u)
             yield (u, w, x, y, z, v)
 
@@ -505,8 +469,7 @@ def _candidates_nflip(t: Triangulation, edges):
                 v6 = thirds[0] if v3 == thirds[1] else thirds[1]
                 v2 = t.other_face_third(v1, v3, v4)
                 v5 = t.other_face_third(v4, v6, v1)
-                tup = (v1, v2, v3, v4, v5, v6)
-                yield min(tup, tup[3:] + tup[:3])
+                yield _hexagon((v1, v2, v3, v4, v5, v6))
 
 
 def _candidates_p2flip(t: Triangulation, edges):
@@ -554,7 +517,7 @@ def _scan(t: Triangulation, kinds, source) -> list[FlipSite]:
     if kinds is None:
         want = tuple(FlipKind)
     else:
-        want = tuple(sorted(set(kinds), key=_KIND_ORDER.__getitem__))
+        want = tuple(sorted(set(kinds), key=lambda kind: kind.rank))
     out: list[FlipSite] = []
     for kind in want:
         candidates, elements, radius = _CANDIDATES[kind]

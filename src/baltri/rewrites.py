@@ -5,36 +5,42 @@ certifies the two vertex-neutral moves against per-kind move budgets.  Every
 expansion is a list of sites to apply in order; the composite result is
 isomorphic to the direct move's result (equal canonical codes), usually equal
 outright.  verify_expansion() replays a sequence and checks exactly that.
+Each closed-form recipe first runs the rule of the move it expands, so an
+invalid site raises that rule's InvalidSite.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Mapping, Sequence
 
 from .canon import canonical_code
 from .errors import ExpansionNotFound, InvalidSite, NoEligibleOrientation
 from .flips import (
-    VERTEX_DELTA,
+    _REWRITES,
     FlipKind,
     FlipSite,
+    _footprint,
     apply_flip,
     bew_patch,
     enumerate_sites,
-    site_footprint,
 )
 from .surface import Coloring, Triangulation
 
 
-def _as_bes(site: FlipSite) -> tuple[int, int, int, int]:
-    if site.kind is not FlipKind.BES:
-        raise InvalidSite(f"expected a bes site, got {site.kind.value}")
+def _checked(t: Triangulation, site: FlipSite, kind: FlipKind) -> tuple[int, ...]:
+    """The vertices of site, a `kind` site that kind's own rule accepts on t.
+
+    Raises InvalidSite (or the rule's subclass of it) otherwise.
+    """
+    if site.kind is not kind:
+        raise InvalidSite(f"expected a {kind.value} site, got {site.kind.value}")
+    _REWRITES[kind](t, site.vertices)
     return site.vertices
 
 
 def _two_ps_orientation(t: Triangulation, site: FlipSite) -> tuple[int, ...] | None:
     """(u, x, y, v0, v1) of the first unblocked two-split orientation, or None."""
-    a, b, c, d = _as_bes(site)
+    a, b, c, d = _checked(t, site, FlipKind.BES)
     for x, y, v0, v1 in ((c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)):
         u = t.other_face_third(x, v1, v0)
         if u != y and not t.has_edge(u, y):
@@ -79,7 +85,7 @@ def expand_bes_via_bts_pc(t: Triangulation, site: FlipSite) -> list[FlipSite]:
     composite equals the direct move's result outright, including the ids of
     the two surviving created vertices.  This recipe is never blocked.
     """
-    a, b, c, d = _as_bes(site)
+    a, b, c, d = _checked(t, site, FlipKind.BES)
     m = t.max_vertex_id
     ap, bp, cp = m + 1, m + 2, m + 3  # ids the triple subdivision will create
     return [
@@ -95,32 +101,21 @@ def expand_bew_via_ps_btw(t: Triangulation, site: FlipSite) -> list[FlipSite]:
     With the patch (a, b, c, d) around the welded pair (p, q), a split
     pivoting on d over the fan (b, p, q, a) creates n and draws the chord
     ab; the triple weld then removes the interior {p, q, n} against the
-    partner-ordered boundary (a, b, c).  The chord ab is missing by the
-    weld's own precondition, so the split cannot be blocked; the d pivot is
-    still retried on c, and failing both falls back to the budget search.
+    partner-ordered boundary (a, b, c).  Once the weld's own rule accepts
+    the site, the fan faces are present and the chord ab is missing, so the
+    split cannot be blocked.
     """
-    if site.kind is not FlipKind.BEW:
-        raise InvalidSite(f"expected a bew site, got {site.kind.value}")
-    p, q = site.vertices
+    p, q = _checked(t, site, FlipKind.BEW)
     a, b, c, d = bew_patch(t, p, q)
     n = t.max_vertex_id + 1
-    for pivot, spare in ((d, c), (c, d)):
-        ps = FlipSite(FlipKind.PS, (pivot, b, p, q, a))
-        try:
-            apply_flip(t, ps)
-        except InvalidSite:
-            continue
-        interior = sorted(((p, a), (q, b), (n, spare)))
-        return [
-            ps,
-            FlipSite(
-                FlipKind.BTW,
-                tuple(v for v, _ in interior) + tuple(w for _, w in interior),
-            ),
-        ]
-    return expand_via_budget(
-        t, site, budget={FlipKind.PS: 1, FlipKind.BTW: 1}
-    )
+    interior = sorted(((p, a), (q, b), (n, c)))
+    return [
+        FlipSite(FlipKind.PS, (d, b, p, q, a)),
+        FlipSite(
+            FlipKind.BTW,
+            tuple(v for v, _ in interior) + tuple(w for _, w in interior),
+        ),
+    ]
 
 
 _DEFAULT_BUDGETS: dict[FlipKind, dict[FlipKind, int]] = {
@@ -140,12 +135,17 @@ def expand_via_budget(
 ) -> list[FlipSite]:
     """Find a move sequence equivalent to `site` within a per-kind budget.
 
-    Depth-first search over applications drawn from the budget.  Candidate
-    sites are restricted to touch only the direct site's footprint plus
-    vertices created earlier in the sequence, which keeps the branching
-    desk-scale.  Returns the lexicographically least sequence in (kind,
-    vertex tuple) order, a prefix winning over its extensions; raises
-    ExpansionNotFound when the budget cannot realize the move.
+    Depth-first search over applications drawn from the budget, trying each
+    state's sites in enumerate_sites order.  Candidate sites are restricted
+    to touch only the direct site's footprint plus vertices created earlier
+    in the sequence, which keeps the branching desk-scale.  A path is cut
+    once its face set differs from the direct result's by more faces than
+    its remaining moves can exchange.  A sequence matches by canonical code,
+    so that cut can also drop a path to an isomorph of the direct result.
+    Returns the first match the search meets: the least in (kind, vertex
+    tuple) order, a prefix winning over its extensions, among the sequences
+    whose every prefix survives the cut, which is not always the least
+    valid sequence.  Raises ExpansionNotFound when it meets none.
     """
     if budget is None:
         budget = _DEFAULT_BUDGETS.get(site.kind)
@@ -156,31 +156,18 @@ def expand_via_budget(
     remaining = {k: int(n) for k, n in dict(budget).items() if int(n) > 0}
 
     direct, _ = apply_flip(t, site)
-    target_faces = frozenset(direct.faces)
+    target_faces = direct._face_set
     target_v = direct.vertex_count
     target_degrees = sorted(direct._degrees.values())
     target_code = canonical_code(direct)
 
-    allowed_base = site_footprint(t, site)
+    allowed_base = set(_footprint(t, site))
     original_vertices = set(t.vertices)
-    failed: set[tuple[frozenset, tuple]] = set()
-
-    def signature(rem: dict[FlipKind, int]) -> tuple:
-        return tuple(sorted((k.value, n) for k, n in rem.items() if n > 0))
-
-    @cache
-    def reachable_deltas(sig: tuple) -> frozenset[int]:
-        # Vertex deltas achievable by applying any sub-multiset of sig.
-        sums = {0}
-        for value, count in sig:
-            delta = VERTEX_DELTA[FlipKind(value)]
-            sums = {s + i * delta for s in sums for i in range(count + 1)}
-        return frozenset(sums)
 
     def matches_target(cur: Triangulation) -> bool:
         if cur.vertex_count != target_v:
             return False
-        if frozenset(cur.faces) == target_faces:
+        if cur._face_set == target_faces:
             return True
         if sorted(cur._degrees.values()) != target_degrees:
             return False
@@ -192,18 +179,13 @@ def expand_via_budget(
         moves_left = sum(remaining.values())
         if moves_left == 0:
             return None
-        if target_v - cur.vertex_count not in reachable_deltas(signature(remaining)):
-            return None
         churn = max(_FACE_CHURN[k] for k, n in remaining.items() if n > 0)
-        if len(frozenset(cur.faces) ^ target_faces) > churn * moves_left:
-            return None
-        key = (frozenset(cur.faces), signature(remaining))
-        if key in failed:
+        if len(cur._face_set ^ target_faces) > churn * moves_left:
             return None
         allowed = allowed_base | (set(cur.vertices) - original_vertices)
         kinds = [k for k, n in remaining.items() if n > 0]
         for cand in enumerate_sites(cur, kinds):
-            if not site_footprint(cur, cand) <= allowed:
+            if not allowed.issuperset(_footprint(cur, cand)):
                 continue
             nxt, _ = apply_flip(cur, cand)
             remaining[cand.kind] -= 1
@@ -213,7 +195,6 @@ def expand_via_budget(
                 return found
             seq.pop()
             remaining[cand.kind] += 1
-        failed.add(key)
         return None
 
     found = dfs(t, [])

@@ -9,7 +9,9 @@ reference_normalize, the replay-from-scratch normalizer, which shares the
 package's rewrite case analysis and must match its output op for op; and
 reference_apply_flip, which shares the package's move rules but rebuilds the
 whole triangulation through validate, and which the patching apply_flip must
-match field for field.  Slow is fine, the inputs stay small.  The other functions take plain data (face
+match field for field; and reference_inverse_site, the undo site written out
+kind by kind, which the undo tuples the move rules build must match.  Slow
+is fine, the inputs stay small.  The other functions take plain data (face
 tuples, dicts, edge pairs), not package objects, so they cannot
 accidentally lean on package internals.
 """
@@ -451,7 +453,7 @@ def reference_apply_flip(t, site, col=None):
     from baltri.surface import validate
 
     rem, gone, build = _REWRITES[site.kind](t, site.vertices)
-    add, color_src = build()
+    add, color_src, _ = build()
     faces = set(t.faces)
     faces.difference_update(rem)
     for f in add:
@@ -462,3 +464,46 @@ def reference_apply_flip(t, site, col=None):
     if col is None:
         return t2, None
     return t2, col.updated({v: col[src] for v, src in color_src.items()}, removed=gone)
+
+
+def reference_inverse_site(t, site):
+    """inverse_site, one branch per move kind.
+
+    Validates site with the package's rule, then names the undo site from
+    the site tuple and the ids the move will create.  Takes and returns
+    package objects.
+    """
+    from baltri.flips import _REWRITES, FlipKind, FlipSite, bew_patch
+    from baltri.surface import face_key
+
+    _REWRITES[site.kind](t, site.vertices)  # validate against t
+    m = t.max_vertex_id
+    k, v = site.kind, site.vertices
+    if k is FlipKind.BTS:
+        return FlipSite(FlipKind.BTW, (m + 1, m + 2, m + 3) + v)
+    if k is FlipKind.BTW:
+        return FlipSite(FlipKind.BTS, face_key(*v[3:]))
+    if k is FlipKind.BES:
+        return FlipSite(FlipKind.BEW, (m + 1, m + 2))
+    if k is FlipKind.BEW:
+        a, b, c, d = bew_patch(t, *v)
+        if a > b:
+            a, b = b, a
+        return FlipSite(FlipKind.BES, (a, b, c, d))
+    if k is FlipKind.PS:
+        vv, w, x, y, z = v
+        if w > z:
+            w, x, y, z = z, y, x, w
+        return FlipSite(FlipKind.PC, (m + 1, w, x, y, z, vv))
+    if k is FlipKind.PC:
+        u, w, x, y, z, vv = v
+        if w > z:
+            w, x, y, z = z, y, x, w
+        return FlipSite(FlipKind.PS, (vv, w, x, y, z))
+    if k is FlipKind.NFLIP:
+        v1, v2, v3, v4, v5, v6 = v
+        back = (v2, v1, v6, v5, v4, v3)
+        return FlipSite(FlipKind.NFLIP, min(back, back[3:] + back[:3]))
+    # the last kind, P2FLIP
+    v1, v2, v3, v4, v5, _, _ = v
+    return FlipSite(FlipKind.P2FLIP, (v1, v5, v4, v3, v2, m + 1, m + 2))

@@ -35,7 +35,6 @@ from baltri.explorer import (
     replay_path,
 )
 from baltri.flips import (
-    VERTEX_DELTA,
     FlipKind,
     FlipSite,
     apply_flip,
@@ -113,7 +112,7 @@ def test_every_move_shifts_vertex_count_by_its_table_delta(flip_fuzz):
     per_kind = collections.Counter()
     for t, col, site in flip_fuzz:
         t2, _ = apply_flip(t, site, col)
-        assert t2.vertex_count - t.vertex_count == VERTEX_DELTA[site.kind]
+        assert t2.vertex_count - t.vertex_count == site.kind.delta
         per_kind[site.kind] += 1
     total = sum(per_kind.values())
     assert total >= 1000

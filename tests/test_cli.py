@@ -201,6 +201,23 @@ class TestExpand:
         assert code == 1
         assert "blocking chord" in err
 
+    @pytest.mark.parametrize(
+        "site, via, message",
+        [
+            ("bes:1,3,1,3", "two-ps", "missing face"),
+            ("bes:1,2,3,4", "two-ps", "missing face"),
+            ("bes:1,2,3,4", "bts-pc", "missing face"),
+            ("bew:1,3", "ps-btw", "already present"),
+            ("bew:1,2", "ps-btw", "not adjacent"),
+        ],
+    )
+    def test_invalid_site_gets_the_rule_message(self, capsys, site, via, message):
+        # each recipe runs the rule of the move it expands before anything else
+        code, out, err = run(capsys, "expand", "octahedron", site, "--via", via)
+        assert code == 1
+        assert out == ""
+        assert message in err and "internal" not in err
+
     def test_no_recipe_for_primitive_moves(self, capsys):
         code, _, err = run(capsys, "expand", "octahedron", "bts:1,3,5")
         assert code == 1

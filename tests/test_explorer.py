@@ -24,7 +24,7 @@ from baltri.explorer import (
     random_walk,
     replay_path,
 )
-from baltri.flips import VERTEX_DELTA, FlipKind, FlipSite, apply_flip, enumerate_sites
+from baltri.flips import FlipKind, FlipSite, apply_flip, enumerate_sites
 
 SPLITS = (FlipKind.PS, FlipKind.PC)
 
@@ -251,7 +251,7 @@ def walk_against_enumeration(t, col, kinds, steps, seed, max_vertices):
             s
             for s in enumerate_sites(t, kinds)
             if max_vertices is None
-            or t.vertex_count + VERTEX_DELTA[s.kind] <= max_vertices
+            or t.vertex_count + s.kind.delta <= max_vertices
         ]
         if i == len(taken):
             # the walk stops early only when nothing is left to choose

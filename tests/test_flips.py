@@ -21,9 +21,6 @@ from baltri import (
 from baltri.explorer import build_k333_torus, build_octahedron
 from baltri import flips
 from baltri.flips import (
-    INVERSE_KIND,
-    SITE_ARITY,
-    VERTEX_DELTA,
     FlipKind,
     FlipSite,
     apply_flip,
@@ -36,7 +33,7 @@ from baltri.flips import (
 )
 
 from conftest import PROJECTIVE_PLANE, run_python, walk_sample
-from oracles import naive_ps_sites, reference_apply_flip
+from oracles import naive_ps_sites, reference_apply_flip, reference_inverse_site
 
 # Moves that create vertices first restore the original exactly on a
 # round trip; moves that delete first come back with fresh ids, so the
@@ -53,7 +50,7 @@ def sites_by_kind(t):
 
 class TestTables:
     def test_vertex_deltas(self):
-        assert VERTEX_DELTA == {
+        assert {k: k.delta for k in FlipKind} == {
             FlipKind.BTS: 3,
             FlipKind.BTW: -3,
             FlipKind.BES: 2,
@@ -65,9 +62,13 @@ class TestTables:
         }
 
     def test_inverse_pairing_is_an_involution(self):
-        for k, inv in INVERSE_KIND.items():
-            assert INVERSE_KIND[inv] == k
-            assert VERTEX_DELTA[k] + VERTEX_DELTA[inv] == 0
+        for k in FlipKind:
+            assert k.inverse.inverse is k
+            assert k.delta + k.inverse.delta == 0
+
+    def test_ranks_follow_definition_order(self):
+        assert [k.rank for k in FlipKind] == list(range(len(FlipKind)))
+        assert FlipKind("bts") is FlipKind.BTS and FlipKind.BTS.value == "bts"
 
 
 class TestOctahedronInventory:
@@ -112,7 +113,9 @@ class TestApply:
         # that adds a face the triangulation already has
         t, col = build_octahedron()
         monkeypatch.setitem(
-            flips._REWRITES, FlipKind.BTS, lambda t, v: ((), (), lambda: ([t.faces[1]], {}))
+            flips._REWRITES,
+            FlipKind.BTS,
+            lambda t, v: ((), (), lambda: ([t.faces[1]], {}, ())),
         )
         with pytest.raises(WouldCreateDuplicateFace):
             apply_flip(t, FlipSite(FlipKind.BTS, t.faces[0]), col)
@@ -154,7 +157,7 @@ def test_random_flip_soundness(seed, pick):
     sites = enumerate_sites(t)
     site = sites[pick % len(sites)]
     t2, col2 = apply_flip(t, site, col)
-    assert t2.vertex_count == t.vertex_count + VERTEX_DELTA[site.kind]
+    assert t2.vertex_count == t.vertex_count + site.kind.delta
     assert t2.euler_characteristic() == t.euler_characteristic()
     assert is_orientable(t2) == is_orientable(t)
     assert is_proper(t2, col2)
@@ -167,7 +170,7 @@ def test_random_inverse_round_trip(seed, pick):
     sites = enumerate_sites(t)
     site = sites[pick % len(sites)]
     undo = inverse_site(t, site)
-    assert undo.kind == INVERSE_KIND[site.kind]
+    assert undo.kind == site.kind.inverse
     t2, col2 = apply_flip(t, site, col)
     t3, col3 = apply_flip(t2, undo, col2)
     if site.kind in EXACT_ROUND_TRIP:
@@ -177,6 +180,18 @@ def test_random_inverse_round_trip(seed, pick):
         assert canonical_code(t3, col3, ColorMode.FIXED) == canonical_code(
             t, col, ColorMode.FIXED
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.sampled_from(["octahedron", "k333-torus", "cube-subdivision"]),
+    seed=st.integers(0, 10**6),
+    steps=st.integers(0, 14),
+)
+def test_inverse_site_matches_the_reference(start, seed, steps):
+    t, _ = walk_sample(seed, steps=steps, max_vertices=24, start=start)
+    for site in enumerate_sites(t):
+        assert inverse_site(t, site) == reference_inverse_site(t, site)
 
 
 class TestEnumeration:
@@ -242,7 +257,7 @@ class TestSiteStrings:
     def test_arities_match_the_table(self, sphere_samples_12):
         for t, _ in sphere_samples_12[:5]:
             for site in enumerate_sites(t):
-                assert len(site.vertices) == SITE_ARITY[site.kind]
+                assert len(site.vertices) == site.kind.arity
 
 
 class TestFootprint:
@@ -327,8 +342,8 @@ def _dropping_one_face(rule, index):
         rem, gone, build = rule(t, verts)
 
         def build_less():
-            add, color_src = build()
-            return add[:index] + add[index + 1:], color_src
+            add, color_src, undo = build()
+            return add[:index] + add[index + 1:], color_src, undo
 
         return rem, gone, build_less
 
@@ -360,7 +375,7 @@ class TestPatchSoundness:
             "real = flips._REWRITES[FlipKind.BES]\n"
             "def broken(t, v):\n"
             "    rem, gone, build = real(t, v)\n"
-            "    return rem, gone, lambda: (build()[0][1:], build()[1])\n"
+            "    return rem, gone, lambda: (build()[0][1:], *build()[1:])\n"
             "flips._REWRITES[FlipKind.BES] = broken\n"
             "t, col = build_octahedron()\n"
             "a, b = t.edges[0]\n"

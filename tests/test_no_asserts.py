@@ -3,6 +3,8 @@
 import ast
 import pathlib
 
+import pytest
+
 import baltri
 
 from conftest import run_python
@@ -20,9 +22,11 @@ def test_package_source_has_no_assert_statements():
     assert found == []
 
 
-def test_flip_tests_pass_under_optimization():
-    # the move layer's soundness checks must hold without asserts
-    tests = pathlib.Path(__file__).with_name("test_flips.py")
+@pytest.mark.parametrize("module", ["test_flips.py", "test_acceptance.py"])
+def test_flip_tests_pass_under_optimization(module):
+    # the move layer's soundness checks, and the headline guarantees built
+    # on them, must hold without asserts
+    tests = pathlib.Path(__file__).with_name(module)
     done = run_python(
         "import sys, pytest\n"
         f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', {str(tests)!r}]))",

@@ -7,6 +7,7 @@ from baltri import (
     ExpansionNotFound,
     InvalidSite,
     NoEligibleOrientation,
+    WouldCreateDoubleEdge,
     canonical_code,
 )
 from baltri.explorer import build_octahedron
@@ -60,6 +61,29 @@ class TestTwoSplits:
         bts = enumerate_sites(t, [FlipKind.BTS])[0]
         with pytest.raises(InvalidSite):
             expand_bes_via_ps(t, bts)
+
+
+class TestSiteChecks:
+    # (0, 2, 0, 2) repeats vertices; in (0, 1, 2, 3) the antipodes 0 and 1
+    # share no edge, so neither is a double subdivision of the octahedron
+    @pytest.mark.parametrize("verts", [(0, 2, 0, 2), (0, 1, 2, 3)])
+    def test_subdivision_recipes_run_the_rule_first(self, verts):
+        t, _ = build_octahedron()
+        site = FlipSite(FlipKind.BES, verts)
+        for recipe in (
+            expand_bes_via_ps,
+            expand_bes_via_ps_available,
+            expand_bes_via_bts_pc,
+        ):
+            with pytest.raises(InvalidSite, match="missing face"):
+                recipe(t, site)
+
+    def test_weld_recipe_runs_the_rule_first(self):
+        t, _ = build_octahedron()
+        with pytest.raises(WouldCreateDoubleEdge, match="already present"):
+            expand_bew_via_ps_btw(t, FlipSite(FlipKind.BEW, (0, 2)))
+        with pytest.raises(InvalidSite, match="coincide"):
+            expand_bew_via_ps_btw(t, FlipSite(FlipKind.BEW, (0, 0)))
 
 
 class TestTripleThenContract:
