@@ -14,8 +14,17 @@ the dependence on vertex numbering.
 Each sweep is compared with the least stream so far one face triple at a
 time, as in plantri (Brinkmann & McKay 2007): it is dropped at the first
 larger triple, and after the first smaller one it stops comparing and
-becomes the new least.  Only the winner is encoded.  Symmetric inputs still
-cost O(|Aut| F), since every automorphism ties to the end.
+becomes the new least.  Only the winner is encoded.
+
+A sweep that ties the least stream and color suffix to the end proves an
+automorphism: the vertex labeled L by the least sweep goes to the one
+labeled L by this one.  As in nauty (McKay 1981; McKay & Piperno 2014), each
+start flag is joined with its image under it in a union-find, and a flag is
+skipped once an earlier flag of its class was swept.  A class shares one
+stream and suffix, so the first flag reaching the least is never skipped:
+code, label map and color renaming are unchanged, and symmetric inputs sweep
+a few flags per orbit, not |Aut| of them.  The union-find is built at the
+first tie, so inputs without automorphisms run the plain loop.
 
 Color handling appends one byte per relabeled vertex after the face stream;
 the stream length is fixed by (V, F), so byte-wise comparison stays
@@ -34,7 +43,7 @@ import struct
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import MissingColoring
+from .errors import MissingColoring, NotBalanced
 from .surface import Coloring, Triangulation, validate
 
 
@@ -119,13 +128,18 @@ def _start_flags(t: Triangulation):
 
 
 def _color_suffix(label: dict[int, int], col: Coloring, mode: ColorMode):
-    """The colors in label order, and the color renaming applied to them."""
-    colors = [col[v] for v in label]
-    if mode is ColorMode.FIXED:
+    """Colors in label order and their renaming; NotBalanced unless in {0,1,2}."""
+    try:
+        colors = [col[v] for v in label]
         perm = {0: 0, 1: 1, 2: 2}
-    else:
-        perm = {c: i for i, c in enumerate(dict.fromkeys(colors))}
-    return bytes(map(perm.__getitem__, colors)), perm
+        if mode is not ColorMode.FIXED:
+            perm = {c: i for i, c in enumerate(dict.fromkeys(colors))}
+        if perm.keys() <= {0, 1, 2}:
+            return bytes(map(perm.__getitem__, colors)), perm
+    except KeyError:
+        pass
+    bad = next(v for v in label if v not in col or col[v] not in (0, 1, 2))
+    raise NotBalanced(f"vertex {bad} has no color in {{0, 1, 2}}")
 
 
 def _default_mode(col: Coloring | None, mode: ColorMode | None) -> ColorMode:
@@ -175,9 +189,12 @@ def _canonical(t, col, mode):
     """(code, label map, color renaming or None in IGNORE mode)."""
     if mode is not ColorMode.IGNORE and col is None:
         raise MissingColoring(f"mode {mode.value!r} requires a coloring")
-    best = best_labels = best_perm = None
+    best = best_labels = best_perm = parent = None
     best_suffix = b""
-    for f, u, v in _start_flags(t):
+    flags = _start_flags(t)
+    for i, (f, u, v) in enumerate(flags):
+        if parent is not None and _find(parent, i) != i:
+            continue  # an earlier flag of its class was swept
         stream, labels, tied = _emit_from_flag(t, f, u, v, best)
         if stream is None:
             continue
@@ -187,10 +204,34 @@ def _canonical(t, col, mode):
         if not tied or suffix < best_suffix:
             best, best_suffix = stream, suffix
             best_labels, best_perm = labels, perm
+        elif suffix == best_suffix:
+            if parent is None:
+                parent = list(range(len(flags)))
+                corners = [(a, b, sum(g) - a - b) for g, a, b in flags]
+                index = {c: j for j, c in enumerate(corners)}
+            _join_images(parent, index, corners, best_labels, labels)
     nv, nf = len(t.vertices), len(t.faces)
     width = "H" if nf < 65536 else "I"
     body = struct.pack(f">{2 + 3 * nf}{width}", nv, nf, *chain.from_iterable(best))
     return CanonicalCode(mode.value, body + best_suffix), best_labels, best_perm
+
+
+def _find(parent: list[int], i: int) -> int:
+    """Root of i's class; a root is the least flag index in its class."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
+
+
+def _join_images(parent, index, corners, best_labels, labels):
+    """Join each flag's class with its image's under the tie's automorphism;
+    label maps list vertices in label order, so zipping them gives it."""
+    sigma = dict(zip(best_labels, labels))
+    images = [index[sigma[u], sigma[v], sigma[w]] for u, v, w in corners]
+    for j, k in enumerate(images):
+        a, b = _find(parent, j), _find(parent, k)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
 
 
 def is_isomorphic(

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canon import CanonicalCode, ColorMode, canonical_code, canonical_form
+from .canon import CanonicalCode, ColorMode, canonical_form, is_isomorphic
 from .canon import _canonical, _relabel
 from .embeddings import cube_embedding, face_subdivision
 from .errors import NotConnectedWithinCaps, SurfaceMismatch
@@ -60,7 +60,7 @@ def classify(t: Triangulation) -> dict[str, bool]:
     """Cheap structural facts that decide which moves can ever apply."""
     octa, _ = build_octahedron()
     return {
-        "is_octahedron": canonical_code(t) == canonical_code(octa),
+        "is_octahedron": is_isomorphic(t, octa),
         "ps_applicable": bool(enumerate_sites(t, [FlipKind.PS])),
         "pc_applicable": bool(enumerate_sites(t, [FlipKind.PC])),
         "all_degrees_four": all(t.degree(v) == 4 for v in t.vertices),

@@ -15,7 +15,7 @@ import pytest
 
 import baltri
 
-from baltri import random_walk
+from baltri import Coloring, random_walk, validate
 from baltri.bipartite import (
     BipGraph,
     BipOp,
@@ -41,6 +41,21 @@ PROJECTIVE_PLANE = [
     (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
     (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
 ]
+
+
+def grid_torus(n):
+    """The n x n 6-regular torus with its coloring; n must be a multiple of 3."""
+
+    def v(i, j):
+        return (i % n) * n + (j % n)
+
+    faces = []
+    for i in range(n):
+        for j in range(n):
+            faces.append((v(i, j), v(i + 1, j), v(i, j + 1)))
+            faces.append((v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)))
+    col = Coloring({v(i, j): (i - j) % 3 for i in range(n) for j in range(n)})
+    return validate(faces), col
 
 
 def walk_sample(seed, *, steps, max_vertices, start="octahedron", kinds=None):

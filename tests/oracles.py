@@ -127,6 +127,33 @@ def _reference_sweep(edge_faces, face, u, v):
     return out, label
 
 
+def _sorted_faces(faces):
+    """Faces as sorted triples in sorted order, and each edge's faces."""
+    faces = sorted(tuple(sorted(f)) for f in faces)
+    edge_faces = {}
+    for a, b, c in faces:
+        for e in ((a, b), (a, c), (b, c)):
+            edge_faces.setdefault(e, []).append((a, b, c))
+    return faces, edge_faces
+
+
+def reference_automorphism_count(faces):
+    """|Aut| of the uncolored triangulation, by sweeping every flag.
+
+    An automorphism is fixed by the image of one flag, and a flag's sweep
+    matches the first flag's exactly when some automorphism maps one to the
+    other, so the count is the number of flags whose stream matches.
+    """
+    faces, edge_faces = _sorted_faces(faces)
+    a, b, _ = faces[0]
+    first, _ = _reference_sweep(edge_faces, faces[0], a, b)
+    return sum(
+        _reference_sweep(edge_faces, f, x, y)[0] == first
+        for f in faces
+        for x, y in permutations(f, 2)
+    )
+
+
 def reference_canonical(faces, col=None, mode="ignore"):
     """(code bytes, label map, color permutation) by the full sweep.
 
@@ -136,11 +163,7 @@ def reference_canonical(faces, col=None, mode="ignore"):
     one found on ties.  Flags are taken in the package's order: faces as
     sorted triples in sorted order, six directions per face.
     """
-    faces = sorted(tuple(sorted(f)) for f in faces)
-    edge_faces = {}
-    for a, b, c in faces:
-        for e in ((a, b), (a, c), (b, c)):
-            edge_faces.setdefault(e, []).append((a, b, c))
+    faces, edge_faces = _sorted_faces(faces)
     deg = {v: len(n) for v, n in neighbors_of(faces).items()}
     best_key, flags = None, []
     for f in faces:

@@ -11,16 +11,28 @@ from baltri import (
     ColorMode,
     Coloring,
     MissingColoring,
+    NotBalanced,
     canonical_code,
     canonical_form,
     is_isomorphic,
     validate,
 )
+from baltri import canon
 from baltri.cli import GALLERY
-from baltri.explorer import build_k333_torus, build_octahedron
+from baltri.explorer import (
+    build_cube_subdivision,
+    build_k333_torus,
+    build_octahedron,
+)
 from baltri.flips import FlipKind, FlipSite, apply_flip
 
-from oracles import brute_isomorphism, color_permutations, reference_canonical
+from conftest import grid_torus
+from oracles import (
+    brute_isomorphism,
+    color_permutations,
+    reference_automorphism_count,
+    reference_canonical,
+)
 
 
 def relabeled(t, col, seed):
@@ -93,6 +105,24 @@ class TestModes:
         t, col = build_octahedron()
         assert canonical_code(t, col, ColorMode.IGNORE) == canonical_code(t)
 
+    @pytest.mark.parametrize(
+        "mode", [ColorMode.FIXED, ColorMode.UP_TO_PERMUTATION]
+    )
+    def test_a_vertex_without_a_color_is_not_balanced(self, mode):
+        t, _ = build_octahedron()
+        col = Coloring({0: 0, 1: 0, 2: 1, 3: 1, 4: 2})
+        with pytest.raises(NotBalanced, match="vertex 5"):
+            canonical_code(t, col, mode)
+
+    @pytest.mark.parametrize(
+        "mode", [ColorMode.FIXED, ColorMode.UP_TO_PERMUTATION]
+    )
+    def test_a_color_outside_0_1_2_is_not_balanced(self, mode):
+        t, _ = build_octahedron()
+        col = Coloring({0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 7})
+        with pytest.raises(NotBalanced, match="vertex 5"):
+            canonical_code(t, col, mode)
+
 
 class TestCanonicalForm:
     def test_form_is_on_contiguous_ids_and_code_stable(self, sphere_samples_12):
@@ -156,21 +186,6 @@ class TestOracleAgreement:
             assert ref is not None
 
 
-def grid_torus(n):
-    """The n x n 6-regular torus with its coloring; n must be a multiple of 3."""
-
-    def v(i, j):
-        return (i % n) * n + (j % n)
-
-    faces = []
-    for i in range(n):
-        for j in range(n):
-            faces.append((v(i, j), v(i + 1, j), v(i, j + 1)))
-            faces.append((v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)))
-    col = Coloring({v(i, j): (i - j) % 3 for i in range(n) for j in range(n)})
-    return validate(faces), col
-
-
 def check_against_reference(t, col, mode):
     code, labels, perm = reference_canonical(t.faces, col, mode.value)
     assert canonical_code(t, col, mode).data == code
@@ -183,6 +198,12 @@ def check_against_reference(t, col, mode):
         assert fcol is None
     else:
         assert fcol == Coloring({labels[v]: perm[col[v]] for v in t.vertices})
+
+
+def grid6_after_bts():
+    """The 6x6 torus after one triple subdivision: a small symmetry group."""
+    t, col = grid_torus(6)
+    return apply_flip(t, FlipSite(FlipKind.BTS, t.faces[0]), col)
 
 
 class TestReferenceAgreement:
@@ -200,10 +221,15 @@ class TestReferenceAgreement:
         [
             build_octahedron,
             build_k333_torus,
+            build_cube_subdivision,
             lambda: grid_torus(6),
             lambda: grid_torus(9),
+            grid6_after_bts,
         ],
-        ids=["octahedron", "k333-torus", "grid6", "grid9"],
+        ids=[
+            "octahedron", "k333-torus", "cube-subdivision", "grid6", "grid9",
+            "grid6-bts",
+        ],
     )
     def test_inputs_where_every_sweep_ties(self, mode, build):
         t, col = build()
@@ -217,6 +243,61 @@ class TestReferenceAgreement:
             t, col = build()
             for mode in ColorMode:
                 assert canonical_code(t, col, mode).hex() == pinned[name][mode.value]
+
+
+def count_calls(monkeypatch, name):
+    """Wrap canon.<name> so that each call appends to the returned list."""
+    calls = []
+    real = getattr(canon, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(canon, name, counting)
+    return calls
+
+
+class TestAutomorphismPruning:
+    """Ties join start flags into classes, and each class is swept once."""
+
+    @pytest.mark.parametrize("mode", list(ColorMode))
+    @pytest.mark.parametrize("n", [12, 24])
+    def test_symmetric_tori_sweep_few_flags(self, monkeypatch, mode, n):
+        # all 6F start flags (1,728 and 6,912) share one degree class; the
+        # pruned loop sweeps 4 of them in ignore and up-to-permutation mode
+        # and 16 in fixed mode, on both tori
+        t, col = grid_torus(n)
+        sweeps = count_calls(monkeypatch, "_emit_from_flag")
+        canonical_code(t, col, mode)
+        assert len(sweeps) <= 32
+
+    @pytest.mark.parametrize("mode", list(ColorMode))
+    def test_large_torus_matches_its_relabeling(self, mode):
+        t, col = grid_torus(24)
+        t2, col2 = relabeled(t, col, 11)
+        assert canonical_code(t, col, mode) == canonical_code(t2, col2, mode)
+        forms = []
+        for s, c in ((t, col), (t2, col2)):
+            form, fcol, labels = canonical_form(s, c, mode)
+            mapped = {tuple(sorted(labels[v] for v in f)) for f in s.faces}
+            assert mapped == set(form.faces)
+            forms.append((form, fcol))
+        assert forms[0] == forms[1]
+
+    def test_the_union_find_is_built_only_on_a_tie(
+        self, monkeypatch, mixed_samples_14
+    ):
+        # uncolored, the first tie comes exactly when |Aut| > 1
+        joins = count_calls(monkeypatch, "_join_images")
+        seen = set()
+        for t, _ in mixed_samples_14[::5]:
+            before = len(joins)
+            canonical_code(t)
+            symmetric = reference_automorphism_count(t.faces) > 1
+            assert (len(joins) > before) == symmetric
+            seen.add(symmetric)
+        assert seen == {False, True}
 
 
 class TestWideCodes:

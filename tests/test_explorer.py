@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baltri import explorer
+from baltri import canon, explorer
 from baltri import (
     NotConnectedWithinCaps,
     SurfaceMismatch,
@@ -25,6 +25,8 @@ from baltri.explorer import (
     replay_path,
 )
 from baltri.flips import FlipKind, FlipSite, apply_flip, enumerate_sites
+
+from conftest import grid_torus
 
 SPLITS = (FlipKind.PS, FlipKind.PC)
 
@@ -79,6 +81,18 @@ class TestClassify:
             "pc_applicable": True,
             "all_degrees_four": False,
         }
+
+    def test_only_an_octahedron_sized_input_is_coded(self, monkeypatch):
+        calls = []
+        real = canon._canonical
+        monkeypatch.setattr(
+            canon, "_canonical", lambda *args: calls.append(args) or real(*args)
+        )
+        t, _ = grid_torus(24)
+        assert classify(t)["is_octahedron"] is False
+        assert calls == []
+        assert classify(build_octahedron()[0])["is_octahedron"] is True
+        assert len(calls) == 2
 
 
 class TestBfs:
