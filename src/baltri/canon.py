@@ -24,7 +24,9 @@ skipped once an earlier flag of its class was swept.  A class shares one
 stream and suffix, so the first flag reaching the least is never skipped:
 code, label map and color renaming are unchanged, and symmetric inputs sweep
 a few flags per orbit, not |Aut| of them.  The union-find is built at the
-first tie, so inputs without automorphisms run the plain loop.
+first tie, so inputs without automorphisms run the plain loop.  _canonical
+also returns these automorphisms, one per tie, and the flip-graph search
+uses them to apply one flip site per orbit (see explorer).
 
 Color handling appends one byte per relabeled vertex after the face stream;
 the stream length is fixed by (V, F), so byte-wise comparison stays
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import MissingColoring, NotBalanced
-from .surface import Coloring, Triangulation, validate
+from .surface import Coloring, Triangulation, is_proper, validate
 
 
 class ColorMode(enum.Enum):
@@ -153,8 +155,11 @@ def canonical_code(
     col: Coloring | None = None,
     mode: ColorMode | None = None,
 ) -> CanonicalCode:
-    """Lexicographically least code over all start flags (and color perms)."""
-    return _canonical(t, col, _default_mode(col, mode))[0]
+    """Lexicographically least code over all start flags (and color perms).
+
+    Raises NotBalanced when a colored mode gets an improper coloring.
+    """
+    return _checked(t, col, mode)[0]
 
 
 def canonical_form(
@@ -167,10 +172,20 @@ def canonical_form(
     Returns (triangulation on ids 0..V-1, coloring or None in IGNORE mode,
     map original id -> canonical id).  Isomorphic inputs produce identical
     representatives, which makes the form usable as a search-state key that
-    can still be flipped further.
+    can still be flipped further.  Raises NotBalanced as canonical_code does.
     """
-    _, labels, perm = _canonical(t, col, _default_mode(col, mode))
+    _, labels, perm, _ = _checked(t, col, mode)
     return (*_relabel(t, col, labels, perm), labels)
+
+
+def _checked(t, col, mode):
+    """_canonical, rejecting an improper coloring in a colored mode; the search
+    skips this pass, as flip results are proper by construction."""
+    mode = _default_mode(col, mode)
+    out = _canonical(t, col, mode)
+    if mode is not ColorMode.IGNORE and not is_proper(t, col):
+        raise NotBalanced("the coloring is not proper: an edge has one color twice")
+    return out
 
 
 def _relabel(t: Triangulation, col, labels: dict[int, int], perm):
@@ -186,11 +201,13 @@ def _relabel(t: Triangulation, col, labels: dict[int, int], perm):
 
 
 def _canonical(t, col, mode):
-    """(code, label map, color renaming or None in IGNORE mode)."""
+    """(code, label map, color renaming or None in IGNORE mode, automorphisms:
+    one map per tie, in t's ids, keeping colors up to one permutation)."""
     if mode is not ColorMode.IGNORE and col is None:
         raise MissingColoring(f"mode {mode.value!r} requires a coloring")
     best = best_labels = best_perm = parent = None
     best_suffix = b""
+    gens: list[dict[int, int]] = []
     flags = _start_flags(t)
     for i, (f, u, v) in enumerate(flags):
         if parent is not None and _find(parent, i) != i:
@@ -209,11 +226,15 @@ def _canonical(t, col, mode):
                 parent = list(range(len(flags)))
                 corners = [(a, b, sum(g) - a - b) for g, a, b in flags]
                 index = {c: j for j, c in enumerate(corners)}
-            _join_images(parent, index, corners, best_labels, labels)
+            # label maps list vertices in label order, so zipping them gives
+            # the map sending the best sweep onto this one
+            sigma = dict(zip(best_labels, labels))
+            gens.append(sigma)
+            _join_images(parent, index, corners, sigma)
     nv, nf = len(t.vertices), len(t.faces)
     width = "H" if nf < 65536 else "I"
     body = struct.pack(f">{2 + 3 * nf}{width}", nv, nf, *chain.from_iterable(best))
-    return CanonicalCode(mode.value, body + best_suffix), best_labels, best_perm
+    return CanonicalCode(mode.value, body + best_suffix), best_labels, best_perm, gens
 
 
 def _find(parent: list[int], i: int) -> int:
@@ -223,10 +244,8 @@ def _find(parent: list[int], i: int) -> int:
     return i
 
 
-def _join_images(parent, index, corners, best_labels, labels):
-    """Join each flag's class with its image's under the tie's automorphism;
-    label maps list vertices in label order, so zipping them gives it."""
-    sigma = dict(zip(best_labels, labels))
+def _join_images(parent, index, corners, sigma):
+    """Join each flag's class with its image's under the automorphism sigma."""
     images = [index[sigma[u], sigma[v], sigma[w]] for u, v, w in corners]
     for j, k in enumerate(images):
         a, b = _find(parent, j), _find(parent, k)

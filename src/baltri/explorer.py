@@ -5,6 +5,13 @@ triangulations collapse to one node.  Because of that, a path is a list
 of sites with replay semantics: each site applies to the canonical form
 of the previous result, not to the raw vertex ids the previous flip
 produced.  replay_path implements exactly that convention.
+
+bfs and connect apply one site per orbit of the automorphisms canonicalizing
+a state finds (McKay, Isomorph-free exhaustive generation, J. Algorithms 26,
+1998): an automorphism carries a site to one with an isomorphic child, so of
+the same code and kind.  In enumerate_sites order, each site not yet covered
+is applied and covers its listed images, so the first site reaching each
+child, and with it every edge, state, truncation and path, is unchanged.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .errors import NotConnectedWithinCaps, SurfaceMismatch
 from .flips import (
     FlipKind,
     FlipSite,
+    _map_site,
     _sites_after,
     apply_flip,
     enumerate_sites,
@@ -96,11 +104,28 @@ def _norm_kinds(kinds: Iterable[FlipKind] | None) -> tuple[FlipKind, ...]:
     return tuple(dict.fromkeys(kinds))
 
 
-def _children(cur: Triangulation, ccol: Coloring, kinds, max_vertices: int):
-    """(site, child, child coloring, code, labels, perm) per child within the cap."""
-    for site in enumerate_sites(cur, kinds):
-        if cur.vertex_count + site.kind.delta > max_vertices:
+def _form_automorphisms(gens, labels: dict[int, int]) -> list[dict[int, int]]:
+    """Automorphisms in raw ids, rewritten on the form's ids."""
+    return [{labels[x]: labels[y] for x, y in g.items()} for g in gens]
+
+
+def _children(cur: Triangulation, ccol: Coloring, gens, kinds, max_vertices: int):
+    """(site, child, child coloring, code, labels, perm, child automorphisms)
+    per child within the cap, applying only the first site of each orbit of
+    cur's automorphisms gens."""
+    sites = enumerate_sites(cur, kinds)
+    listed = set(sites) if gens else ()
+    covered: set[FlipSite] = set()
+    for site in sites:
+        if cur.vertex_count + site.kind.delta > max_vertices or site in covered:
             continue
+        orbit = [site]
+        for s in orbit:  # grows as it is read; an unlisted image starts its own
+            for g in gens:
+                image = _map_site(s, g)
+                if image in listed and image not in covered:
+                    covered.add(image)
+                    orbit.append(image)
         child, childcol = apply_flip(cur, site, ccol)
         yield (site, child, childcol, *_canonical(child, childcol, _MODE))
 
@@ -121,9 +146,10 @@ def bfs(
     """
     kinds = _norm_kinds(kinds)
     col = col if col is not None else find_coloring(t)
-    start, labels, perm = _canonical(t, col, _MODE)
+    start, labels, perm, gens = _canonical(t, col, _MODE)
     states: dict[CanonicalCode, tuple[Triangulation, Coloring]] = {}
     states[start] = _relabel(t, col, labels, perm)
+    auts = {start: _form_automorphisms(gens, labels)}  # per state, on its form
     edges: set[tuple[CanonicalCode, FlipKind, CanonicalCode]] = set()
     frontier = [start]
     truncated = False
@@ -131,14 +157,15 @@ def bfs(
         nxt: list[CanonicalCode] = []
         for code in sorted(frontier):
             cur, ccol = states[code]
-            for site, child, childcol, ccode, labels, perm in _children(
-                cur, ccol, kinds, max_vertices
+            for site, child, childcol, ccode, labels, perm, gens in _children(
+                cur, ccol, auts[code], kinds, max_vertices
             ):
                 if ccode not in states:
                     if len(states) >= max_states:
                         truncated = True
                         continue
                     states[ccode] = _relabel(child, childcol, labels, perm)
+                    auts[ccode] = _form_automorphisms(gens, labels)
                     nxt.append(ccode)
                 edges.add((code, site.kind, ccode))
         frontier = nxt
@@ -200,9 +227,11 @@ def connect(
     # side 1 entry: (state, parent code, site on THIS form stepping toward t2)
     sides: list[dict[CanonicalCode, tuple]] = [{}, {}]
     frontiers: list[list[CanonicalCode]] = [[], []]
+    auts = {}  # per state of either side, on its form
     for idx, (t, col) in enumerate(((t1, col1), (t2, col2))):
-        code, labels, perm = _canonical(t, col, _MODE)
+        code, labels, perm, gens = _canonical(t, col, _MODE)
         sides[idx][code] = (_relabel(t, col, labels, perm), None, None)
+        auts[code] = _form_automorphisms(gens, labels)
         frontiers[idx] = [code]
 
     def assemble(meet: CanonicalCode) -> list[FlipSite]:
@@ -212,21 +241,17 @@ def connect(
     if start1 in sides[1]:
         return assemble(start1)
 
-    stalled = [False, False]
-    while not all(stalled):
+    stopped: list[str | None] = [None, None]  # the cap that stopped each side
+    while None in stopped:
         # grow the smaller live frontier first
-        order = sorted((0, 1), key=lambda i: (stalled[i], len(sides[i])))
-        idx = order[0]
-        if stalled[idx] or not frontiers[idx]:
-            stalled[idx] = True
-            continue
+        idx = min((0, 1), key=lambda i: (stopped[i] is not None, len(sides[i])))
         use_kinds = kinds if idx == 0 else back_kinds
         here, there = sides[idx], sides[1 - idx]
         nxt: list[CanonicalCode] = []
         for code in sorted(frontiers[idx]):
             cur, ccol = here[code][0]
-            for site, raw, rawcol, ccode, labels, perm in _children(
-                cur, ccol, use_kinds, max_vertices
+            for site, raw, rawcol, ccode, labels, perm, gens in _children(
+                cur, ccol, auts[code], use_kinds, max_vertices
             ):
                 if ccode in here:
                     continue
@@ -234,6 +259,7 @@ def connect(
                 if len(here) >= max_states and ccode not in there:
                     continue
                 state = _relabel(raw, rawcol, labels, perm)
+                auts[ccode] = _form_automorphisms(gens, labels)
                 if idx == 0:
                     here[ccode] = (state, code, site)
                 else:
@@ -246,10 +272,14 @@ def connect(
                     return assemble(ccode)
                 nxt.append(ccode)
         frontiers[idx] = nxt
-        if not nxt or len(here) >= max_states:
-            stalled[idx] = True
+        if len(here) >= max_states:
+            stopped[idx] = "state cap reached"
+        elif not nxt:
+            stopped[idx] = "frontier empty under the vertex cap"
     raise NotConnectedWithinCaps(
-        f"no path within {max_vertices} vertices and {max_states} states per side"
+        f"no path within {max_vertices} vertices and {max_states} states per "
+        f"side; states reached: {len(sides[0])} from the first input "
+        f"({stopped[0]}), {len(sides[1])} from the second ({stopped[1]})"
     )
 
 

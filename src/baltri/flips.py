@@ -508,6 +508,26 @@ _CANDIDATES = {
 }
 
 
+# kind -> the normal form its candidate reader emits a site tuple in
+_NORMAL_FORMS = {
+    FlipKind.BTS: lambda v: face_key(*v),
+    # interior triple sorted, each partner kept in step with its vertex
+    FlipKind.BTW: lambda v: sum(zip(*sorted(zip(v[:3], v[3:]))), ()),
+    FlipKind.BES: lambda v: (*edge_key(v[0], v[1]), *sorted(v[2:])),
+    FlipKind.BEW: lambda v: edge_key(*v),
+    FlipKind.PS: lambda v: (v[0], *_fan(*v[1:])),
+    FlipKind.PC: lambda v: (v[0], *_fan(*v[1:5]), v[5]),
+    FlipKind.NFLIP: _hexagon,
+    FlipKind.P2FLIP: lambda v: v,
+}
+
+
+def _map_site(site: FlipSite, sigma) -> FlipSite:
+    """The image of site under the vertex map sigma, in enumerate_sites' form."""
+    image = tuple([sigma[v] for v in site.vertices])
+    return FlipSite(site.kind, _NORMAL_FORMS[site.kind](image))
+
+
 def _scan(t: Triangulation, kinds, source) -> list[FlipSite]:
     """The sites the rules accept among the candidates read off source.
 

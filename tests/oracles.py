@@ -10,8 +10,10 @@ package's rewrite case analysis and must match its output op for op; and
 reference_apply_flip, which shares the package's move rules but rebuilds the
 whole triangulation through validate, and which the patching apply_flip must
 match field for field; and reference_inverse_site, the undo site written out
-kind by kind, which the undo tuples the move rules build must match.  Slow
-is fine, the inputs stay small.  The other functions take plain data (face
+kind by kind, which the undo tuples the move rules build must match; and
+reference_bfs and reference_connect, the flip-graph searches without orbit
+pruning, which the pruned searches must match edge for edge and path for
+path.  Slow is fine, the inputs stay small.  The other functions take plain data (face
 tuples, dicts, edge pairs), not package objects, so they cannot
 accidentally lean on package internals.
 """
@@ -530,3 +532,105 @@ def reference_inverse_site(t, site):
     # the last kind, P2FLIP
     v1, v2, v3, v4, v5, _, _ = v
     return FlipSite(FlipKind.P2FLIP, (v1, v5, v4, v3, v2, m + 1, m + 2))
+
+
+def reference_bfs(t, col, kinds, *, max_vertices, max_states):
+    """bfs without orbit pruning: every listed site of every state is applied.
+
+    Takes and returns package objects, as (start, states, edges, truncated)
+    with the fields of bfs's FlipGraphView.
+    """
+    from baltri.canon import ColorMode, _canonical, _relabel
+    from baltri.flips import apply_flip, enumerate_sites
+
+    mode = ColorMode.UP_TO_PERMUTATION
+    start, labels, perm, _ = _canonical(t, col, mode)
+    states = {start: _relabel(t, col, labels, perm)}
+    edges = set()
+    frontier = [start]
+    truncated = False
+    while frontier:
+        nxt = []
+        for code in sorted(frontier):
+            cur, ccol = states[code]
+            for site in enumerate_sites(cur, kinds):
+                if cur.vertex_count + site.kind.delta > max_vertices:
+                    continue
+                child, childcol = apply_flip(cur, site, ccol)
+                ccode, labels, perm, _ = _canonical(child, childcol, mode)
+                if ccode not in states:
+                    if len(states) >= max_states:
+                        truncated = True
+                        continue
+                    states[ccode] = _relabel(child, childcol, labels, perm)
+                    nxt.append(ccode)
+                edges.add((code, site.kind, ccode))
+        frontier = nxt
+    edges = sorted(edges, key=lambda e: (e[0], e[1].value, e[2]))
+    return start, states, tuple(edges), truncated
+
+
+def reference_connect(t1, t2, col1, col2, kinds, *, max_vertices, max_states):
+    """connect without orbit pruning: the same bidirectional search, applying
+    every listed site.  Returns the path or raises the same error types;
+    kinds must be a sequence of FlipKind."""
+    from baltri.canon import ColorMode, _canonical, _relabel
+    from baltri.errors import NotConnectedWithinCaps, SurfaceMismatch
+    from baltri.flips import FlipSite, apply_flip, enumerate_sites, inverse_site
+    from baltri.surface import surface_id
+
+    mode = ColorMode.UP_TO_PERMUTATION
+    back_kinds = tuple(dict.fromkeys(k.inverse for k in kinds))
+    if surface_id(t1) != surface_id(t2):
+        raise SurfaceMismatch("the inputs lie on two surfaces")
+    # side entry: (state, parent code, site); side 0's site acts on the
+    # parent form, side 1's on this form and steps toward t2
+    sides = [{}, {}]
+    frontiers = [[], []]
+    for idx, (t, col) in enumerate(((t1, col1), (t2, col2))):
+        code, labels, perm, _ = _canonical(t, col, mode)
+        sides[idx][code] = (_relabel(t, col, labels, perm), None, None)
+        frontiers[idx] = [code]
+
+    def to_start(side, code):
+        steps = []
+        while side[code][1] is not None:
+            _, code, site = side[code]
+            steps.append(site)
+        return steps
+
+    def assemble(meet):
+        return to_start(sides[0], meet)[::-1] + to_start(sides[1], meet)
+
+    if frontiers[0][0] in sides[1]:
+        return assemble(frontiers[0][0])
+    stalled = [False, False]
+    while not all(stalled):
+        idx = sorted((0, 1), key=lambda i: (stalled[i], len(sides[i])))[0]
+        here, there = sides[idx], sides[1 - idx]
+        nxt = []
+        for code in sorted(frontiers[idx]):
+            cur, ccol = here[code][0]
+            for site in enumerate_sites(cur, kinds if idx == 0 else back_kinds):
+                if cur.vertex_count + site.kind.delta > max_vertices:
+                    continue
+                raw, rawcol = apply_flip(cur, site, ccol)
+                ccode, labels, perm, _ = _canonical(raw, rawcol, mode)
+                if ccode in here:
+                    continue
+                if len(here) >= max_states and ccode not in there:
+                    continue
+                state = _relabel(raw, rawcol, labels, perm)
+                if idx == 0:
+                    here[ccode] = (state, code, site)
+                else:
+                    back = inverse_site(cur, site)
+                    mapped = FlipSite(back.kind, tuple(labels[v] for v in back.vertices))
+                    here[ccode] = (state, code, mapped)
+                if ccode in there:
+                    return assemble(ccode)
+                nxt.append(ccode)
+        frontiers[idx] = nxt
+        if not nxt or len(here) >= max_states:
+            stalled[idx] = True
+    raise NotConnectedWithinCaps("no path within the caps")

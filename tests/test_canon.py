@@ -123,6 +123,21 @@ class TestModes:
         with pytest.raises(NotBalanced, match="vertex 5"):
             canonical_code(t, col, mode)
 
+    @pytest.mark.parametrize("entry", [canonical_code, canonical_form])
+    @pytest.mark.parametrize(
+        "mode", [ColorMode.FIXED, ColorMode.UP_TO_PERMUTATION]
+    )
+    @pytest.mark.parametrize("build", [build_octahedron, build_k333_torus])
+    def test_an_improper_coloring_is_not_balanced(self, entry, mode, build):
+        t, col = build()
+        one_color = Coloring({v: 0 for v in t.vertices})
+        # all three colors, but 0 now shares its color with a neighbor
+        clash = col.updated({0: col[min(t.neighbors(0))]})
+        for bad in (one_color, clash):
+            with pytest.raises(NotBalanced, match="not proper"):
+                entry(t, bad, mode)
+            entry(t, bad, ColorMode.IGNORE)
+
 
 class TestCanonicalForm:
     def test_form_is_on_contiguous_ids_and_code_stable(self, sphere_samples_12):
@@ -298,6 +313,43 @@ class TestAutomorphismPruning:
             assert (len(joins) > before) == symmetric
             seen.add(symmetric)
         assert seen == {False, True}
+
+
+def check_automorphisms(t, col, mode):
+    """Check every automorphism _canonical returns; return how many."""
+    *_, gens = canon._canonical(t, col, mode)
+    faces = set(t.faces)
+    for g in gens:
+        assert sorted(g) == sorted(g.values()) == sorted(t.vertices)
+        assert {tuple(sorted(g[v] for v in f)) for f in t.faces} == faces
+        if mode is ColorMode.IGNORE:
+            continue
+        # one color permutation throughout, the identity in fixed mode
+        pairs = {(col[v], col[g[v]]) for v in t.vertices}
+        assert len(pairs) == len(dict(pairs)) == len(set(dict(pairs).values())) == 3
+        if mode is ColorMode.FIXED:
+            assert pairs == {(0, 0), (1, 1), (2, 2)}
+    return len(gens)
+
+
+class TestAutomorphismGenerators:
+    """The ties' maps that _canonical returns are automorphisms."""
+
+    def test_samples_and_gallery(self, mixed_samples_14):
+        found = set()
+        inputs = list(mixed_samples_14) + [build() for build in GALLERY.values()]
+        for t, col in inputs:
+            asymmetric = reference_automorphism_count(t.faces) == 1
+            for mode in ColorMode:
+                count = check_automorphisms(t, col, mode)
+                assert count == 0 or not asymmetric
+                found.add(count > 0)
+        assert found == {False, True}
+
+    @pytest.mark.parametrize("mode", list(ColorMode))
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_symmetric_tori(self, mode, n):
+        assert check_automorphisms(*grid_torus(n), mode) > 0
 
 
 class TestWideCodes:

@@ -116,6 +116,7 @@ class TestUnexpectedErrors:
         monkeypatch.setattr("baltri.cli.canonical_code", overflow)
         code, out, err = run(capsys, "canon", "octahedron")
         assert code == 1
+        assert "error" in err
         assert out == ""
         assert err.startswith("error:") and "OverflowError" in err
         assert "Traceback" not in err
@@ -215,6 +216,7 @@ class TestExpand:
         # each recipe runs the rule of the move it expands before anything else
         code, out, err = run(capsys, "expand", "octahedron", site, "--via", via)
         assert code == 1
+        assert "error" in err
         assert out == ""
         assert message in err and "internal" not in err
 
@@ -241,7 +243,7 @@ class TestConnect:
         assert kinds == ["bts", "bes", "bes", "ps"]
 
     def test_caps_too_small(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys,
             "connect",
             "octahedron",
@@ -253,6 +255,9 @@ class TestConnect:
         )
         assert code == 1
         assert "error" in err
+        assert out == ""
+        empty = "frontier empty under the vertex cap"
+        assert f"2 from the first input ({empty}), 1 from the second ({empty})" in err
 
 
 class TestBfs:

@@ -24,11 +24,13 @@ from baltri.explorer import (
     random_walk,
     replay_path,
 )
-from baltri.flips import FlipKind, FlipSite, apply_flip, enumerate_sites
+from baltri.flips import FlipKind, FlipSite, _map_site, apply_flip, enumerate_sites
 
-from conftest import grid_torus
+from conftest import _BUILDERS, grid_torus
+from oracles import reference_bfs, reference_connect
 
 SPLITS = (FlipKind.PS, FlipKind.PC)
+BENCH_KINDS = tuple(FlipKind(k) for k in ("bts", "btw", "bes", "bew", "ps", "pc"))
 
 
 class TestBuilders:
@@ -166,8 +168,19 @@ class TestConnect:
     def test_caps_too_small(self):
         t1, c1 = build_octahedron()
         t2, c2 = build_cube_subdivision()
-        with pytest.raises(NotConnectedWithinCaps):
+        with pytest.raises(NotConnectedWithinCaps) as err:
             connect(t1, t2, c1, c2, None, max_vertices=8, max_states=100)
+        # the cube subdivision has 14 vertices, so nothing below 8 is reached
+        empty = "frontier empty under the vertex cap"
+        assert f"2 from the first input ({empty}), 1 from the second ({empty})" in (
+            str(err.value)
+        )
+        with pytest.raises(NotConnectedWithinCaps) as err:
+            connect(t1, t2, c1, c2, None, max_vertices=14, max_states=3)
+        full = "state cap reached"
+        assert f"3 from the first input ({full}), 3 from the second ({full})" in (
+            str(err.value)
+        )
 
     def test_split_moves_cannot_leave_the_octahedron(self):
         t1, c1 = build_octahedron()
@@ -191,6 +204,92 @@ class TestConnect:
             assert canonical_code(end, endcol) == canonical_code(t2, c2)
             hits += 1
         assert hits > 0
+
+
+class TestOrbitPruning:
+    """One site per automorphism orbit, against the unpruned searches."""
+
+    @pytest.mark.parametrize(
+        "start, kinds, room, max_states",
+        [
+            ("octahedron", None, 6, 40),
+            ("octahedron", "bts,btw,bes,bew,ps,pc", 4, 12),
+            ("octahedron", "bts,btw,nflip", 6, 40),
+            ("k333-torus", None, 4, 12),
+            ("k333-torus", "bts,btw,bes,bew,ps,pc", 6, 40),
+            ("k333-torus", "bts,btw,nflip", 3, 400),
+            ("cube-subdivision", "bts,btw,bes,bew,ps,pc", 4, 12),
+            ("cube-subdivision", "ps,pc,nflip,p2flip", 4, 12),
+            ("cube-subdivision", "bts,btw,nflip", 3, 400),
+        ],
+    )
+    def test_bfs_matches_the_unpruned_search(self, start, kinds, room, max_states):
+        if isinstance(kinds, str):
+            kinds = [FlipKind(k) for k in kinds.split(",")]
+        t, col = _BUILDERS[start]()
+        caps = dict(max_vertices=t.vertex_count + room, max_states=max_states)
+        view = bfs(t, col, kinds, **caps)
+        want_start, want_states, want_edges, truncated = reference_bfs(
+            t, col, kinds, **caps
+        )
+        assert view.start == want_start
+        assert list(view.states) == list(want_states)
+        assert view.states == want_states  # forms and colorings
+        assert view.edges == want_edges
+        assert view.truncated == truncated
+
+    def test_connect_matches_the_unpruned_search(self, sphere_samples_12):
+        def outcome(search, t1, t2, c1, c2, kinds, **caps):
+            try:
+                return search(t1, t2, c1, c2, kinds, **caps)
+            except NotConnectedWithinCaps as exc:
+                return type(exc)
+
+        cube = build_cube_subdivision()
+        pairs = [(build_octahedron(), cube, 14, 3000)]
+        pairs += [
+            (a, b, 13, 150)
+            for a, b in zip(sphere_samples_12[:60:2], sphere_samples_12[1:60:2])
+        ]
+        kind_sets = (tuple(FlipKind), BENCH_KINDS, SPLITS + (FlipKind.NFLIP,))
+        verdicts = set()
+        for (t1, c1), (t2, c2), cap, states in pairs:
+            for kinds in kind_sets:
+                args = (t1, t2, c1, c2, kinds)
+                caps = dict(max_vertices=cap, max_states=states)
+                got = outcome(connect, *args, **caps)
+                assert got == outcome(reference_connect, *args, **caps)
+                verdicts.add(got is NotConnectedWithinCaps)
+        assert verdicts == {False, True}
+
+    def test_listed_images_reach_the_same_child(self, mixed_samples_14):
+        # the fact the pruning rests on, kind by kind: a site and its listed
+        # image under a found automorphism have children of one code
+        seen = set()
+        for t, col in mixed_samples_14[::8]:
+            *_, gens = canon._canonical(t, col, canon.ColorMode.UP_TO_PERMUTATION)
+            sites = enumerate_sites(t)
+            listed = set(sites)
+            for site in sites:
+                images = {_map_site(site, g) for g in gens} & listed
+                if images:
+                    code = canonical_code(*apply_flip(t, site, col))
+                for image in images:
+                    assert canonical_code(*apply_flip(t, image, col)) == code
+                    seen.add(site.kind)
+        assert seen == set(FlipKind)
+
+    def test_the_bench_bfs_applies_fewer_sites(self, monkeypatch):
+        # unpruned, this ball applies 11,082 sites for its 4,290 edges
+        calls = []
+        real = explorer.apply_flip
+        monkeypatch.setattr(
+            explorer, "apply_flip", lambda *args: calls.append(args) or real(*args)
+        )
+        t, col = build_cube_subdivision()
+        view = bfs(t, col, BENCH_KINDS, max_vertices=16, max_states=400)
+        assert (view.state_count, view.edge_count) == (297, 4290)
+        assert len(calls) < 7000
 
 
 class TestRandomWalk:
