@@ -45,8 +45,8 @@ import struct
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import MissingColoring, NotBalanced
-from .surface import Coloring, Triangulation, is_proper, validate
+from .errors import MissingColoring
+from .surface import Coloring, Triangulation, _coloring, validate
 
 
 class ColorMode(enum.Enum):
@@ -130,24 +130,12 @@ def _start_flags(t: Triangulation):
 
 
 def _color_suffix(label: dict[int, int], col: Coloring, mode: ColorMode):
-    """Colors in label order and their renaming; NotBalanced unless in {0,1,2}."""
-    try:
-        colors = [col[v] for v in label]
-        perm = {0: 0, 1: 1, 2: 2}
-        if mode is not ColorMode.FIXED:
-            perm = {c: i for i, c in enumerate(dict.fromkeys(colors))}
-        if perm.keys() <= {0, 1, 2}:
-            return bytes(map(perm.__getitem__, colors)), perm
-    except KeyError:
-        pass
-    bad = next(v for v in label if v not in col or col[v] not in (0, 1, 2))
-    raise NotBalanced(f"vertex {bad} has no color in {{0, 1, 2}}")
-
-
-def _default_mode(col: Coloring | None, mode: ColorMode | None) -> ColorMode:
-    if mode is not None:
-        return mode
-    return ColorMode.IGNORE if col is None else ColorMode.UP_TO_PERMUTATION
+    """Colors in label order and their renaming, for a proper coloring."""
+    colors = [col[v] for v in label]
+    perm = {0: 0, 1: 1, 2: 2}
+    if mode is not ColorMode.FIXED:
+        perm = {c: i for i, c in enumerate(dict.fromkeys(colors))}
+    return bytes(map(perm.__getitem__, colors)), perm
 
 
 def canonical_code(
@@ -179,13 +167,13 @@ def canonical_form(
 
 
 def _checked(t, col, mode):
-    """_canonical, rejecting an improper coloring in a colored mode; the search
-    skips this pass, as flip results are proper by construction."""
-    mode = _default_mode(col, mode)
-    out = _canonical(t, col, mode)
-    if mode is not ColorMode.IGNORE and not is_proper(t, col):
-        raise NotBalanced("the coloring is not proper: an edge has one color twice")
-    return out
+    """_canonical, a colored mode's coloring first passing surface's gate; the
+    search skips the gate, as its colorings are found or made by flips."""
+    if mode is None:
+        mode = ColorMode.IGNORE if col is None else ColorMode.UP_TO_PERMUTATION
+    if mode is not ColorMode.IGNORE and col is not None:
+        col = _coloring(t, col)
+    return _canonical(t, col, mode)
 
 
 def _relabel(t: Triangulation, col, labels: dict[int, int], perm):

@@ -5,7 +5,8 @@ gallery names (octahedron, k333-torus, cube-subdivision).  Sites are
 written kind:v1,v2,... with 1-based vertex numbers, matching the numbers
 in .tri files.  Exit status: 0 on success, 1 when a domain rule rejects
 the request or an unexpected internal error occurs, 2 for unreadable or
-malformed input.
+malformed input.  Every subcommand passes a file's coloring through
+surface's gate, so an improper 'k' line exits 1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 
 from .bipartite import apply_sequence, normalize_sequence
 from .canon import ColorMode, canonical_code
-from .errors import BaltriError, NotBalanced, ParseError
+from .errors import BaltriError, ParseError
 from .explorer import (
     bfs,
     build_cube_subdivision,
@@ -44,14 +45,7 @@ from .rewrites import (
     expand_via_budget,
     verify_expansion,
 )
-from .surface import (
-    Coloring,
-    Triangulation,
-    find_coloring,
-    is_orientable,
-    is_proper,
-    surface_name,
-)
+from .surface import Coloring, Triangulation, _coloring, is_orientable, surface_name
 
 GALLERY = {
     "octahedron": build_octahedron,
@@ -73,14 +67,6 @@ def _load_tri(path: str) -> tuple[Triangulation, Coloring | None]:
     if name in GALLERY:
         return GALLERY[name]()
     return parse_tri(_read_text(path))
-
-
-def _coloring(tri: Triangulation, col: Coloring | None) -> Coloring:
-    if col is None:
-        return find_coloring(tri)
-    if not is_proper(tri, col):
-        raise NotBalanced("the coloring in the file is not proper")
-    return col
 
 
 def _kind(text: str) -> FlipKind:
@@ -113,23 +99,22 @@ def _yesno(flag: bool) -> str:
 
 def _cmd_validate(args) -> None:
     tri, col = _load_tri(args.path)
-    given = col is not None
-    col = _coloring(tri, col)
+    _coloring(tri, col)
     print(f"vertices {tri.vertex_count}")
     print(f"edges {tri.edge_count}")
     print(f"faces {tri.face_count}")
     print(f"euler {tri.euler_characteristic()}")
     print(f"orientable {_yesno(is_orientable(tri))}")
     print(f"surface {surface_name(tri)}")
-    print(f"coloring {'given' if given else 'found'}")
+    print(f"coloring {'found' if col is None else 'given'}")
     print("balanced yes")
 
 
 def _cmd_canon(args) -> None:
     tri, col = _load_tri(args.path)
     mode = ColorMode(args.mode) if args.mode else None
-    if col is not None:
-        col = _coloring(tri, col)
+    if mode is ColorMode.IGNORE and col is not None:
+        _coloring(tri, col)  # canonical_code checks it in the colored modes
     print(canonical_code(tri, col, mode).hex())
 
 
@@ -164,13 +149,13 @@ _DEFAULT_VIA = {
 
 def _cmd_expand(args) -> None:
     tri, col = _load_tri(args.path)
-    col = _coloring(tri, col)
+    _coloring(tri, col)
     site = site_from_str(args.site)
     via = args.via or _DEFAULT_VIA.get(site.kind)
     if via is None:
         raise BaltriError(f"no expansion recipe applies to a {site.kind.value} site")
     seq = _EXPANDERS[via](tri, site)
-    if not verify_expansion(tri, site, seq, col):
+    if not verify_expansion(tri, site, seq):
         raise BaltriError("expansion failed verification")
     for step in seq:
         print(step)
@@ -179,12 +164,12 @@ def _cmd_expand(args) -> None:
 def _cmd_connect(args) -> None:
     t1, c1 = _load_tri(args.path)
     t2, c2 = _load_tri(args.other)
+    _coloring(t1, c1)
+    _coloring(t2, c2)
     path = connect(
         t1,
         t2,
-        c1 if c1 is None else _coloring(t1, c1),
-        c2 if c2 is None else _coloring(t2, c2),
-        args.kinds,
+        kinds=args.kinds,
         max_vertices=args.max_vertices,
         max_states=args.max_states,
     )
@@ -219,11 +204,10 @@ def _export_view(view, out_dir: str) -> None:
 
 def _cmd_bfs(args) -> None:
     tri, col = _load_tri(args.path)
-    col = _coloring(tri, col)
+    _coloring(tri, col)
     view = bfs(
         tri,
-        col,
-        args.kinds,
+        kinds=args.kinds,
         max_vertices=args.max_vertices,
         max_states=args.max_states,
     )
@@ -243,7 +227,6 @@ def _cmd_classify(args) -> None:
 
 def _cmd_sample(args) -> None:
     tri, col = _load_tri(args.path)
-    col = _coloring(tri, col)
     tri, col, taken = random_walk(
         tri,
         col,

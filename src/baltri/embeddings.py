@@ -19,9 +19,10 @@ import enum
 from typing import Iterable, Sequence
 
 from .bipartite import BipGraph
-from .canon import ColorMode, is_isomorphic
+from .canon import is_isomorphic
 from .errors import InvalidEmbedding, PreconditionViolated, TriangulationError
 from .surface import Coloring, Triangulation, find_coloring, surface_id, validate
+from .surface import _coloring
 
 
 def _canonical_walk(walk: Sequence[int]) -> tuple[int, ...]:
@@ -129,9 +130,11 @@ def delete_color_class(
     The two remaining color classes are the parts (smaller color to part
     0).  Every surviving edge lay on two faces whose third vertices had
     the deleted color, so the link walks cover each edge exactly twice.
+    col passes surface's gate first: NotBalanced unless it is proper.
     """
     if color not in (0, 1, 2):
         raise PreconditionViolated(f"color {color} not in 0..2")
+    col = _coloring(tri, col)
     keep = sorted(c for c in (0, 1, 2) if c != color)
     parts = {v: keep.index(col[v]) for v in tri.vertices if col[v] != color}
     edges = [
@@ -148,12 +151,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def subdivision_obstruction(
-    t1: Triangulation,
-    t2: Triangulation,
-    col1: Coloring | None = None,
-    col2: Coloring | None = None,
-) -> Verdict:
+def subdivision_obstruction(t1: Triangulation, t2: Triangulation) -> Verdict:
     """Decide whether no flip sequence can possibly join t1 and t2.
 
     Different surfaces are immediately unreachable.  Otherwise the test
@@ -161,10 +159,10 @@ def subdivision_obstruction(
     vertices: if deleting some color class of it leaves minimum degree
     at least 3, every shrinking move on it stays blocked and the smaller
     triangulation cannot be reached.  INCONCLUSIVE promises nothing.
+    Each input's coloring is found; NotBalanced if one has none.
     """
-    col1 = col1 if col1 is not None else find_coloring(t1)
-    col2 = col2 if col2 is not None else find_coloring(t2)
-    if is_isomorphic(t1, t2, col1, col2, ColorMode.UP_TO_PERMUTATION):
+    col1, col2 = find_coloring(t1), find_coloring(t2)
+    if is_isomorphic(t1, t2):
         return Verdict.INCONCLUSIVE
     if surface_id(t1) != surface_id(t2):
         return Verdict.UNREACHABLE

@@ -6,6 +6,10 @@ of sites with replay semantics: each site applies to the canonical form
 of the previous result, not to the raw vertex ids the previous flip
 produced.  replay_path implements exactly that convention.
 
+States are codes up to color permutation, and a balanced triangulation
+has one coloring up to it, so bfs, connect and replay_path find their own
+coloring.  random_walk carries one along, checked by surface's gate.
+
 bfs and connect apply one site per orbit of the automorphisms canonicalizing
 a state finds (McKay, Isomorph-free exhaustive generation, J. Algorithms 26,
 1998): an automorphism carries a site to one with an isomorphic child, so of
@@ -34,6 +38,7 @@ from .flips import (
     inverse_site,
 )
 from .surface import Coloring, Triangulation, find_coloring, surface_id, validate
+from .surface import _coloring
 
 
 # -- stock triangulations ------------------------------------------------------
@@ -132,9 +137,8 @@ def _children(cur: Triangulation, ccol: Coloring, gens, kinds, max_vertices: int
 
 def bfs(
     t: Triangulation,
-    col: Coloring | None = None,
-    kinds: Iterable[FlipKind] | None = None,
     *,
+    kinds: Iterable[FlipKind] | None = None,
     max_vertices: int,
     max_states: int,
 ) -> FlipGraphView:
@@ -145,7 +149,7 @@ def bfs(
     known ones, and sets the truncated flag.
     """
     kinds = _norm_kinds(kinds)
-    col = col if col is not None else find_coloring(t)
+    col = find_coloring(t)
     start, labels, perm, gens = _canonical(t, col, _MODE)
     states: dict[CanonicalCode, tuple[Triangulation, Coloring]] = {}
     states[start] = _relabel(t, col, labels, perm)
@@ -176,14 +180,12 @@ def bfs(
 # -- path search ----------------------------------------------------------------
 
 def replay_path(
-    t: Triangulation, col: Coloring | None, steps: Sequence[FlipSite]
+    t: Triangulation, steps: Sequence[FlipSite]
 ) -> tuple[Triangulation, Coloring]:
     """Apply steps where each one addresses the canonical form so far."""
-    col = col if col is not None else find_coloring(t)
-    cur, ccol, _ = canonical_form(t, col, _MODE)
+    cur, ccol, _ = canonical_form(t, find_coloring(t), _MODE)
     for site in steps:
-        raw, rawcol = apply_flip(cur, site, ccol)
-        cur, ccol, _ = canonical_form(raw, rawcol, _MODE)
+        cur, ccol, _ = canonical_form(*apply_flip(cur, site, ccol), _MODE)
     return cur, ccol
 
 
@@ -199,10 +201,8 @@ def _path_to_start(side: dict, code: CanonicalCode) -> list[FlipSite]:
 def connect(
     t1: Triangulation,
     t2: Triangulation,
-    col1: Coloring | None = None,
-    col2: Coloring | None = None,
-    kinds: Iterable[FlipKind] | None = None,
     *,
+    kinds: Iterable[FlipKind] | None = None,
     max_vertices: int,
     max_states: int,
 ) -> list[FlipSite]:
@@ -216,8 +216,7 @@ def connect(
     """
     kinds = _norm_kinds(kinds)
     back_kinds = tuple(dict.fromkeys(k.inverse for k in kinds))
-    col1 = col1 if col1 is not None else find_coloring(t1)
-    col2 = col2 if col2 is not None else find_coloring(t2)
+    col1, col2 = find_coloring(t1), find_coloring(t2)
     if surface_id(t1) != surface_id(t2):
         raise SurfaceMismatch(
             "no flip changes the underlying surface, the inputs lie on two"
@@ -294,10 +293,11 @@ def random_walk(
     """Take uniformly random applicable flips; stops early if none remain.
 
     Unlike connect, the returned sites replay directly with apply_flip:
-    no canonicalization happens between steps.
+    no canonicalization happens between steps.  col is found when None and
+    raises NotBalanced when it is not a proper coloring of t.
     """
     kinds = _norm_kinds(kinds)
-    col = col if col is not None else find_coloring(t)
+    col = _coloring(t, col)
     rng = random.Random(seed)
     taken: list[FlipSite] = []
     prev, sites = None, []

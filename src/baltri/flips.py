@@ -43,6 +43,7 @@ from typing import Callable
 
 from .errors import (
     InvalidSite,
+    NotBalanced,
     ParseError,
     WouldCreateDoubleEdge,
     WouldCreateDuplicateFace,
@@ -353,6 +354,8 @@ def apply_flip(
     rewrite rule accepts, it is not required to be in enumerate_sites()'s
     normalized form.  Only the stars of the vertices on the exchanged faces
     are re-indexed and re-checked; every other index entry carries over.
+    col is carried along unchecked, as moves keep a proper coloring proper;
+    NotBalanced means it lacks a vertex the move copies a color from or removes.
     """
     rem, gone, build = _REWRITES[site.kind](t, site.vertices)
     add, color_src, _ = build()
@@ -366,8 +369,11 @@ def apply_flip(
     t2 = _swap_faces(t, rem, add)
     if col is None:
         return t2, None
-    col2 = col.updated({v: col[src] for v, src in color_src.items()}, removed=gone)
-    return t2, col2
+    try:
+        added = {v: col[src] for v, src in color_src.items()}
+        return t2, col.updated(added, removed=gone)
+    except KeyError as exc:
+        raise NotBalanced(f"vertex {exc.args[0]} has no color") from None
 
 
 def inverse_site(t: Triangulation, site: FlipSite) -> FlipSite:

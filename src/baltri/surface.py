@@ -13,6 +13,10 @@ re-checks only the edges and vertex links it touches, as validate() would;
 the surface type carries over.  So an existing Triangulation is always a
 closed surface, and validate() stays the reference the patch is tested
 against.
+
+Calls that check a supplied coloring do so in one gate, _coloring(): it
+raises NotBalanced unless is_proper() accepts the coloring, and finds one
+with find_coloring() when none is supplied.
 """
 
 from __future__ import annotations
@@ -507,3 +511,21 @@ def find_coloring(t: Triangulation) -> Coloring:
     if not is_proper(t, col):
         raise NotBalanced("propagated coloring is not proper")
     return col
+
+
+def _coloring(t: Triangulation, col: Coloring | None) -> Coloring:
+    """col once is_proper accepts it on t, or t's own coloring when col is None.
+
+    The one gate a supplied coloring passes: NotBalanced names the first
+    vertex without a color in {0, 1, 2}, or else says an edge has one color
+    twice.
+    """
+    if col is None:
+        return find_coloring(t)
+    if is_proper(t, col):
+        return col
+    bad = [v for v in t.vertices if v not in col or col[v] not in (0, 1, 2)]
+    why = f"vertex {bad[0]} has no color in {{0, 1, 2}}" if bad else (
+        "an edge has one color twice"
+    )
+    raise NotBalanced(f"the coloring is not proper: {why}")

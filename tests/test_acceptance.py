@@ -230,7 +230,7 @@ def test_hexagon_moves_decompose_within_their_budgets(small_samples_50):
             used = collections.Counter(s.kind for s in seq)
             for kind, n in used.items():
                 assert n <= budgets[site.kind][kind]
-            assert verify_expansion(t, site, seq, col)
+            assert verify_expansion(t, site, seq)
             found[site.kind] += 1
     assert found[FlipKind.NFLIP] >= 50
     assert found[FlipKind.P2FLIP] >= 50
@@ -281,22 +281,16 @@ def test_shrink_free_states_never_reach_the_octahedron():
     """The subdivided cube admits no weld at all, so the ball around it
     under the four subdivision moves stays clear of the octahedron, and
     the one-sided obstruction test says so directly."""
-    scube, scube_col = build_cube_subdivision()
-    octa, octa_col = build_octahedron()
+    scube, _ = build_cube_subdivision()
+    octa, _ = build_octahedron()
     kinds = (FlipKind.BTS, FlipKind.BTW, FlipKind.BES, FlipKind.BEW)
     for cap in (14, 16):
-        view = bfs(scube, scube_col, kinds, max_vertices=cap, max_states=10**6)
+        view = bfs(scube, kinds=kinds, max_vertices=cap, max_states=10**6)
         assert not view.truncated
         assert _octa_code() not in view.states
-    assert (
-        subdivision_obstruction(scube, octa, scube_col, octa_col)
-        is Verdict.UNREACHABLE
-    )
-    shex, shex_col = face_subdivision(hex_prism_embedding())
-    assert (
-        subdivision_obstruction(scube, shex, scube_col, shex_col)
-        is Verdict.UNREACHABLE
-    )
+    assert subdivision_obstruction(scube, octa) is Verdict.UNREACHABLE
+    shex, _ = face_subdivision(hex_prism_embedding())
+    assert subdivision_obstruction(scube, shex) is Verdict.UNREACHABLE
     _report("subdivided cube is cut off from the octahedron and the prism")
 
 
@@ -347,10 +341,10 @@ def test_sampled_small_spheres_connect_under_split_and_contract(sphere_samples_9
     pairs = 0
     for i, a in enumerate(codes):
         for b in codes[i + 1 :]:
-            t1, c1 = distinct[a]
-            t2, c2 = distinct[b]
-            path = connect(t1, t2, c1, c2, kinds, max_vertices=12, max_states=10**5)
-            end_t, end_c = replay_path(t1, c1, path)
+            t1, _ = distinct[a]
+            t2, _ = distinct[b]
+            path = connect(t1, t2, kinds=kinds, max_vertices=12, max_states=10**5)
+            end_t, end_c = replay_path(t1, path)
             assert canonical_code(end_t, end_c, ColorMode.UP_TO_PERMUTATION) == b
             pairs += 1
     _report(f"{len(codes)} distinct small spheres, all {pairs} pairs connected")

@@ -108,6 +108,41 @@ class TestValidate:
         assert err.startswith("parse error:") and "not UTF-8" in err
 
 
+_CAPS = ("--max-vertices", "9", "--max-states", "20")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "BAD"),
+        ("canon", "BAD"),
+        ("canon", "BAD", "--mode", "ignore"),
+        ("canon", "BAD", "--mode", "fixed"),
+        ("canon", "BAD", "--mode", "up-to-permutation"),
+        ("sites", "BAD"),
+        ("apply", "BAD", "bts:1,3,5"),
+        ("expand", "BAD", "bes:1,3,5,6"),
+        ("connect", "BAD", "octahedron", *_CAPS),
+        ("connect", "octahedron", "BAD", *_CAPS),
+        ("bfs", "BAD", *_CAPS),
+        ("classify", "BAD"),
+        ("sample", "BAD", "--steps", "3"),
+    ],
+    ids=[
+        "validate", "canon", "canon-ignore", "canon-fixed", "canon-up-to-permutation",
+        "sites", "apply", "expand", "connect-first", "connect-second", "bfs",
+        "classify", "sample",
+    ],
+)
+def test_an_improper_k_line_exits_one_in_every_subcommand(capsys, tmp_path, argv):
+    t, col = build_octahedron()
+    p = tmp_path / "bad.tri"
+    p.write_text(format_tri(t, col).replace("k 1 1 2 2 3 3", "k 1 1 1 2 3 3"))
+    code, out, err = run(capsys, *(str(p) if a == "BAD" else a for a in argv))
+    assert (code, out) == (1, "")
+    assert err == "error: the coloring is not proper: an edge has one color twice\n"
+
+
 class TestUnexpectedErrors:
     def test_internal_fault_exits_one_without_a_traceback(self, capsys, monkeypatch):
         def overflow(*args, **kwargs):

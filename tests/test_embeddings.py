@@ -4,6 +4,7 @@ import pytest
 
 from baltri import (
     InvalidEmbedding,
+    NotBalanced,
     PreconditionViolated,
     Verdict,
     cube_embedding,
@@ -154,6 +155,13 @@ class TestDeleteColorClass:
             delete_color_class(t, col, 5)
 
     @pytest.mark.parametrize("color", [0, 1, 2])
+    def test_an_improper_or_incomplete_coloring_is_not_balanced(self, color):
+        t, col = build_octahedron()
+        for bad in (col.updated({}, removed=[0]), col.updated({2: 0})):
+            with pytest.raises(NotBalanced, match="not proper"):
+                delete_color_class(t, bad, color)
+
+    @pytest.mark.parametrize("color", [0, 1, 2])
     def test_round_trip_through_subdivision(self, color, sphere_samples_12):
         for t, col in sphere_samples_12[:15]:
             emb = delete_color_class(t, col, color)
@@ -171,25 +179,25 @@ class TestDeleteColorClass:
 
 class TestObstruction:
     def test_isomorphic_inputs_are_inconclusive(self):
-        t, col = build_octahedron()
-        assert subdivision_obstruction(t, t, col, col) is Verdict.INCONCLUSIVE
+        t, _ = build_octahedron()
+        assert subdivision_obstruction(t, t) is Verdict.INCONCLUSIVE
 
     def test_different_surfaces_are_unreachable(self):
-        t1, c1 = build_octahedron()
-        t2, c2 = build_k333_torus()
-        assert subdivision_obstruction(t1, t2, c1, c2) is Verdict.UNREACHABLE
+        t1, _ = build_octahedron()
+        t2, _ = build_k333_torus()
+        assert subdivision_obstruction(t1, t2) is Verdict.UNREACHABLE
 
     def test_subdivision_of_min_degree_three_graph_is_stuck(self):
-        t1, c1 = build_cube_subdivision()
-        t2, c2 = build_octahedron()
-        assert subdivision_obstruction(t1, t2, c1, c2) is Verdict.UNREACHABLE
+        t1, _ = build_cube_subdivision()
+        t2, _ = build_octahedron()
+        assert subdivision_obstruction(t1, t2) is Verdict.UNREACHABLE
         # symmetric call agrees
-        assert subdivision_obstruction(t2, t1, c2, c1) is Verdict.UNREACHABLE
+        assert subdivision_obstruction(t2, t1) is Verdict.UNREACHABLE
 
     def test_two_stuck_subdivisions(self):
-        t1, c1 = build_cube_subdivision()
-        t2, c2 = face_subdivision(hex_prism_embedding())
-        assert subdivision_obstruction(t1, t2, c1, c2) is Verdict.UNREACHABLE
+        t1, _ = build_cube_subdivision()
+        t2, _ = face_subdivision(hex_prism_embedding())
+        assert subdivision_obstruction(t1, t2) is Verdict.UNREACHABLE
 
     def test_colorings_are_found_when_omitted(self):
         t1, _ = build_cube_subdivision()
@@ -197,7 +205,7 @@ class TestObstruction:
         assert subdivision_obstruction(t1, t2) is Verdict.UNREACHABLE
 
     def test_ordinary_spheres_are_inconclusive(self, sphere_samples_12):
-        t2, c2 = build_octahedron()
+        t2, _ = build_octahedron()
         seen = 0
         for t, col in sphere_samples_12[:30]:
             if t.vertex_count == 6:
@@ -207,7 +215,7 @@ class TestObstruction:
                     break
             else:
                 assert (
-                    subdivision_obstruction(t, t2, col, c2)
+                    subdivision_obstruction(t, t2)
                     is Verdict.INCONCLUSIVE
                 )
                 seen += 1

@@ -1,5 +1,6 @@
 """Gallery builders, classification, flip-graph search, random walks."""
 
+import itertools
 import random
 from unittest import mock
 
@@ -8,11 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from baltri import canon, explorer
 from baltri import (
+    ColorMode,
+    InvalidSite,
+    NotBalanced,
     NotConnectedWithinCaps,
     SurfaceMismatch,
     canonical_code,
+    canonical_form,
+    expand_bes_via_bts_pc,
+    expand_bew_via_ps_btw,
     is_proper,
+    subdivision_obstruction,
     surface_name,
+    verify_expansion,
 )
 from baltri.explorer import (
     bfs,
@@ -31,6 +40,16 @@ from oracles import reference_bfs, reference_connect
 
 SPLITS = (FlipKind.PS, FlipKind.PC)
 BENCH_KINDS = tuple(FlipKind(k) for k in ("bts", "btw", "bes", "bew", "ps", "pc"))
+PERMUTATIONS = list(itertools.permutations(range(3)))
+UTP = ColorMode.UP_TO_PERMUTATION
+
+
+def outcome(search, *args, **caps):
+    """search's path, or the type of the NotConnectedWithinCaps it raised."""
+    try:
+        return search(*args, **caps)
+    except NotConnectedWithinCaps as exc:
+        return type(exc)
 
 
 class TestBuilders:
@@ -99,8 +118,8 @@ class TestClassify:
 
 class TestBfs:
     def test_small_ball_around_the_octahedron(self):
-        t, col = build_octahedron()
-        view = bfs(t, col, None, max_vertices=9, max_states=200)
+        t, _ = build_octahedron()
+        view = bfs(t, max_vertices=9, max_states=200)
         assert not view.truncated
         assert view.state_count == 3
         sizes = sorted(tt.vertex_count for tt, _ in view.states.values())
@@ -108,75 +127,75 @@ class TestBfs:
         assert view.edge_count == 8
 
     def test_runs_are_deterministic(self):
-        t, col = build_octahedron()
-        a = bfs(t, col, None, max_vertices=9, max_states=200)
-        b = bfs(t, col, None, max_vertices=9, max_states=200)
+        t, _ = build_octahedron()
+        a = bfs(t, max_vertices=9, max_states=200)
+        b = bfs(t, max_vertices=9, max_states=200)
         assert list(a.states) == list(b.states)
         assert a.edges == b.edges
 
     def test_state_cap_truncates(self):
-        t, col = build_octahedron()
-        view = bfs(t, col, None, max_vertices=12, max_states=2)
+        t, _ = build_octahedron()
+        view = bfs(t, max_vertices=12, max_states=2)
         assert view.truncated
         assert view.state_count == 2
 
     def test_vertex_cap_is_respected(self):
-        t, col = build_octahedron()
-        view = bfs(t, col, None, max_vertices=9, max_states=200)
+        t, _ = build_octahedron()
+        view = bfs(t, max_vertices=9, max_states=200)
         assert all(tt.vertex_count <= 9 for tt, _ in view.states.values())
 
     def test_edges_connect_known_states_with_requested_kinds(self):
-        t, col = build_octahedron()
+        t, _ = build_octahedron()
         kinds = (FlipKind.BTS, FlipKind.BES)
-        view = bfs(t, col, kinds, max_vertices=9, max_states=200)
+        view = bfs(t, kinds=kinds, max_vertices=9, max_states=200)
         for src, kind, dst in view.edges:
             assert src in view.states
             assert dst in view.states
             assert kind in kinds
 
     def test_start_state_is_recorded(self):
-        t, col = build_octahedron()
-        view = bfs(t, col, None, max_vertices=6, max_states=10)
+        t, _ = build_octahedron()
+        view = bfs(t, max_vertices=6, max_states=10)
         assert view.start in view.states
         assert view.state_count == 1  # nothing else fits under the cap
 
 
 class TestConnect:
     def test_octahedron_to_cube_subdivision(self):
-        t1, c1 = build_octahedron()
+        t1, _ = build_octahedron()
         t2, c2 = build_cube_subdivision()
-        path = connect(t1, t2, c1, c2, None, max_vertices=14, max_states=3000)
+        path = connect(t1, t2, max_vertices=14, max_states=3000)
         assert [s.kind for s in path] == [
             FlipKind.BTS,
             FlipKind.BES,
             FlipKind.BES,
             FlipKind.PS,
         ]
-        end, endcol = replay_path(t1, c1, path)
+        end, endcol = replay_path(t1, path)
         assert canonical_code(end, endcol) == canonical_code(t2, c2)
 
     def test_isomorphic_endpoints_need_no_moves(self):
-        t, col = build_octahedron()
-        assert connect(t, t, col, col, None, max_vertices=6, max_states=10) == []
+        t, _ = build_octahedron()
+        assert connect(t, t, max_vertices=6, max_states=10) == []
 
     def test_surface_mismatch(self):
-        t1, c1 = build_octahedron()
-        t2, c2 = build_k333_torus()
+        t1, _ = build_octahedron()
+        t2, _ = build_k333_torus()
         with pytest.raises(SurfaceMismatch):
-            connect(t1, t2, c1, c2, None, max_vertices=12, max_states=100)
+            connect(t1, t2, max_vertices=12, max_states=100)
 
     def test_caps_too_small(self):
-        t1, c1 = build_octahedron()
-        t2, c2 = build_cube_subdivision()
+        t1, _ = build_octahedron()
+        t2, _ = build_cube_subdivision()
         with pytest.raises(NotConnectedWithinCaps) as err:
-            connect(t1, t2, c1, c2, None, max_vertices=8, max_states=100)
+            connect(t1, t2, max_vertices=8, max_states=100)
         # the cube subdivision has 14 vertices, so nothing below 8 is reached
         empty = "frontier empty under the vertex cap"
         assert f"2 from the first input ({empty}), 1 from the second ({empty})" in (
             str(err.value)
         )
         with pytest.raises(NotConnectedWithinCaps) as err:
-            connect(t1, t2, c1, c2, None, max_vertices=14, max_states=3)
+            connect(t1, t2, max_vertices=14, max_states=3)
         full = "state cap reached"
         assert f"3 from the first input ({full}), 3 from the second ({full})" in (
             str(err.value)
@@ -188,19 +207,17 @@ class TestConnect:
         site = enumerate_sites(t1, [FlipKind.BES])[0]
         t2, c2 = apply_flip(t1, site, c1)
         with pytest.raises(NotConnectedWithinCaps):
-            connect(t1, t2, c1, c2, SPLITS, max_vertices=12, max_states=10**4)
+            connect(t1, t2, kinds=SPLITS, max_vertices=12, max_states=10**4)
 
     def test_replay_handles_relabeled_backward_steps(self, sphere_samples_12):
         t2, c2 = build_cube_subdivision()
         hits = 0
-        for t, col in sphere_samples_12[:8]:
+        for t, _ in sphere_samples_12[:8]:
             try:
-                path = connect(
-                    t, t2, col, c2, None, max_vertices=15, max_states=4000
-                )
+                path = connect(t, t2, max_vertices=15, max_states=4000)
             except NotConnectedWithinCaps:
                 continue
-            end, endcol = replay_path(t, col, path)
+            end, endcol = replay_path(t, path)
             assert canonical_code(end, endcol) == canonical_code(t2, c2)
             hits += 1
         assert hits > 0
@@ -228,7 +245,7 @@ class TestOrbitPruning:
             kinds = [FlipKind(k) for k in kinds.split(",")]
         t, col = _BUILDERS[start]()
         caps = dict(max_vertices=t.vertex_count + room, max_states=max_states)
-        view = bfs(t, col, kinds, **caps)
+        view = bfs(t, kinds=kinds, **caps)
         want_start, want_states, want_edges, truncated = reference_bfs(
             t, col, kinds, **caps
         )
@@ -239,12 +256,6 @@ class TestOrbitPruning:
         assert view.truncated == truncated
 
     def test_connect_matches_the_unpruned_search(self, sphere_samples_12):
-        def outcome(search, t1, t2, c1, c2, kinds, **caps):
-            try:
-                return search(t1, t2, c1, c2, kinds, **caps)
-            except NotConnectedWithinCaps as exc:
-                return type(exc)
-
         cube = build_cube_subdivision()
         pairs = [(build_octahedron(), cube, 14, 3000)]
         pairs += [
@@ -255,10 +266,10 @@ class TestOrbitPruning:
         verdicts = set()
         for (t1, c1), (t2, c2), cap, states in pairs:
             for kinds in kind_sets:
-                args = (t1, t2, c1, c2, kinds)
                 caps = dict(max_vertices=cap, max_states=states)
-                got = outcome(connect, *args, **caps)
-                assert got == outcome(reference_connect, *args, **caps)
+                got = outcome(connect, t1, t2, kinds=kinds, **caps)
+                want = outcome(reference_connect, t1, t2, c1, c2, kinds, **caps)
+                assert got == want
                 verdicts.add(got is NotConnectedWithinCaps)
         assert verdicts == {False, True}
 
@@ -279,6 +290,28 @@ class TestOrbitPruning:
                     seen.add(site.kind)
         assert seen == set(FlipKind)
 
+    def test_every_image_of_a_listed_site_is_listed(
+        self, sphere_samples_12, mixed_samples_14
+    ):
+        # _NORMAL_FORMS must write an image as its kind's candidate reader
+        # does; an image left in another form is only pruned less, which no
+        # search result shows
+        inputs = [build() for build in _BUILDERS.values()]
+        inputs += [grid_torus(3), grid_torus(6)]
+        inputs += sphere_samples_12[:60] + mixed_samples_14
+        moved = set()
+        for t, col in inputs:
+            *_, gens = canon._canonical(t, col, UTP)
+            sites = enumerate_sites(t)
+            listed = set(sites)
+            for g in gens:
+                for site in sites:
+                    image = _map_site(site, g)
+                    assert image in listed, (site, image)
+                    if image != site:
+                        moved.add(site.kind)
+        assert moved == set(FlipKind)
+
     def test_the_bench_bfs_applies_fewer_sites(self, monkeypatch):
         # unpruned, this ball applies 11,082 sites for its 4,290 edges
         calls = []
@@ -287,9 +320,109 @@ class TestOrbitPruning:
             explorer, "apply_flip", lambda *args: calls.append(args) or real(*args)
         )
         t, col = build_cube_subdivision()
-        view = bfs(t, col, BENCH_KINDS, max_vertices=16, max_states=400)
+        view = bfs(t, kinds=BENCH_KINDS, max_vertices=16, max_states=400)
         assert (view.state_count, view.edge_count) == (297, 4290)
         assert len(calls) < 7000
+
+
+def colored_replay(t, col, steps):
+    """replay_path as a colored computation: each site on the form so far."""
+    cur, ccol, _ = canonical_form(t, col, UTP)
+    for site in steps:
+        cur, ccol, _ = canonical_form(*apply_flip(cur, site, ccol), UTP)
+    return cur, ccol
+
+
+def colored_verdict(t, col, site, seq):
+    """verify_expansion as a colored computation: colored code equality."""
+    direct = apply_flip(t, site, col)
+    cur, ccol = t, col
+    try:
+        for step in seq:
+            cur, ccol = apply_flip(cur, step, ccol)
+    except InvalidSite:
+        return False
+    return canonical_code(cur, ccol) == canonical_code(*direct)
+
+
+class TestOwnColoring:
+    """The searches find their own coloring, so under each of the six color
+    permutations they answer as the colored computations they replace."""
+
+    @pytest.mark.parametrize("start, room, max_states", [
+        ("octahedron", 6, 30), ("k333-torus", 4, 30), ("cube-subdivision", 3, 12)
+    ])
+    def test_bfs_matches_the_reference_under_every_permutation(
+        self, start, room, max_states
+    ):
+        t, col = _BUILDERS[start]()
+        caps = dict(max_vertices=t.vertex_count + room, max_states=max_states)
+        view = bfs(t, kinds=BENCH_KINDS, **caps)
+        for p in PERMUTATIONS:
+            want = reference_bfs(t, col.permuted(p), BENCH_KINDS, **caps)
+            assert (view.start, view.states, view.edges, view.truncated) == want
+            assert list(view.states) == list(want[1])
+
+    def test_connect_and_replay_match_under_every_permutation(
+        self, sphere_samples_12
+    ):
+        pairs = [(build_octahedron(), build_cube_subdivision(), 14, 3000)]
+        pairs += [
+            (a, b, 13, 150)
+            for a, b in zip(sphere_samples_12[:16:2], sphere_samples_12[1:16:2])
+        ]
+        verdicts = set()
+        for ((t1, c1), (t2, c2), cap, states), kinds in itertools.product(
+            pairs, (tuple(FlipKind), SPLITS)
+        ):
+            caps = dict(max_vertices=cap, max_states=states)
+            got = outcome(connect, t1, t2, kinds=kinds, **caps)
+            verdicts.add(got is NotConnectedWithinCaps)
+            for p, q in zip(PERMUTATIONS, PERMUTATIONS[1:] + PERMUTATIONS[:1]):
+                c1p, c2p = c1.permuted(p), c2.permuted(q)
+                args = (t1, t2, c1p, c2p, kinds)
+                assert got == outcome(reference_connect, *args, **caps)
+                if got is not NotConnectedWithinCaps:
+                    end = replay_path(t1, got)
+                    assert end == colored_replay(t1, c1p, got)
+                    assert canonical_code(*end) == canonical_code(t2, c2p)
+        assert verdicts == {False, True}
+
+    def test_verify_expansion_matches_colored_codes_under_every_permutation(
+        self, sphere_samples_12
+    ):
+        recipes = {
+            FlipKind.BES: expand_bes_via_bts_pc,
+            FlipKind.BEW: expand_bew_via_ps_btw,
+        }
+        verdicts = set()
+        for t, col in sphere_samples_12[:6]:
+            sites = enumerate_sites(t, list(recipes))
+            for site in sites:
+                recipe = recipes[site.kind](t, site)
+                for seq in (recipe, [sites[0]], [sites[-1]], [site, site]):
+                    got = verify_expansion(t, site, seq)
+                    verdicts.add(got)
+                    for p in PERMUTATIONS:
+                        assert got == colored_verdict(t, col.permuted(p), site, seq)
+        assert verdicts == {False, True}
+
+    def test_a_stale_coloring_argument_is_a_type_error(self):
+        t, col = build_octahedron()
+        site = enumerate_sites(t, [FlipKind.BES])[0]
+        caps = dict(max_vertices=6, max_states=1)
+        with pytest.raises(TypeError):
+            bfs(t, col, None, **caps)
+        with pytest.raises(TypeError):
+            bfs(t, col, **caps)
+        with pytest.raises(TypeError):
+            connect(t, t, col, col, None, **caps)
+        with pytest.raises(TypeError):
+            replay_path(t, col, [])
+        with pytest.raises(TypeError):
+            verify_expansion(t, site, [site], col)
+        with pytest.raises(TypeError):
+            subdivision_obstruction(t, t, col, col)
 
 
 class TestRandomWalk:
@@ -326,6 +459,12 @@ class TestRandomWalk:
             assert cur.vertex_count <= 10
         assert is_proper(cur, ccol)
         assert cur.euler_characteristic() == 2
+
+    def test_an_improper_or_incomplete_coloring_is_not_balanced(self):
+        t, col = build_octahedron()
+        for bad in (col.updated({}, removed=[0]), col.updated({2: 0})):
+            with pytest.raises(NotBalanced, match="not proper"):
+                random_walk(t, bad, steps=3, seed=1)
 
     def test_stops_when_no_sites_remain(self):
         t, col = build_octahedron()

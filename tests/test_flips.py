@@ -9,6 +9,7 @@ from baltri import (
     ColorMode,
     InvalidSite,
     NonManifoldEdge,
+    NotBalanced,
     ParseError,
     TriangulationError,
     WouldCreateDuplicateFace,
@@ -148,6 +149,20 @@ class TestApply:
             p, q = sorted(set(t2.vertices) - set(t.vertices))
             assert col2[p] == col[a]
             assert col2[q] == col[b]
+
+    def test_a_coloring_without_a_source_vertex_is_not_balanced(self):
+        t, col = build_octahedron()
+        site = enumerate_sites(t, [FlipKind.BES])[0]
+        with pytest.raises(NotBalanced, match="vertex 0 has no color"):
+            apply_flip(t, site, col.updated({}, removed=[0]))
+
+    def test_a_coloring_without_a_removed_vertex_is_not_balanced(self):
+        t, col = build_octahedron()
+        t2, col2 = apply_flip(t, enumerate_sites(t, [FlipKind.BES])[0], col)
+        weld = enumerate_sites(t2, [FlipKind.BEW])[0]
+        p = weld.vertices[0]
+        with pytest.raises(NotBalanced, match=f"vertex {p} has no color"):
+            apply_flip(t2, weld, col2.updated({}, removed=[p]))
 
 
 @settings(max_examples=30, deadline=None)

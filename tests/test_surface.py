@@ -21,6 +21,7 @@ from baltri import (
     validate,
 )
 from baltri.explorer import build_k333_torus, build_octahedron
+from baltri.surface import _coloring
 
 from conftest import PROJECTIVE_PLANE
 
@@ -175,6 +176,25 @@ class TestColoring:
                 perm.setdefault(col[v], found[v])
             assert len(set(perm.values())) == 3
             assert all(found[v] == perm[col[v]] for v in t.vertices)
+
+    def test_the_gate_passes_a_proper_coloring_and_finds_a_missing_one(self):
+        t, col = build_k333_torus()
+        assert _coloring(t, col) is col
+        assert _coloring(t, None) == find_coloring(t)
+
+    @pytest.mark.parametrize(
+        "change, why",
+        [
+            ({0: 5}, "vertex 0 has no color in {0, 1, 2}"),
+            ({2: 0}, "an edge has one color twice"),
+        ],
+    )
+    def test_the_gate_names_what_is_improper(self, change, why):
+        t, col = build_octahedron()  # 0 has color 0, its neighbor 2 color 1
+        bad = col.updated(change)
+        with pytest.raises(NotBalanced) as err:
+            _coloring(t, bad)
+        assert str(err.value) == f"the coloring is not proper: {why}"
 
     def test_color_class_partitions_vertices(self):
         t, col = build_k333_torus()
