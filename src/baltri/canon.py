@@ -13,8 +13,9 @@ the dependence on vertex numbering.
 
 Each sweep is compared with the least stream so far one face triple at a
 time, as in plantri (Brinkmann & McKay 2007): it is dropped at the first
-larger triple, and after the first smaller one it stops comparing and
-becomes the new least.  Only the winner is encoded.
+larger triple, and at the first smaller one it is suspended, not finished,
+as the new least.  Later sweeps resume it in doubling chunks as far as they
+compare, and a tie compares to the end, so only the winner is finished.
 
 A sweep that ties the least stream and color suffix to the end proves an
 automorphism: the vertex labeled L by the least sweep goes to the one
@@ -67,33 +68,44 @@ class CanonicalCode:
 
 
 def _emit_from_flag(t: Triangulation, face, u: int, v: int, best):
-    """Sweep from flag (face, u->v) against the least stream `best` so far.
+    """Start the sweep from flag (face, u->v) and compare it with `best`.
 
-    Returns (stream of label triples or None if it exceeds best, labels,
-    whether it ties best).  With best None nothing is compared.
-    """
-    label: dict[int, int] = {}
-    out: list[tuple[int, int, int]] = []
-    visited = {face}
-    # queue entries: (face key, entry direction a->b)
-    queue = [(face, u, v)]
-    head = 0
+    Returns (None, False) at a larger triple, (sweep, True) on a tie to the
+    end, else (sweep, False): the new least, suspended after its first
+    smaller triple (after its first one when best is None)."""
+    sweep = ({}, [], {face}, [(face, u, v)])
+    order = _advance(t, sweep, best, 1 if best is None else len(t.faces))
+    return (None if order > 0 else sweep), order == 0 and best is not None
+
+
+def _advance(t: Triangulation, sweep, best, stop: int) -> int:
+    """Resume a sweep (labels, triples, visited faces, face queue) until it
+    has `stop` triples or has visited every face; the queue head is the
+    triple count.  Against a sweep `best`, compare triple by triple, resuming
+    best in doubling chunks as this one catches up.  Returns 1 at a larger
+    triple, -1 after a smaller one (the sweep stops there), else 0."""
+    label, out, visited, queue = sweep
+    ref = best[1] if best is not None else None
     edge_faces = t._edge_faces
     setdefault = label.setdefault
-    tied = best is not None
-    while head < len(queue):
+    head, order = len(out), 0
+    # queue entries: (face key, entry direction a->b)
+    while head < len(queue) and head < stop:
         f, a, b = queue[head]
-        head += 1
         c = f[0] + f[1] + f[2] - a - b  # the corner off the entry edge
         triple = (
             setdefault(a, len(label)),
             setdefault(b, len(label)),
             setdefault(c, len(label)),
         )
-        if tied and triple != best[head - 1]:
-            if triple > best[head - 1]:
-                return None, label, False
-            tied = False
+        if ref is not None:
+            if head == len(ref):
+                _advance(t, best, None, 2 * head)
+            if triple != ref[head]:
+                if triple > ref[head]:
+                    return 1
+                ref, stop, order = None, head + 1, -1
+        head += 1
         out.append(triple)
         for x, y in ((a, b), (b, c), (c, a)):
             g1, g2 = edge_faces[(x, y) if x < y else (y, x)]
@@ -101,7 +113,7 @@ def _emit_from_flag(t: Triangulation, face, u: int, v: int, best):
             if g not in visited:
                 visited.add(g)
                 queue.append((g, y, x))
-    return out, label, tied
+    return order
 
 
 def _start_flags(t: Triangulation):
@@ -131,6 +143,8 @@ def _start_flags(t: Triangulation):
 
 def _color_suffix(label: dict[int, int], col: Coloring, mode: ColorMode):
     """Colors in label order and their renaming, for a proper coloring."""
+    if mode is ColorMode.IGNORE:
+        return b"", None
     colors = [col[v] for v in label]
     perm = {0: 0, 1: 1, 2: 2}
     if mode is not ColorMode.FIXED:
@@ -193,22 +207,24 @@ def _canonical(t, col, mode):
     one map per tie, in t's ids, keeping colors up to one permutation)."""
     if mode is not ColorMode.IGNORE and col is None:
         raise MissingColoring(f"mode {mode.value!r} requires a coloring")
-    best = best_labels = best_perm = parent = None
-    best_suffix = b""
+    best = best_suffix = parent = None
     gens: list[dict[int, int]] = []
     flags = _start_flags(t)
     for i, (f, u, v) in enumerate(flags):
         if parent is not None and _find(parent, i) != i:
             continue  # an earlier flag of its class was swept
-        stream, labels, tied = _emit_from_flag(t, f, u, v, best)
-        if stream is None:
+        sweep, tied = _emit_from_flag(t, f, u, v, best)
+        if sweep is None:
             continue
-        suffix, perm = b"", None
-        if mode is not ColorMode.IGNORE:
-            suffix, perm = _color_suffix(labels, col, mode)
-        if not tied or suffix < best_suffix:
-            best, best_suffix = stream, suffix
-            best_labels, best_perm = labels, perm
+        if not tied:
+            best, best_suffix = sweep, None
+            continue
+        # a tie ran both sweeps to the end, so both label maps are complete
+        if best_suffix is None:
+            best_suffix = _color_suffix(best[0], col, mode)[0]
+        suffix = _color_suffix(sweep[0], col, mode)[0]
+        if suffix < best_suffix:
+            best, best_suffix = sweep, suffix
         elif suffix == best_suffix:
             if parent is None:
                 parent = list(range(len(flags)))
@@ -216,13 +232,15 @@ def _canonical(t, col, mode):
                 index = {c: j for j, c in enumerate(corners)}
             # label maps list vertices in label order, so zipping them gives
             # the map sending the best sweep onto this one
-            sigma = dict(zip(best_labels, labels))
+            sigma = dict(zip(best[0], sweep[0]))
             gens.append(sigma)
             _join_images(parent, index, corners, sigma)
     nv, nf = len(t.vertices), len(t.faces)
+    _advance(t, best, None, nf)  # only the winner runs to the end
+    best_suffix, best_perm = _color_suffix(best[0], col, mode)
     width = "H" if nf < 65536 else "I"
-    body = struct.pack(f">{2 + 3 * nf}{width}", nv, nf, *chain.from_iterable(best))
-    return CanonicalCode(mode.value, body + best_suffix), best_labels, best_perm, gens
+    body = struct.pack(f">{2 + 3 * nf}{width}", nv, nf, *chain.from_iterable(best[1]))
+    return CanonicalCode(mode.value, body + best_suffix), best[0], best_perm, gens
 
 
 def _find(parent: list[int], i: int) -> int:

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canon import CanonicalCode, ColorMode, canonical_form, is_isomorphic
+from .canon import CanonicalCode, ColorMode, is_isomorphic
 from .canon import _canonical, _relabel
 from .embeddings import cube_embedding, face_subdivision
 from .errors import NotConnectedWithinCaps, SurfaceMismatch
@@ -183,10 +183,16 @@ def replay_path(
     t: Triangulation, steps: Sequence[FlipSite]
 ) -> tuple[Triangulation, Coloring]:
     """Apply steps where each one addresses the canonical form so far."""
-    cur, ccol, _ = canonical_form(t, find_coloring(t), _MODE)
+    cur, ccol = _form(t, find_coloring(t))
     for site in steps:
-        cur, ccol, _ = canonical_form(*apply_flip(cur, site, ccol), _MODE)
+        cur, ccol = _form(*apply_flip(cur, site, ccol))
     return cur, ccol
+
+
+def _form(t: Triangulation, col: Coloring) -> tuple[Triangulation, Coloring]:
+    """canonical_form past the gate: the coloring was found or carried by flips."""
+    _, labels, perm, _ = _canonical(t, col, _MODE)
+    return _relabel(t, col, labels, perm)
 
 
 def _path_to_start(side: dict, code: CanonicalCode) -> list[FlipSite]:

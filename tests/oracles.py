@@ -5,6 +5,9 @@ different algorithms than the package: isomorphism by backtracking over vertex
 bijections instead of canonical codes, site scans directly off the face list.
 The exceptions are reference_canonical, the slow form of the package's own
 canonical code, which the fast path must match byte for byte;
+eager_canonical, the sweep loop that runs every new least sweep to the end,
+which the suspending one must match in code, label map, color renaming and
+automorphisms;
 reference_normalize, the replay-from-scratch normalizer, which shares the
 package's rewrite case analysis and must match its output op for op; and
 reference_apply_flip, which shares the package's move rules but rebuilds the
@@ -198,6 +201,74 @@ def reference_canonical(faces, col=None, mode="ignore"):
                 best = (body, suffix, labels, perm)
     body, suffix, labels, perm = best
     return header + body + suffix, labels, perm
+
+
+def eager_canonical(t, col, mode):
+    """_canonical with every sweep that goes below the best run to the end.
+
+    Takes package objects and returns _canonical's (code, label map, color
+    renaming, automorphisms).  Each sweep runs until its first triple larger
+    than the least stream so far, or to the end; the suspending _canonical
+    must match it in all four, label order and generator order included.
+    """
+    import struct
+    from itertools import chain
+
+    from baltri.canon import (
+        CanonicalCode, ColorMode, _color_suffix, _find, _join_images,
+        _start_flags,
+    )
+
+    def sweep(face, u, v, best):
+        label, out, visited, queue, head = {}, [], {face}, [(face, u, v)], 0
+        tied = best is not None
+        while head < len(queue):
+            f, a, b = queue[head]
+            head += 1
+            c = f[0] + f[1] + f[2] - a - b
+            triple = tuple(label.setdefault(x, len(label)) for x in (a, b, c))
+            if tied and triple != best[head - 1]:
+                if triple > best[head - 1]:
+                    return None, label, False
+                tied = False
+            out.append(triple)
+            for x, y in ((a, b), (b, c), (c, a)):
+                g1, g2 = t._edge_faces[(x, y) if x < y else (y, x)]
+                g = g2 if g1 == f else g1
+                if g not in visited:
+                    visited.add(g)
+                    queue.append((g, y, x))
+        return out, label, tied
+
+    best = best_labels = best_perm = parent = None
+    best_suffix = b""
+    gens = []
+    flags = _start_flags(t)
+    for i, (f, u, v) in enumerate(flags):
+        if parent is not None and _find(parent, i) != i:
+            continue
+        stream, labels, tied = sweep(f, u, v, best)
+        if stream is None:
+            continue
+        suffix, perm = b"", None
+        if mode is not ColorMode.IGNORE:
+            suffix, perm = _color_suffix(labels, col, mode)
+        if not tied or suffix < best_suffix:
+            best, best_suffix = stream, suffix
+            best_labels, best_perm = labels, perm
+        elif suffix == best_suffix:
+            if parent is None:
+                parent = list(range(len(flags)))
+                corners = [(a, b, sum(g) - a - b) for g, a, b in flags]
+                index = {c: j for j, c in enumerate(corners)}
+            sigma = dict(zip(best_labels, labels))
+            gens.append(sigma)
+            _join_images(parent, index, corners, sigma)
+    nv, nf = len(t.vertices), len(t.faces)
+    width = "H" if nf < 65536 else "I"
+    body = struct.pack(f">{2 + 3 * nf}{width}", nv, nf, *chain.from_iterable(best))
+    code = CanonicalCode(mode.value, body + best_suffix)
+    return code, best_labels, best_perm, gens
 
 
 def _backtrack(order, candidates, adj1, adj2, faces1_set, faces2_set):

@@ -1,6 +1,7 @@
 """Canonical codes: invariance, modes, agreement with brute force and with
 the full-sweep reference, pinned bytes, and wide codes."""
 
+import functools
 import json
 import random
 from pathlib import Path
@@ -30,6 +31,7 @@ from conftest import grid_torus
 from oracles import (
     brute_isomorphism,
     color_permutations,
+    eager_canonical,
     reference_automorphism_count,
     reference_canonical,
 )
@@ -313,6 +315,65 @@ class TestAutomorphismPruning:
             assert (len(joins) > before) == symmetric
             seen.add(symmetric)
         assert seen == {False, True}
+
+
+@functools.cache
+def grown_samples():
+    """Spheres and tori triple-subdivided on random faces to V >= 40, 100, 200."""
+    out = []
+    for build in (build_octahedron, lambda: grid_torus(3)):
+        for target in (40, 100, 200):
+            t, col = build()
+            rng = random.Random(target)
+            while t.vertex_count < target:
+                site = FlipSite(FlipKind.BTS, rng.choice(t.faces))
+                t, col = apply_flip(t, site, col)
+            out.append((t, col))
+    return out
+
+
+def as_data(result):
+    """_canonical's result as plain data, label and generator order included."""
+    code, labels, perm, gens = result
+    return code.data, list(labels.items()), perm, [list(g.items()) for g in gens]
+
+
+class TestSuspendedSweeps:
+    """Sweeps below the best are suspended and only the winner is finished."""
+
+    def test_matches_the_eager_loop(self, mixed_samples_14):
+        inputs = [build() for build in GALLERY.values()]
+        inputs += [grid_torus(n) for n in (3, 6, 12)]
+        inputs += grown_samples()
+        inputs += mixed_samples_14
+        for seed, (t, col) in enumerate(inputs):
+            for s, c in ((t, col), relabeled(t, col, seed)):
+                for mode in ColorMode:
+                    assert as_data(canon._canonical(s, c, mode)) == as_data(
+                        eager_canonical(s, c, mode)
+                    )
+
+    def test_only_the_winner_reaches_the_last_face(self, monkeypatch):
+        # without automorphisms nothing ties, so each record (a sweep going
+        # below the best) used to be swept to the end; now one sweep is
+        results = []
+        real = canon._emit_from_flag
+
+        def recording(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(canon, "_emit_from_flag", recording)
+        for t, col in grown_samples():
+            if t.vertex_count > 110:
+                continue  # the reference count sweeps all 6F flags
+            assert reference_automorphism_count(t.faces) == 1
+            for mode in ColorMode:
+                results.clear()
+                canon._canonical(t, col, mode)
+                records = [sweep for sweep, _ in results if sweep is not None]
+                finished = [s for s in records if len(s[1]) == t.face_count]
+                assert len(finished) == 1 < len(records)
 
 
 def check_automorphisms(t, col, mode):

@@ -188,6 +188,7 @@ class TestObstruction:
         assert subdivision_obstruction(t1, t2) is Verdict.UNREACHABLE
 
     def test_subdivision_of_min_degree_three_graph_is_stuck(self):
+        # no colorings are passed: subdivision_obstruction finds its own
         t1, _ = build_cube_subdivision()
         t2, _ = build_octahedron()
         assert subdivision_obstruction(t1, t2) is Verdict.UNREACHABLE
@@ -197,11 +198,6 @@ class TestObstruction:
     def test_two_stuck_subdivisions(self):
         t1, _ = build_cube_subdivision()
         t2, _ = face_subdivision(hex_prism_embedding())
-        assert subdivision_obstruction(t1, t2) is Verdict.UNREACHABLE
-
-    def test_colorings_are_found_when_omitted(self):
-        t1, _ = build_cube_subdivision()
-        t2, _ = build_octahedron()
         assert subdivision_obstruction(t1, t2) is Verdict.UNREACHABLE
 
     def test_ordinary_spheres_are_inconclusive(self, sphere_samples_12):

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baltri import canon, explorer
+from baltri import canon, explorer, surface
 from baltri import (
     ColorMode,
     InvalidSite,
@@ -173,6 +173,21 @@ class TestConnect:
         ]
         end, endcol = replay_path(t1, path)
         assert canonical_code(end, endcol) == canonical_code(t2, c2)
+
+    def test_replay_runs_no_gate_per_step(self, monkeypatch):
+        # the coloring replay_path finds, and the ones flips carry, are proper
+        # by construction, so no step pays the coloring gate's is_proper pass
+        t1, _ = build_octahedron()
+        t2, _ = build_cube_subdivision()
+        path = connect(t1, t2, max_vertices=14, max_states=3000)
+        assert len(path) == 4
+        calls = []
+        real = surface.is_proper
+        monkeypatch.setattr(
+            surface, "is_proper", lambda *args: calls.append(args) or real(*args)
+        )
+        replay_path(t1, path)
+        assert len(calls) <= 1
 
     def test_isomorphic_endpoints_need_no_moves(self):
         t, _ = build_octahedron()
