@@ -16,6 +16,14 @@ a state finds (McKay, Isomorph-free exhaustive generation, J. Algorithms 26,
 the same code and kind.  In enumerate_sites order, each site not yet covered
 is applied and covers its listed images, so the first site reaching each
 child, and with it every edge, state, truncation and path, is unchanged.
+
+Moves come in inverse pairs (bts/btw, bes/bew, ps/pc), so a bfs edge P->C
+also proves C->P: if the inverse kind is searched and C is not yet expanded,
+bfs records the undo site on C's form with P's code.  Expanding C, an orbit
+holding a recorded site yields its edge to P unapplied.  The site's child is
+isomorphic to P, and so is each listed image's; P is already a state, so no
+state, state order or truncation (set only by a new code) changes.  The cap
+test comes first, so a record above the cap yields nothing.
 """
 
 from __future__ import annotations
@@ -114,10 +122,14 @@ def _form_automorphisms(gens, labels: dict[int, int]) -> list[dict[int, int]]:
     return [{labels[x]: labels[y] for x, y in g.items()} for g in gens]
 
 
-def _children(cur: Triangulation, ccol: Coloring, gens, kinds, max_vertices: int):
+def _children(
+    cur: Triangulation, ccol: Coloring, gens, kinds, max_vertices: int, undo=()
+):
     """(site, child, child coloring, code, labels, perm, child automorphisms)
     per child within the cap, applying only the first site of each orbit of
-    cur's automorphisms gens."""
+    cur's automorphisms gens.  An orbit holding a site of undo (site -> the
+    code it returns to) is not applied: it yields (site, None, None, code,
+    None, None, None)."""
     sites = enumerate_sites(cur, kinds)
     listed = set(sites) if gens else ()
     covered: set[FlipSite] = set()
@@ -131,6 +143,10 @@ def _children(cur: Triangulation, ccol: Coloring, gens, kinds, max_vertices: int
                 if image in listed and image not in covered:
                     covered.add(image)
                     orbit.append(image)
+        parent = next((undo[s] for s in orbit if s in undo), None)
+        if parent is not None:
+            yield site, None, None, parent, None, None, None
+            continue
         child, childcol = apply_flip(cur, site, ccol)
         yield (site, child, childcol, *_canonical(child, childcol, _MODE))
 
@@ -153,7 +169,10 @@ def bfs(
     start, labels, perm, gens = _canonical(t, col, _MODE)
     states: dict[CanonicalCode, tuple[Triangulation, Coloring]] = {}
     states[start] = _relabel(t, col, labels, perm)
-    auts = {start: _form_automorphisms(gens, labels)}  # per state, on its form
+    # per state not yet expanded, on its form: automorphisms, and undo sites
+    # recorded by expanded parents (site -> parent code)
+    auts = {start: _form_automorphisms(gens, labels)}
+    pending: dict[CanonicalCode, dict[FlipSite, CanonicalCode]] = {}
     edges: set[tuple[CanonicalCode, FlipKind, CanonicalCode]] = set()
     frontier = [start]
     truncated = False
@@ -162,7 +181,7 @@ def bfs(
         for code in sorted(frontier):
             cur, ccol = states[code]
             for site, child, childcol, ccode, labels, perm, gens in _children(
-                cur, ccol, auts[code], kinds, max_vertices
+                cur, ccol, auts.pop(code), kinds, max_vertices, pending.pop(code, ())
             ):
                 if ccode not in states:
                     if len(states) >= max_states:
@@ -171,6 +190,9 @@ def bfs(
                     states[ccode] = _relabel(child, childcol, labels, perm)
                     auts[ccode] = _form_automorphisms(gens, labels)
                     nxt.append(ccode)
+                if ccode in auts and site.kind.inverse in kinds:
+                    back = _map_site(inverse_site(cur, site), labels)
+                    pending.setdefault(ccode, {})[back] = code
                 edges.add((code, site.kind, ccode))
         frontier = nxt
     ordered = sorted(edges, key=lambda e: (e[0], e[1].value, e[2]))

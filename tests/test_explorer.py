@@ -33,7 +33,14 @@ from baltri.explorer import (
     random_walk,
     replay_path,
 )
-from baltri.flips import FlipKind, FlipSite, _map_site, apply_flip, enumerate_sites
+from baltri.flips import (
+    FlipKind,
+    FlipSite,
+    _map_site,
+    apply_flip,
+    enumerate_sites,
+    inverse_site,
+)
 
 from conftest import _BUILDERS, grid_torus
 from oracles import reference_bfs, reference_connect
@@ -253,6 +260,11 @@ class TestOrbitPruning:
             ("cube-subdivision", "bts,btw,bes,bew,ps,pc", 4, 12),
             ("cube-subdivision", "ps,pc,nflip,p2flip", 4, 12),
             ("cube-subdivision", "bts,btw,nflip", 3, 400),
+            # the start is above the cap
+            ("cube-subdivision", "bts,btw,bes,bew,ps,pc", -1, 60),
+            # splits only, then welds only: no inverse kind is searched
+            ("octahedron", "bts,bes,ps", 6, 80),
+            ("cube-subdivision", "btw,bew,pc", 0, 200),
         ],
     )
     def test_bfs_matches_the_unpruned_search(self, start, kinds, room, max_states):
@@ -305,6 +317,22 @@ class TestOrbitPruning:
                     seen.add(site.kind)
         assert seen == set(FlipKind)
 
+    def test_the_undo_of_a_site_is_listed_on_the_child(self, mixed_samples_14):
+        # the fact bfs's undo records rest on, kind by kind: the undo of a
+        # site, on the child's form, is listed there and leads back
+        inputs = [build() for build in _BUILDERS.values()] + mixed_samples_14[::8]
+        seen = set()
+        for t, col in inputs:
+            code = canonical_code(t, col, UTP)
+            for site in enumerate_sites(t):
+                child, childcol = apply_flip(t, site, col)
+                form, formcol, labels = canonical_form(child, childcol, UTP)
+                back = _map_site(inverse_site(t, site), labels)
+                assert back in enumerate_sites(form), (site, back)
+                assert canonical_code(*apply_flip(form, back, formcol), UTP) == code
+                seen.add(site.kind)
+        assert seen == set(FlipKind)
+
     def test_every_image_of_a_listed_site_is_listed(
         self, sphere_samples_12, mixed_samples_14
     ):
@@ -338,6 +366,19 @@ class TestOrbitPruning:
         view = bfs(t, kinds=BENCH_KINDS, max_vertices=16, max_states=400)
         assert (view.state_count, view.edge_count) == (297, 4290)
         assert len(calls) < 7000
+
+    def test_the_bench_bfs_applies_no_undo(self, monkeypatch):
+        # applying every orbit, this ball applies 6,352 sites, and 3,176 of
+        # them lead back to a state already expanded: the recorded undos
+        calls = []
+        real = explorer.apply_flip
+        monkeypatch.setattr(
+            explorer, "apply_flip", lambda *args: calls.append(args) or real(*args)
+        )
+        t, col = build_cube_subdivision()
+        view = bfs(t, kinds=BENCH_KINDS, max_vertices=16, max_states=400)
+        assert (view.state_count, view.edge_count) == (297, 4290)
+        assert 3000 <= len(calls) <= 3300
 
 
 def colored_replay(t, col, steps):
