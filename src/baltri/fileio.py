@@ -110,13 +110,14 @@ def parse_tri(text: str) -> tuple[Triangulation, Coloring | None]:
 
 
 def format_tri(tri: Triangulation, col: Coloring | None = None) -> str:
-    order = {v: i for i, v in enumerate(sorted(tri.vertices))}
+    # tri.vertices and tri.faces come sorted, faces as sorted triples, and
+    # numbering the vertices in order keeps both orders
+    number = {v: str(i) for i, v in enumerate(tri.vertices, start=1)}
     lines = [f"p tri {tri.vertex_count} {tri.face_count}"]
     if col is not None:
-        ordered = sorted(tri.vertices, key=order.__getitem__)
-        lines.append("k " + " ".join(str(col[v] + 1) for v in ordered))
-    for face in sorted(tuple(sorted(order[v] for v in f)) for f in tri.faces):
-        lines.append("f " + " ".join(str(v + 1) for v in face))
+        lines.append("k " + " ".join(str(col[v] + 1) for v in tri.vertices))
+    for a, b, c in tri.faces:
+        lines.append(f"f {number[a]} {number[b]} {number[c]}")
     return "\n".join(lines) + "\n"
 
 

@@ -175,8 +175,9 @@ def _need_degree(t: Triangulation, v: int, want: int) -> None:
 # where build() gives (faces to add, color sources, undo): color sources maps
 # each created vertex id to the existing vertex whose color it copies, and
 # undo is the vertex tuple of the kind.inverse site that takes the move back.
-# Only apply_flip and inverse_site call build(); enumerate_sites needs just
-# the checks.
+# The rules are the one checker of a supplied site: apply_flip, inverse_site
+# and site_footprint run them (and rewrites._checked).  enumerate_sites runs
+# none, as its readers list only sites the rules accept.
 
 _Rewrite = tuple[
     list[Face],
@@ -408,113 +409,131 @@ def _footprint(t: Triangulation, site: FlipSite) -> tuple[int, ...]:
 
 # -- site enumeration ---------------------------------------------------------
 #
-# Each _candidates_* reads candidate tuples off the given faces, edges or
-# vertices of t, one element at a time; _scan keeps those the rule accepts.
+# Each _sites_* reads the sites of its kind off the given faces, edges or
+# vertices of t, one element at a time, in the kind's normal form.  Reading a
+# tuple off t puts most of its rule's faces in place (its comment says which
+# checks hold so), and it checks only the rest, inline, calling no rule.
+# tests/oracles.py keeps the scan that runs the rule on every candidate.
 
-def _candidates_bts(t: Triangulation, faces):
+def _sites_bts(t: Triangulation, faces):
+    # all hold: a face of t has distinct corners
     yield from faces
 
 
-def _candidates_btw(t: Triangulation, faces):
-    deg = t._degrees
-    for f in faces:
-        p, q, r = f
+def _sites_btw(t: Triangulation, faces):
+    # with degree-4 links q r b c, r p c a, q p b a of p, q, r, where a, b, c lie
+    # beyond qr, pr, pq: the seven faces and six distinct vertices hold
+    deg, third, face_set = t._degrees, t.other_face_third, t._face_set
+    for p, q, r in faces:
         if deg[p] != 4 or deg[q] != 4 or deg[r] != 4:
             continue
-        outer = (t.neighbors(p) | t.neighbors(q) | t.neighbors(r)) - {p, q, r}
-        if len(outer) != 3:
-            continue
-        partners = []
-        for interior in (p, q, r):
-            away = outer - t.neighbors(interior)
-            if len(away) != 1:
-                break
-            partners.append(next(iter(away)))
-        else:
-            yield (p, q, r, *partners)
+        a, b, c = third(q, r, p), third(p, r, q), third(p, q, r)
+        if face_key(a, b, c) not in face_set:
+            yield (p, q, r, a, b, c)
 
 
-def _candidates_bes(t: Triangulation, edges):
+def _sites_bes(t: Triangulation, edges):
+    # all hold: the two faces on an edge have distinct thirds
     for a, b in edges:
-        c, d = t.edge_opposites(a, b)
-        yield (a, b, c, d)
+        yield (a, b, *t.edge_opposites(a, b))
 
 
-def _candidates_bew(t: Triangulation, edges):
-    deg = t._degrees
+def _sites_bew(t: Triangulation, edges):
+    # with degree-4 links q c b d of p and p c a d of q, c and d the thirds of
+    # pq: the patch and its six faces hold
+    deg, links, edge_faces = t._degrees, t._links, t._edge_faces
     for p, q in edges:
-        if deg[p] == 4 and deg[q] == 4:
+        if deg[p] != 4 or deg[q] != 4:
+            continue
+        lp, lq = links[p], links[q]
+        a, b = lq[lq.index(p) - 2], lp[lp.index(q) - 2]
+        if a != b and edge_key(a, b) not in edge_faces:
             yield (p, q)
 
 
-def _candidates_ps(t: Triangulation, vertices):
+def _sites_ps(t: Triangulation, vertices):
+    # a link window w x y z: the three fan faces hold, and w, x, y, z are
+    # distinct in a link of five or more (in a link of four, wz is an edge)
+    links, edge_faces = t._links, t._edge_faces
     for v in vertices:
-        link = t.link_cycle(v)
-        if len(link) < 4:
+        link = links[v]
+        if len(link) < 5:
             continue
         for i in range(len(link)):
-            yield (v, *_fan(link[i - 3], link[i - 2], link[i - 1], link[i]))
+            w, z = link[i - 3], link[i]
+            if edge_key(w, z) not in edge_faces:
+                yield (v, *_fan(w, link[i - 2], link[i - 1], z))
 
 
-def _candidates_pc(t: Triangulation, vertices):
+def _sites_pc(t: Triangulation, vertices):
+    # a degree-4 link w x y z and v beyond wz: the five faces hold, and the
+    # six vertices are distinct once vx and vy are missing (v = x or y would
+    # make one of them a link edge of u)
+    deg, links, edge_faces = t._degrees, t._links, t._edge_faces
     for u in vertices:
-        if t.degree(u) != 4:
+        if deg[u] != 4:
             continue
-        link = t.link_cycle(u)
+        link = links[u]
         for i in range(4):
             w, x, y, z = _fan(link[i], link[i - 1], link[i - 2], link[i - 3])
             v = t.other_face_third(w, z, u)
-            yield (u, w, x, y, z, v)
+            if edge_key(v, x) not in edge_faces and edge_key(v, y) not in edge_faces:
+                yield (u, w, x, y, z, v)
 
 
-def _candidates_nflip(t: Triangulation, edges):
-    for e1, e2 in edges:
-        thirds = t.edge_opposites(e1, e2)
-        for v1, v4 in ((e1, e2), (e2, e1)):
-            for v3 in thirds:
-                v6 = thirds[0] if v3 == thirds[1] else thirds[1]
-                v2 = t.other_face_third(v1, v3, v4)
-                v5 = t.other_face_third(v4, v6, v1)
+def _sites_nflip(t: Triangulation, edges):
+    # the faces on v1v4 and beyond v1v3 and v4v6: the four faces hold, and the
+    # six vertices are distinct once the chords are missing (v2 = v5, v2 = v6
+    # or v3 = v5 would make v3v5 or v2v5 an edge); from v4 first, the same
+    # strips come rotated by three
+    edge_faces, third = t._edge_faces, t.other_face_third
+    for v1, v4 in edges:
+        thirds = t.edge_opposites(v1, v4)
+        for v3, v6 in (thirds, thirds[::-1]):
+            v2 = third(v1, v3, v4)
+            v5 = third(v4, v6, v1)
+            if (
+                edge_key(v2, v6) not in edge_faces
+                and edge_key(v2, v5) not in edge_faces
+                and edge_key(v3, v5) not in edge_faces
+            ):
                 yield _hexagon((v1, v2, v3, v4, v5, v6))
 
 
-def _candidates_p2flip(t: Triangulation, edges):
-    deg = t._degrees
+def _sites_p2flip(t: Triangulation, edges):
+    # with degree-4 links q v3 v4 v5 of p and p v3 v1 v5 of q: the faces hold
+    deg, links, edge_faces = t._degrees, t._links, t._edge_faces
     for e1, e2 in edges:
         if deg[e1] != 4 or deg[e2] != 4:
             continue
         thirds = t.edge_opposites(e1, e2)
         for q, p in ((e1, e2), (e2, e1)):
-            for v3 in thirds:
-                v5 = thirds[0] if v3 == thirds[1] else thirds[1]
-                rest_q = t.neighbors(q) - {v3, p, v5}
-                rest_p = t.neighbors(p) - {q, v3, v5}
-                if len(rest_q) != 1 or len(rest_p) != 1:
-                    continue
-                (v1,) = rest_q
-                (v4,) = rest_p
-                if not t.has_face(v1, v3, q):
-                    continue
+            lq, lp = links[q], links[p]
+            v1, v4 = lq[lq.index(p) - 2], lp[lp.index(q) - 2]
+            if edge_key(v1, v4) in edge_faces:
+                continue
+            for v3, v5 in (thirds, thirds[::-1]):
                 v2 = t.other_face_third(v1, v3, q)
-                yield (v1, v2, v3, v4, v5, q, p)
+                if len({v1, v2, v3, v4, v5, q, p}) == 7:
+                    yield (v1, v2, v3, v4, v5, q, p)
 
 
-# kind -> (candidate reader, the elements it reads, radius): every vertex of
-# a site's footprint lies within radius edges of a corner of the element
-# its tuple is read off.
-_CANDIDATES = {
-    FlipKind.BTS: (_candidates_bts, "faces", 0),
-    FlipKind.BTW: (_candidates_btw, "faces", 1),
-    FlipKind.BES: (_candidates_bes, "edges", 1),
-    FlipKind.BEW: (_candidates_bew, "edges", 1),
-    FlipKind.PS: (_candidates_ps, "vertices", 1),
-    FlipKind.PC: (_candidates_pc, "vertices", 2),
-    FlipKind.NFLIP: (_candidates_nflip, "edges", 1),
-    FlipKind.P2FLIP: (_candidates_p2flip, "edges", 2),
+# kind -> (site reader, the elements it reads, radius): every vertex of a
+# site's footprint lies within radius edges of a corner of the element its
+# tuple is read off, and those corners are vertices of the footprint.
+_READERS = {
+    FlipKind.BTS: (_sites_bts, "faces", 0),
+    FlipKind.BTW: (_sites_btw, "faces", 1),
+    FlipKind.BES: (_sites_bes, "edges", 1),
+    FlipKind.BEW: (_sites_bew, "edges", 1),
+    FlipKind.PS: (_sites_ps, "vertices", 1),
+    FlipKind.PC: (_sites_pc, "vertices", 2),
+    FlipKind.NFLIP: (_sites_nflip, "edges", 1),
+    FlipKind.P2FLIP: (_sites_p2flip, "edges", 2),
 }
 
 
-# kind -> the normal form its candidate reader emits a site tuple in
+# kind -> the normal form its site reader emits a site tuple in
 _NORMAL_FORMS = {
     FlipKind.BTS: lambda v: face_key(*v),
     # interior triple sorted, each partner kept in step with its vertex
@@ -535,10 +554,10 @@ def _map_site(site: FlipSite, sigma) -> FlipSite:
 
 
 def _scan(t: Triangulation, kinds, source) -> list[FlipSite]:
-    """The sites the rules accept among the candidates read off source.
+    """The sites read off source, deduplicated and in enumerate_sites' order.
 
     source(elements, radius) gives the faces, edges or vertices of t to read
-    each kind's candidates off.
+    each kind's sites off.
     """
     if kinds is None:
         want = tuple(FlipKind)
@@ -546,19 +565,8 @@ def _scan(t: Triangulation, kinds, source) -> list[FlipSite]:
         want = tuple(sorted(set(kinds), key=lambda kind: kind.rank))
     out: list[FlipSite] = []
     for kind in want:
-        candidates, elements, radius = _CANDIDATES[kind]
-        rewrite = _REWRITES[kind]
-        seen: set[tuple[int, ...]] = set()
-        found = []
-        for tup in candidates(t, source(elements, radius)):
-            if tup in seen:
-                continue
-            seen.add(tup)
-            try:
-                rewrite(t, tup)
-            except InvalidSite:
-                continue
-            found.append(tup)
+        read, elements, radius = _READERS[kind]
+        found = set(read(t, source(elements, radius)))
         out.extend(FlipSite(kind, tup) for tup in sorted(found))
     return out
 
@@ -571,6 +579,20 @@ def enumerate_sites(t: Triangulation, kinds=None) -> list[FlipSite]:
     fan end for the splitting moves, least rotation for the hexagon move).
     """
     return _scan(t, kinds, lambda elements, radius: getattr(t, elements))
+
+
+def _around(t: Triangulation, ring, elements: str):
+    """The faces, edges or vertices of t with a corner in ring, a set of
+    vertices of t."""
+    if elements == "vertices":
+        return ring
+    if elements == "edges":
+        return {edge_key(v, w) for v in ring for w in t.neighbors(v)}
+    faces = set()
+    for v in ring:
+        link = t.link_cycle(v)
+        faces.update(face_key(v, link[i - 1], link[i]) for i in range(len(link)))
+    return faces
 
 
 def _sites_after(
@@ -588,21 +610,15 @@ def _sites_after(
     rings = [touched.intersection(new._degrees)]
     for _ in range(2):
         rings.append(rings[-1].union(*(new.neighbors(v) for v in rings[-1])))
+    near = functools.cache(lambda elements, radius: _around(new, rings[radius], elements))
 
-    @functools.cache
-    def near(elements: str, radius: int):
-        ring = rings[radius]
-        if elements == "vertices":
-            return ring
-        if elements == "edges":
-            return {edge_key(v, w) for v in ring for w in new.neighbors(v)}
-        faces = set()
-        for v in ring:
-            link = new.link_cycle(v)
-            faces.update(face_key(v, link[i - 1], link[i]) for i in range(len(link)))
-        return faces
-
-    out = [s for s in sites if touched.isdisjoint(_footprint(old, s))]
+    # a footprint is the site tuple, but for bew the patch around it too
+    bew = FlipKind.BEW
+    out = [
+        s for s in sites
+        if touched.isdisjoint(s.vertices)
+        and (s.kind is not bew or touched.isdisjoint(bew_patch(old, *s.vertices)))
+    ]
     for site in _scan(new, kinds, near):
         if not touched.isdisjoint(_footprint(new, site)):
             insort(out, site)

@@ -19,10 +19,11 @@ from .flips import (
     _REWRITES,
     FlipKind,
     FlipSite,
+    _around,
     _footprint,
+    _scan,
     apply_flip,
     bew_patch,
-    enumerate_sites,
 )
 from .surface import Triangulation
 
@@ -138,7 +139,8 @@ def expand_via_budget(
     Depth-first search over applications drawn from the budget, trying each
     state's sites in enumerate_sites order.  Candidate sites are restricted
     to touch only the direct site's footprint plus vertices created earlier
-    in the sequence, which keeps the branching desk-scale.  A path is cut
+    in the sequence, which keeps the branching desk-scale; they are read
+    off only the elements whose corners all lie there.  A path is cut
     once its face set differs from the direct result's by more faces than
     its remaining moves can exchange.  A sequence matches by canonical code,
     so that cut can also drop a path to an isomorph of the direct result.
@@ -183,8 +185,17 @@ def expand_via_budget(
         if len(cur._face_set ^ target_faces) > churn * moves_left:
             return None
         allowed = allowed_base | (set(cur.vertices) - original_vertices)
+        inside = allowed.intersection(cur._degrees)
+
+        def source(elements: str, _radius: int):
+            # a site is read off an element whose corners are in its footprint
+            near = _around(cur, inside, elements)
+            return near if elements == "vertices" else [
+                e for e in near if inside.issuperset(e)
+            ]
+
         kinds = [k for k, n in remaining.items() if n > 0]
-        for cand in enumerate_sites(cur, kinds):
+        for cand in _scan(cur, kinds, source):
             if not allowed.issuperset(_footprint(cur, cand)):
                 continue
             nxt, _ = apply_flip(cur, cand)

@@ -14,6 +14,9 @@ reference_apply_flip, which shares the package's move rules but rebuilds the
 whole triangulation through validate, and which the patching apply_flip must
 match field for field; and reference_inverse_site, the undo site written out
 kind by kind, which the undo tuples the move rules build must match; and
+reference_enumerate_sites, which reads candidate tuples off t and keeps those
+the package's move rules accept, and which the inline-checking site readers
+must match site for site; and
 reference_bfs and reference_connect, the flip-graph searches without orbit
 pruning, which the pruned searches must match edge for edge and path for
 path.  Slow is fine, the inputs stay small.  The other functions take plain data (face
@@ -603,6 +606,158 @@ def reference_inverse_site(t, site):
     # the last kind, P2FLIP
     v1, v2, v3, v4, v5, _, _ = v
     return FlipSite(FlipKind.P2FLIP, (v1, v5, v4, v3, v2, m + 1, m + 2))
+
+
+# -- enumerate_sites by candidate and rule ------------------------------------
+#
+# Each _candidates_* reads candidate tuples off the given faces, edges or
+# vertices of t, one element at a time; reference_enumerate_sites keeps
+# those the package's rule accepts.  They take package objects.
+
+def _candidates_bts(t, faces):
+    yield from faces
+
+
+def _candidates_btw(t, faces):
+    deg = t._degrees
+    for f in faces:
+        p, q, r = f
+        if deg[p] != 4 or deg[q] != 4 or deg[r] != 4:
+            continue
+        outer = (t.neighbors(p) | t.neighbors(q) | t.neighbors(r)) - {p, q, r}
+        if len(outer) != 3:
+            continue
+        partners = []
+        for interior in (p, q, r):
+            away = outer - t.neighbors(interior)
+            if len(away) != 1:
+                break
+            partners.append(next(iter(away)))
+        else:
+            yield (p, q, r, *partners)
+
+
+def _candidates_bes(t, edges):
+    for a, b in edges:
+        c, d = t.edge_opposites(a, b)
+        yield (a, b, c, d)
+
+
+def _candidates_bew(t, edges):
+    deg = t._degrees
+    for p, q in edges:
+        if deg[p] == 4 and deg[q] == 4:
+            yield (p, q)
+
+
+def _candidates_ps(t, vertices):
+    from baltri.flips import _fan
+
+    for v in vertices:
+        link = t.link_cycle(v)
+        if len(link) < 4:
+            continue
+        for i in range(len(link)):
+            yield (v, *_fan(link[i - 3], link[i - 2], link[i - 1], link[i]))
+
+
+def _candidates_pc(t, vertices):
+    from baltri.flips import _fan
+
+    for u in vertices:
+        if t.degree(u) != 4:
+            continue
+        link = t.link_cycle(u)
+        for i in range(4):
+            w, x, y, z = _fan(link[i], link[i - 1], link[i - 2], link[i - 3])
+            v = t.other_face_third(w, z, u)
+            yield (u, w, x, y, z, v)
+
+
+def _candidates_nflip(t, edges):
+    from baltri.flips import _hexagon
+
+    for e1, e2 in edges:
+        thirds = t.edge_opposites(e1, e2)
+        for v1, v4 in ((e1, e2), (e2, e1)):
+            for v3 in thirds:
+                v6 = thirds[0] if v3 == thirds[1] else thirds[1]
+                v2 = t.other_face_third(v1, v3, v4)
+                v5 = t.other_face_third(v4, v6, v1)
+                yield _hexagon((v1, v2, v3, v4, v5, v6))
+
+
+def _candidates_p2flip(t, edges):
+    deg = t._degrees
+    for e1, e2 in edges:
+        if deg[e1] != 4 or deg[e2] != 4:
+            continue
+        thirds = t.edge_opposites(e1, e2)
+        for q, p in ((e1, e2), (e2, e1)):
+            for v3 in thirds:
+                v5 = thirds[0] if v3 == thirds[1] else thirds[1]
+                rest_q = t.neighbors(q) - {v3, p, v5}
+                rest_p = t.neighbors(p) - {q, v3, v5}
+                if len(rest_q) != 1 or len(rest_p) != 1:
+                    continue
+                (v1,) = rest_q
+                (v4,) = rest_p
+                if not t.has_face(v1, v3, q):
+                    continue
+                v2 = t.other_face_third(v1, v3, q)
+                yield (v1, v2, v3, v4, v5, q, p)
+
+
+_CANDIDATES = {
+    "bts": (_candidates_bts, "faces"),
+    "btw": (_candidates_btw, "faces"),
+    "bes": (_candidates_bes, "edges"),
+    "bew": (_candidates_bew, "edges"),
+    "ps": (_candidates_ps, "vertices"),
+    "pc": (_candidates_pc, "vertices"),
+    "nflip": (_candidates_nflip, "edges"),
+    "p2flip": (_candidates_p2flip, "edges"),
+}
+
+
+def reference_verdicts(t, kind):
+    """Each distinct candidate tuple of kind read off all of t's faces, edges
+    or vertices, mapped to whether the package's rule accepts it.
+
+    Takes package objects.
+    """
+    from baltri.errors import InvalidSite
+    from baltri.flips import _REWRITES
+
+    candidates, elements = _CANDIDATES[kind.value]
+    rewrite = _REWRITES[kind]
+    verdicts = {}
+    for tup in candidates(t, getattr(t, elements)):
+        if tup in verdicts:
+            continue
+        try:
+            rewrite(t, tup)
+        except InvalidSite:
+            verdicts[tup] = False
+        else:
+            verdicts[tup] = True
+    return verdicts
+
+
+def reference_enumerate_sites(t, kinds=None):
+    """enumerate_sites by running each kind's rule on every candidate tuple:
+    the accepted ones, sorted within each kind.
+
+    Takes and returns package objects.
+    """
+    from baltri.flips import FlipKind, FlipSite
+
+    want = FlipKind if kinds is None else sorted(set(kinds), key=lambda k: k.rank)
+    out = []
+    for kind in want:
+        found = [tup for tup, ok in reference_verdicts(t, kind).items() if ok]
+        out.extend(FlipSite(kind, tup) for tup in sorted(found))
+    return out
 
 
 def reference_bfs(t, col, kinds, *, max_vertices, max_states):

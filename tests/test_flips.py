@@ -16,10 +16,15 @@ from baltri import (
     canonical_code,
     is_orientable,
     is_proper,
+    random_walk,
     surface_id,
     validate,
 )
-from baltri.explorer import build_k333_torus, build_octahedron
+from baltri.explorer import (
+    build_cube_subdivision,
+    build_k333_torus,
+    build_octahedron,
+)
 from baltri import flips
 from baltri.flips import (
     FlipKind,
@@ -33,8 +38,14 @@ from baltri.flips import (
     site_to_str,
 )
 
-from conftest import PROJECTIVE_PLANE, run_python, walk_sample
-from oracles import naive_ps_sites, reference_apply_flip, reference_inverse_site
+from conftest import PROJECTIVE_PLANE, grid_torus, run_python, walk_sample
+from oracles import (
+    naive_ps_sites,
+    reference_apply_flip,
+    reference_enumerate_sites,
+    reference_inverse_site,
+    reference_verdicts,
+)
 
 # Moves that create vertices first restore the original exactly on a
 # round trip; moves that delete first come back with fresh ids, so the
@@ -245,6 +256,73 @@ class TestEnumeration:
             hexes = enumerate_sites(t, [FlipKind.NFLIP, FlipKind.P2FLIP])
             if hexes:
                 assert enumerate_sites(t, [FlipKind.PS])
+
+
+# starts of the differential walks, balanced or not: the site readers never
+# look at colors
+DIFFERENTIAL_STARTS = {
+    "octahedron": lambda: build_octahedron()[0],
+    "k333-torus": lambda: build_k333_torus()[0],
+    "cube-subdivision": lambda: build_cube_subdivision()[0],
+    "grid-torus-3": lambda: grid_torus(3)[0],
+    "grid-torus-6": lambda: grid_torus(6)[0],
+    "tetrahedron": lambda: validate([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+    # its equator edges are the only degree-4 pairs whose far vertices agree
+    "bipyramid": lambda: validate(
+        [(0, 1, 3), (1, 2, 3), (0, 2, 3), (0, 1, 4), (1, 2, 4), (0, 2, 4)]
+    ),
+    "projective-plane": lambda: validate(PROJECTIVE_PLANE),
+}
+
+
+def reference_walk(start, seed, steps):
+    """steps uniformly random moves from a start, chosen among the sites the
+    reference lists, without a coloring."""
+    rng = random.Random(seed)
+    t = DIFFERENTIAL_STARTS[start]()
+    for _ in range(steps):
+        t, _ = apply_flip(t, rng.choice(reference_enumerate_sites(t)))
+    return t
+
+
+def assert_sites_match_the_reference(t):
+    assert enumerate_sites(t) == reference_enumerate_sites(t)
+    for kind in FlipKind:
+        assert enumerate_sites(t, [kind]) == reference_enumerate_sites(t, [kind])
+
+
+class TestReadersMatchTheReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        start=st.sampled_from(sorted(DIFFERENTIAL_STARTS)),
+        seed=st.integers(0, 10**6),
+        steps=st.integers(0, 12),
+    )
+    def test_on_walks(self, start, seed, steps):
+        assert_sites_match_the_reference(reference_walk(start, seed, steps))
+
+    def test_on_a_grown_sphere(self):
+        t, col = build_octahedron()
+        grow = [FlipKind.BTS, FlipKind.BES, FlipKind.PS]
+        t, col, _ = random_walk(t, col, grow, steps=400, seed=0, max_vertices=201)
+        t, _, _ = random_walk(t, col, None, steps=60, seed=1, max_vertices=201)
+        assert t.vertex_count > 190
+        assert_sites_match_the_reference(t)
+
+    def test_every_reader_check_meets_both_verdicts(self):
+        # the bts and bes readers check nothing, as every face and every
+        # edge is a site; each other kind has candidates on both sides
+        accepted = dict.fromkeys(FlipKind, 0)
+        rejected = dict.fromkeys(FlipKind, 0)
+        for start in DIFFERENTIAL_STARTS:
+            for seed in range(6):
+                t = reference_walk(start, seed, 2 * seed)
+                for kind in FlipKind:
+                    for ok in reference_verdicts(t, kind).values():
+                        (accepted if ok else rejected)[kind] += 1
+        assert all(accepted.values()), accepted
+        unchecked = {FlipKind.BTS, FlipKind.BES}
+        assert {k for k in FlipKind if rejected[k]} == set(FlipKind) - unchecked
 
 
 class TestSiteStrings:

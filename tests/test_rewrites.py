@@ -1,7 +1,9 @@
 """Expansion recipes: closed forms, the budget search, verification."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from baltri import rewrites
 from baltri import (
     ColorMode,
     ExpansionNotFound,
@@ -11,7 +13,7 @@ from baltri import (
     canonical_code,
 )
 from baltri.explorer import build_octahedron
-from baltri.flips import FlipKind, FlipSite, apply_flip, enumerate_sites
+from baltri.flips import FlipKind, FlipSite, _footprint, apply_flip, enumerate_sites
 from baltri.rewrites import (
     expand_bes_via_bts_pc,
     expand_bes_via_ps,
@@ -20,6 +22,8 @@ from baltri.rewrites import (
     expand_via_budget,
     verify_expansion,
 )
+
+from conftest import walk_sample
 
 
 def replay(t, col, seq):
@@ -183,6 +187,43 @@ class TestBudgetSearch:
         site = enumerate_sites(t, [FlipKind.BES])[0]
         with pytest.raises(TypeError):
             expand_via_budget(t, site, {FlipKind.BTS: 1, FlipKind.PC: 1})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start=st.sampled_from(["octahedron", "k333-torus"]),
+    seed=st.integers(0, 10**6),
+    pick=st.integers(0, 10**6),
+)
+def test_the_restricted_scan_lists_the_filtered_sites(start, seed, pick):
+    # at every search node, the sites read off the elements inside the
+    # allowed vertices are those of the whole list that stay inside them
+    t, _ = walk_sample(seed, steps=10, max_vertices=12, start=start)
+    sites = enumerate_sites(t, [FlipKind.NFLIP, FlipKind.P2FLIP])
+    if not sites:
+        return
+    site = sites[pick % len(sites)]
+    real = rewrites._scan
+    nodes = 0
+
+    def checked(cur, kinds, source):
+        nonlocal nodes
+        nodes += 1
+        inside = source("vertices", 0)
+        got = real(cur, kinds, source)
+        want = enumerate_sites(cur, kinds)
+        assert [s for s in got if inside.issuperset(_footprint(cur, s))] == [
+            s for s in want if inside.issuperset(_footprint(cur, s))
+        ]
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewrites, "_scan", checked)
+        try:
+            expand_via_budget(t, site)
+        except ExpansionNotFound:
+            pass
+    assert nodes > 0
 
 
 class TestVerifyExpansion:
