@@ -37,6 +37,9 @@ three, so this is the unique permutation with the least suffix.
 
 Layout: V, F, then the 3F labels, all big-endian of one width: 2 bytes
 while F < 65536 (which bounds V and every label below 65536), else 4.
+A code decodes back to its form: the faces are the label triples, the
+coloring gives vertex i the suffix's byte i, and the width follows from the
+length, as a 4-byte code is longer than any 2-byte one can be.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import MissingColoring
-from .surface import Coloring, Triangulation, _coloring, validate
+from .surface import Coloring, Triangulation, _coloring, face_key, validate
 
 
 class ColorMode(enum.Enum):
@@ -176,8 +179,8 @@ def canonical_form(
     representatives, which makes the form usable as a search-state key that
     can still be flipped further.  Raises NotBalanced as canonical_code does.
     """
-    _, labels, perm, _ = _checked(t, col, mode)
-    return (*_relabel(t, col, labels, perm), labels)
+    code, labels, _, _ = _checked(t, col, mode)
+    return (*_decode(code), labels)
 
 
 def _checked(t, col, mode):
@@ -190,16 +193,20 @@ def _checked(t, col, mode):
     return _canonical(t, col, mode)
 
 
-def _relabel(t: Triangulation, col, labels: dict[int, int], perm):
-    """The form under a label map, and its coloring renamed by perm (or None)."""
-    faces = [
-        tuple(sorted((labels[a], labels[b], labels[c])))
-        for a, b, c in t.faces
-    ]
-    new_col = None
-    if perm is not None:
-        new_col = Coloring({labels[v]: perm[col[v]] for v in t.vertices})
-    return validate(faces), new_col
+def _unpack(data: bytes):
+    """(V, F, the sorted faces of the label stream, the color suffix)."""
+    # a 2-byte code holds 4 + 6F + V bytes or fewer, with F and V below 65536
+    w, unit = (4, "I") if len(data) >= 8 + 12 * 65536 else (2, "H")
+    nv, nf = struct.unpack_from(f">2{unit}", data)
+    labels = struct.unpack_from(f">{3 * nf}{unit}", data, 2 * w)
+    faces = sorted(map(face_key, labels[0::3], labels[1::3], labels[2::3]))
+    return nv, nf, faces, data[(2 + 3 * nf) * w:]
+
+
+def _decode(code: CanonicalCode) -> tuple[Triangulation, Coloring | None]:
+    """The validated form a code encodes, and its coloring (None without one)."""
+    _, _, faces, colors = _unpack(code.data)
+    return validate(faces), (Coloring(dict(enumerate(colors))) if colors else None)
 
 
 def _canonical(t, col, mode):
@@ -274,11 +281,8 @@ def is_isomorphic(
     permutation.
     """
     if mode is None:
-        mode = (
-            ColorMode.UP_TO_PERMUTATION
-            if col1 is not None and col2 is not None
-            else ColorMode.IGNORE
-        )
+        both = col1 is not None and col2 is not None
+        mode = ColorMode.UP_TO_PERMUTATION if both else ColorMode.IGNORE
     if len(t1.vertices) != len(t2.vertices) or len(t1.faces) != len(t2.faces):
         return False
     return canonical_code(t1, col1, mode) == canonical_code(t2, col2, mode)

@@ -18,7 +18,7 @@ import os
 import sys
 
 from .bipartite import apply_sequence, normalize_sequence
-from .canon import ColorMode, canonical_code
+from .canon import ColorMode, _unpack, canonical_code
 from .errors import BaltriError, ParseError
 from .explorer import (
     bfs,
@@ -30,6 +30,7 @@ from .explorer import (
     random_walk,
 )
 from .fileio import (
+    _tri_text,
     format_bip,
     format_bip_script,
     format_tri,
@@ -161,19 +162,16 @@ def _cmd_expand(args) -> None:
         print(step)
 
 
+def _search_args(args) -> dict:
+    return dict(kinds=args.kinds, max_vertices=args.max_vertices, max_states=args.max_states)
+
+
 def _cmd_connect(args) -> None:
     t1, c1 = _load_tri(args.path)
     t2, c2 = _load_tri(args.other)
     _coloring(t1, c1)
     _coloring(t2, c2)
-    path = connect(
-        t1,
-        t2,
-        kinds=args.kinds,
-        max_vertices=args.max_vertices,
-        max_states=args.max_states,
-    )
-    for site in path:
+    for site in connect(t1, t2, **_search_args(args)):
         print(site)
 
 
@@ -184,18 +182,19 @@ def _export_view(view, out_dir: str) -> None:
     def digest(code) -> str:
         return hashlib.sha256(code.data).hexdigest()[:16]
 
+    # every flip keeps the surface, and a form is written off its code
+    surface = surface_name(view.states[view.start][0])
     with open(os.path.join(out_dir, "index.tsv"), "w") as fh:
         fh.write("state\tvertices\tedges\tfaces\tsurface\tstart\n")
         for code in sorted(view.states):
-            tri, col = view.states[code]
+            nv, nf, faces, colors = _unpack(code.data)
             name = digest(code)
             fh.write(
-                f"{name}\t{tri.vertex_count}\t{tri.edge_count}\t"
-                f"{tri.face_count}\t{surface_name(tri)}\t"
+                f"{name}\t{nv}\t{3 * nf // 2}\t{nf}\t{surface}\t"
                 f"{_yesno(code == view.start)}\n"
             )
             with open(os.path.join(states_dir, name + ".tri"), "w") as sf:
-                sf.write(format_tri(tri, col))
+                sf.write(_tri_text([str(v + 1) for v in range(nv)], colors, faces))
     with open(os.path.join(out_dir, "edges.tsv"), "w") as fh:
         fh.write("src\tmove\tdst\n")
         for src, kind, dst in view.edges:
@@ -205,12 +204,7 @@ def _export_view(view, out_dir: str) -> None:
 def _cmd_bfs(args) -> None:
     tri, col = _load_tri(args.path)
     _coloring(tri, col)
-    view = bfs(
-        tri,
-        kinds=args.kinds,
-        max_vertices=args.max_vertices,
-        max_states=args.max_states,
-    )
+    view = bfs(tri, **_search_args(args))
     print(f"states {view.state_count}")
     print(f"edges {view.edge_count}")
     print(f"truncated {_yesno(view.truncated)}")

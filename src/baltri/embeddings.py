@@ -28,14 +28,7 @@ from .surface import _coloring
 def _canonical_walk(walk: Sequence[int]) -> tuple[int, ...]:
     """Least tuple over all rotations and reflections of a closed walk."""
     w = tuple(walk)
-    n = len(w)
-    best = None
-    for seq in (w, w[::-1]):
-        for i in range(n):
-            cand = seq[i:] + seq[:i]
-            if best is None or cand < best:
-                best = cand
-    return best
+    return min(seq[i:] + seq[:i] for seq in (w, w[::-1]) for i in range(len(w)))
 
 
 class EvenEmbedding:
@@ -185,12 +178,7 @@ def cube_embedding() -> EvenEmbedding:
     """The cube: vertices are 3-bit ints, faces fix one coordinate."""
     verts = range(8)
     parts = {v: bin(v).count("1") % 2 for v in verts}
-    edges = [
-        (u, v)
-        for u in verts
-        for v in verts
-        if u < v and bin(u ^ v).count("1") == 1
-    ]
+    edges = [(u, v) for u in verts for v in verts if u < v and bin(u ^ v).count("1") == 1]
     walks = []
     for axis in range(3):
         for value in (0, 1):

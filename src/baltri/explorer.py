@@ -6,6 +6,11 @@ of sites with replay semantics: each site applies to the canonical form
 of the previous result, not to the raw vertex ids the previous flip
 produced.  replay_path implements exactly that convention.
 
+A state's form is a function of its code (see canon), so the searches keep
+codes and decode a state's form only when they expand it: a state costs its
+code, plus its automorphisms until it is expanded.  FlipGraphView.states
+decodes a fresh validated form on each read.
+
 States are codes up to color permutation, and a balanced triangulation
 has one coloring up to it, so bfs, connect and replay_path find their own
 coloring.  random_walk carries one along, checked by surface's gate.
@@ -29,11 +34,12 @@ test comes first, so a record above the cap yields nothing.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .canon import CanonicalCode, ColorMode, is_isomorphic
-from .canon import _canonical, _relabel
+from .canon import _canonical, _decode
 from .embeddings import cube_embedding, face_subdivision
 from .errors import NotConnectedWithinCaps, SurfaceMismatch
 from .flips import (
@@ -93,12 +99,35 @@ def classify(t: Triangulation) -> dict[str, bool]:
 _MODE = ColorMode.UP_TO_PERMUTATION  # search states are codes up to color permutation
 
 
+class _Forms(Mapping):
+    """Codes in discovery order; each read decodes the code's form."""
+
+    def __init__(self, codes: dict[CanonicalCode, CanonicalCode]):
+        self._codes = codes
+
+    def __getitem__(self, code: CanonicalCode) -> tuple[Triangulation, Coloring]:
+        if code not in self._codes:
+            raise KeyError(code)
+        return _decode(code)
+
+    def __contains__(self, code) -> bool:
+        return code in self._codes
+
+    def __iter__(self):
+        return iter(self._codes)
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+
 @dataclass
 class FlipGraphView:
-    """A finite window of the flip graph: canonical states and flip edges."""
+    """A finite window of the flip graph: canonical states and flip edges.
+
+    states is read-only, and each read decodes a fresh validated form."""
 
     start: CanonicalCode
-    states: dict[CanonicalCode, tuple[Triangulation, Coloring]]
+    states: Mapping[CanonicalCode, tuple[Triangulation, Coloring]]
     edges: tuple[tuple[CanonicalCode, FlipKind, CanonicalCode], ...]
     truncated: bool = False
 
@@ -112,9 +141,7 @@ class FlipGraphView:
 
 
 def _norm_kinds(kinds: Iterable[FlipKind] | None) -> tuple[FlipKind, ...]:
-    if kinds is None:
-        return tuple(FlipKind)
-    return tuple(dict.fromkeys(kinds))
+    return tuple(FlipKind) if kinds is None else tuple(dict.fromkeys(kinds))
 
 
 def _form_automorphisms(gens, labels: dict[int, int]) -> list[dict[int, int]]:
@@ -125,11 +152,10 @@ def _form_automorphisms(gens, labels: dict[int, int]) -> list[dict[int, int]]:
 def _children(
     cur: Triangulation, ccol: Coloring, gens, kinds, max_vertices: int, undo=()
 ):
-    """(site, child, child coloring, code, labels, perm, child automorphisms)
-    per child within the cap, applying only the first site of each orbit of
-    cur's automorphisms gens.  An orbit holding a site of undo (site -> the
-    code it returns to) is not applied: it yields (site, None, None, code,
-    None, None, None)."""
+    """(site, code, labels, child automorphisms) per child within the cap,
+    applying only the first site of each orbit of cur's automorphisms gens.
+    An orbit holding a site of undo (site -> the code it returns to) is not
+    applied: it yields (site, code, None, None)."""
     sites = enumerate_sites(cur, kinds)
     listed = set(sites) if gens else ()
     covered: set[FlipSite] = set()
@@ -145,10 +171,10 @@ def _children(
                     orbit.append(image)
         parent = next((undo[s] for s in orbit if s in undo), None)
         if parent is not None:
-            yield site, None, None, parent, None, None, None
+            yield site, parent, None, None
             continue
-        child, childcol = apply_flip(cur, site, ccol)
-        yield (site, child, childcol, *_canonical(child, childcol, _MODE))
+        code, labels, _, child_gens = _canonical(*apply_flip(cur, site, ccol), _MODE)
+        yield site, code, labels, child_gens
 
 
 def bfs(
@@ -166,9 +192,8 @@ def bfs(
     """
     kinds = _norm_kinds(kinds)
     col = find_coloring(t)
-    start, labels, perm, gens = _canonical(t, col, _MODE)
-    states: dict[CanonicalCode, tuple[Triangulation, Coloring]] = {}
-    states[start] = _relabel(t, col, labels, perm)
+    start, labels, _, gens = _canonical(t, col, _MODE)
+    states = {start: start}  # each code to itself, in discovery order
     # per state not yet expanded, on its form: automorphisms, and undo sites
     # recorded by expanded parents (site -> parent code)
     auts = {start: _form_automorphisms(gens, labels)}
@@ -179,24 +204,25 @@ def bfs(
     while frontier:
         nxt: list[CanonicalCode] = []
         for code in sorted(frontier):
-            cur, ccol = states[code]
-            for site, child, childcol, ccode, labels, perm, gens in _children(
+            cur, ccol = _decode(code)
+            for site, ccode, labels, gens in _children(
                 cur, ccol, auts.pop(code), kinds, max_vertices, pending.pop(code, ())
             ):
                 if ccode not in states:
                     if len(states) >= max_states:
                         truncated = True
                         continue
-                    states[ccode] = _relabel(child, childcol, labels, perm)
+                    states[ccode] = ccode
                     auts[ccode] = _form_automorphisms(gens, labels)
                     nxt.append(ccode)
+                ccode = states[ccode]  # the edges share one object per code
                 if ccode in auts and site.kind.inverse in kinds:
                     back = _map_site(inverse_site(cur, site), labels)
                     pending.setdefault(ccode, {})[back] = code
                 edges.add((code, site.kind, ccode))
         frontier = nxt
     ordered = sorted(edges, key=lambda e: (e[0], e[1].value, e[2]))
-    return FlipGraphView(start, states, tuple(ordered), truncated)
+    return FlipGraphView(start, _Forms(states), tuple(ordered), truncated)
 
 
 # -- path search ----------------------------------------------------------------
@@ -205,23 +231,18 @@ def replay_path(
     t: Triangulation, steps: Sequence[FlipSite]
 ) -> tuple[Triangulation, Coloring]:
     """Apply steps where each one addresses the canonical form so far."""
-    cur, ccol = _form(t, find_coloring(t))
+    # canonical_form past its gate: the coloring was found or carried by flips
+    cur, ccol = _decode(_canonical(t, find_coloring(t), _MODE)[0])
     for site in steps:
-        cur, ccol = _form(*apply_flip(cur, site, ccol))
+        cur, ccol = _decode(_canonical(*apply_flip(cur, site, ccol), _MODE)[0])
     return cur, ccol
-
-
-def _form(t: Triangulation, col: Coloring) -> tuple[Triangulation, Coloring]:
-    """canonical_form past the gate: the coloring was found or carried by flips."""
-    _, labels, perm, _ = _canonical(t, col, _MODE)
-    return _relabel(t, col, labels, perm)
 
 
 def _path_to_start(side: dict, code: CanonicalCode) -> list[FlipSite]:
     """The sites recorded on the parent links from code back to the side's start."""
     steps: list[FlipSite] = []
-    while side[code][1] is not None:
-        _, code, site = side[code]
+    while side[code][0] is not None:
+        code, site = side[code]
         steps.append(site)
     return steps
 
@@ -250,23 +271,22 @@ def connect(
             "no flip changes the underlying surface, the inputs lie on two"
         )
 
-    # side 0 entry: (state, parent code, site on the parent form reaching here)
-    # side 1 entry: (state, parent code, site on THIS form stepping toward t2)
+    # side 0 entry: (parent code, site on the parent form reaching here)
+    # side 1 entry: (parent code, site on THIS form stepping toward t2)
     sides: list[dict[CanonicalCode, tuple]] = [{}, {}]
     frontiers: list[list[CanonicalCode]] = [[], []]
-    auts = {}  # per state of either side, on its form
+    auts = {}  # per state of either side not yet expanded, on its form
     for idx, (t, col) in enumerate(((t1, col1), (t2, col2))):
-        code, labels, perm, gens = _canonical(t, col, _MODE)
-        sides[idx][code] = (_relabel(t, col, labels, perm), None, None)
+        code, labels, _, gens = _canonical(t, col, _MODE)
+        sides[idx][code] = (None, None)
         auts[code] = _form_automorphisms(gens, labels)
         frontiers[idx] = [code]
 
     def assemble(meet: CanonicalCode) -> list[FlipSite]:
         return _path_to_start(sides[0], meet)[::-1] + _path_to_start(sides[1], meet)
 
-    start1 = frontiers[0][0]
-    if start1 in sides[1]:
-        return assemble(start1)
+    if frontiers[0][0] in sides[1]:
+        return assemble(frontiers[0][0])
 
     stopped: list[str | None] = [None, None]  # the cap that stopped each side
     while None in stopped:
@@ -276,25 +296,20 @@ def connect(
         here, there = sides[idx], sides[1 - idx]
         nxt: list[CanonicalCode] = []
         for code in sorted(frontiers[idx]):
-            cur, ccol = here[code][0]
-            for site, raw, rawcol, ccode, labels, perm, gens in _children(
-                cur, ccol, auts[code], use_kinds, max_vertices
+            cur, ccol = _decode(code)
+            for site, ccode, labels, gens in _children(
+                cur, ccol, auts.pop(code), use_kinds, max_vertices
             ):
                 if ccode in here:
                     continue
                 # a state closing the path is admitted even past the cap
                 if len(here) >= max_states and ccode not in there:
                     continue
-                state = _relabel(raw, rawcol, labels, perm)
                 auts[ccode] = _form_automorphisms(gens, labels)
-                if idx == 0:
-                    here[ccode] = (state, code, site)
-                else:
+                if idx == 1:  # side 1 keeps the undo site, on the child's form
                     back = inverse_site(cur, site)
-                    mapped = FlipSite(
-                        back.kind, tuple(labels[v] for v in back.vertices)
-                    )
-                    here[ccode] = (state, code, mapped)
+                    site = FlipSite(back.kind, tuple(labels[v] for v in back.vertices))
+                here[ccode] = (code, site)
                 if ccode in there:
                     return assemble(ccode)
                 nxt.append(ccode)

@@ -113,10 +113,16 @@ def format_tri(tri: Triangulation, col: Coloring | None = None) -> str:
     # tri.vertices and tri.faces come sorted, faces as sorted triples, and
     # numbering the vertices in order keeps both orders
     number = {v: str(i) for i, v in enumerate(tri.vertices, start=1)}
-    lines = [f"p tri {tri.vertex_count} {tri.face_count}"]
-    if col is not None:
-        lines.append("k " + " ".join(str(col[v] + 1) for v in tri.vertices))
-    for a, b, c in tri.faces:
+    colors = None if col is None else [col[v] for v in tri.vertices]
+    return _tri_text(number, colors, tri.faces)
+
+
+def _tri_text(number, colors, faces) -> str:
+    """The .tri text of faces, v written number[v], colors in vertex order."""
+    lines = [f"p tri {len(number)} {len(faces)}"]
+    if colors is not None:
+        lines.append("k " + " ".join(str(c + 1) for c in colors))
+    for a, b, c in faces:
         lines.append(f"f {number[a]} {number[b]} {number[c]}")
     return "\n".join(lines) + "\n"
 

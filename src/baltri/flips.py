@@ -559,10 +559,7 @@ def _scan(t: Triangulation, kinds, source) -> list[FlipSite]:
     source(elements, radius) gives the faces, edges or vertices of t to read
     each kind's sites off.
     """
-    if kinds is None:
-        want = tuple(FlipKind)
-    else:
-        want = tuple(sorted(set(kinds), key=lambda kind: kind.rank))
+    want = FlipKind if kinds is None else sorted(set(kinds), key=lambda k: k.rank)
     out: list[FlipSite] = []
     for kind in want:
         read, elements, radius = _READERS[kind]

@@ -372,15 +372,11 @@ def is_orientable(t: Triangulation) -> bool:
         for x, y in ((a, b), (b, c), (c, a)):
             g1, g2 = t._edge_faces[edge_key(x, y)]
             g = g2 if g1 == f else g1
-            z = next(w for w in g if w != x and w != y)
-            want = (y, x, z)
+            want = (y, x, g[0] + g[1] + g[2] - x - y)
             if g in orientation:
                 got = orientation[g]
-                # Same cyclic orientation?
-                r = got.index(y)
-                rotated = (got[r], got[(r + 1) % 3], got[(r + 2) % 3])
-                if rotated != want:
-                    ok = False
+                if want not in (got, got[1:] + got[:1], got[2:] + got[:2]):
+                    ok = False  # g is not oriented the same way round
                     break
             else:
                 orientation[g] = want

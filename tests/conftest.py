@@ -102,14 +102,17 @@ def small_samples_50():
     return out
 
 
+def python_command(code, *flags):
+    """argv and environment running code in a fresh interpreter that imports
+    baltri from this tree."""
+    src = os.path.dirname(os.path.dirname(baltri.__file__))
+    return [sys.executable, *flags, "-c", code], dict(os.environ, PYTHONPATH=src)
+
+
 def run_python(code, *flags):
     """Run code in a fresh interpreter that imports baltri from this tree."""
-    src = os.path.dirname(os.path.dirname(baltri.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, *flags, "-c", code],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    argv, env = python_command(code, *flags)
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
 
 
 # --- bipartite sampling -------------------------------------------------------

@@ -17,11 +17,14 @@ kind by kind, which the undo tuples the move rules build must match; and
 reference_enumerate_sites, which reads candidate tuples off t and keeps those
 the package's move rules accept, and which the inline-checking site readers
 must match site for site; and
+reference_relabel, which builds a canonical form by renaming the input's
+vertices and colors, and which forms decoded from codes must match; and
 reference_bfs and reference_connect, the flip-graph searches without orbit
-pruning, which the pruned searches must match edge for edge and path for
-path.  Slow is fine, the inputs stay small.  The other functions take plain data (face
-tuples, dicts, edge pairs), not package objects, so they cannot
-accidentally lean on package internals.
+pruning, which keep those relabeled forms, and which the pruned searches
+must match edge for edge and path for path.  Slow is fine, the inputs stay
+small.  The other functions take plain data (face tuples, dicts, edge
+pairs), not package objects, so they cannot accidentally lean on package
+internals.
 """
 
 from __future__ import annotations
@@ -760,18 +763,33 @@ def reference_enumerate_sites(t, kinds=None):
     return out
 
 
+def reference_relabel(t, col, labels, perm):
+    """The form under the label map labels, through validate, and col renamed
+    by perm (None when perm is None)."""
+    from baltri.surface import Coloring, validate
+
+    faces = [
+        tuple(sorted((labels[a], labels[b], labels[c])))
+        for a, b, c in t.faces
+    ]
+    new_col = None
+    if perm is not None:
+        new_col = Coloring({labels[v]: perm[col[v]] for v in t.vertices})
+    return validate(faces), new_col
+
+
 def reference_bfs(t, col, kinds, *, max_vertices, max_states):
     """bfs without orbit pruning: every listed site of every state is applied.
 
     Takes and returns package objects, as (start, states, edges, truncated)
     with the fields of bfs's FlipGraphView.
     """
-    from baltri.canon import ColorMode, _canonical, _relabel
+    from baltri.canon import ColorMode, _canonical
     from baltri.flips import apply_flip, enumerate_sites
 
     mode = ColorMode.UP_TO_PERMUTATION
     start, labels, perm, _ = _canonical(t, col, mode)
-    states = {start: _relabel(t, col, labels, perm)}
+    states = {start: reference_relabel(t, col, labels, perm)}
     edges = set()
     frontier = [start]
     truncated = False
@@ -788,7 +806,7 @@ def reference_bfs(t, col, kinds, *, max_vertices, max_states):
                     if len(states) >= max_states:
                         truncated = True
                         continue
-                    states[ccode] = _relabel(child, childcol, labels, perm)
+                    states[ccode] = reference_relabel(child, childcol, labels, perm)
                     nxt.append(ccode)
                 edges.add((code, site.kind, ccode))
         frontier = nxt
@@ -800,7 +818,7 @@ def reference_connect(t1, t2, col1, col2, kinds, *, max_vertices, max_states):
     """connect without orbit pruning: the same bidirectional search, applying
     every listed site.  Returns the path or raises the same error types;
     kinds must be a sequence of FlipKind."""
-    from baltri.canon import ColorMode, _canonical, _relabel
+    from baltri.canon import ColorMode, _canonical
     from baltri.errors import NotConnectedWithinCaps, SurfaceMismatch
     from baltri.flips import FlipSite, apply_flip, enumerate_sites, inverse_site
     from baltri.surface import surface_id
@@ -815,7 +833,7 @@ def reference_connect(t1, t2, col1, col2, kinds, *, max_vertices, max_states):
     frontiers = [[], []]
     for idx, (t, col) in enumerate(((t1, col1), (t2, col2))):
         code, labels, perm, _ = _canonical(t, col, mode)
-        sides[idx][code] = (_relabel(t, col, labels, perm), None, None)
+        sides[idx][code] = (reference_relabel(t, col, labels, perm), None, None)
         frontiers[idx] = [code]
 
     def to_start(side, code):
@@ -846,7 +864,7 @@ def reference_connect(t1, t2, col1, col2, kinds, *, max_vertices, max_states):
                     continue
                 if len(here) >= max_states and ccode not in there:
                     continue
-                state = _relabel(raw, rawcol, labels, perm)
+                state = reference_relabel(raw, rawcol, labels, perm)
                 if idx == 0:
                     here[ccode] = (state, code, site)
                 else:

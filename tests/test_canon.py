@@ -1,5 +1,5 @@
 """Canonical codes: invariance, modes, agreement with brute force and with
-the full-sweep reference, pinned bytes, and wide codes."""
+the full-sweep reference, pinned bytes, decoding, and wide codes."""
 
 import functools
 import json
@@ -16,11 +16,13 @@ from baltri import (
     canonical_code,
     canonical_form,
     is_isomorphic,
+    is_proper,
     validate,
 )
 from baltri import canon
 from baltri.cli import GALLERY
 from baltri.explorer import (
+    bfs,
     build_cube_subdivision,
     build_k333_torus,
     build_octahedron,
@@ -34,6 +36,7 @@ from oracles import (
     eager_canonical,
     reference_automorphism_count,
     reference_canonical,
+    reference_relabel,
 )
 
 
@@ -413,6 +416,45 @@ class TestAutomorphismGenerators:
         assert check_automorphisms(*grid_torus(n), mode) > 0
 
 
+def check_decoding(code, want):
+    """Both decoding levels of code against the oracle form and coloring."""
+    form, fcol = canon._decode(code)
+    assert form.faces == want[0].faces and form.vertices == want[0].vertices
+    assert fcol == want[1]
+    nv, nf, faces, colors = canon._unpack(code.data)
+    assert (nv, nf, faces) == (form.vertex_count, form.face_count, list(form.faces))
+    assert list(colors) == ([] if fcol is None else [fcol[v] for v in range(nv)])
+
+
+class TestDecoding:
+    """A code decodes to the form the oracle builds by relabeling the input."""
+
+    @pytest.mark.parametrize("build", [build_cube_subdivision, build_k333_torus])
+    def test_every_state_of_a_bfs_ball(self, build):
+        t, col = build()
+        kinds = [FlipKind(k) for k in ("bts", "btw", "bes", "bew", "ps", "pc")]
+        view = bfs(t, kinds=kinds, max_vertices=15, max_states=150)
+        assert 100 <= view.state_count <= 150
+        for i, code in enumerate(view.states):
+            # a relabeled copy of the state, so the oracle has work to do
+            raw, rawcol = relabeled(*canon._decode(code), i)
+            got, labels, perm, _ = canon._canonical(
+                raw, rawcol, ColorMode.UP_TO_PERMUTATION
+            )
+            assert got == code
+            check_decoding(code, reference_relabel(raw, rawcol, labels, perm))
+
+    @pytest.mark.parametrize("mode", list(ColorMode))
+    def test_canonical_form_in_every_mode(self, mode, sphere_samples_12):
+        for t, col in sphere_samples_12:
+            form, fcol, labels = canonical_form(t, col, mode)
+            code, want_labels, perm, _ = canon._canonical(t, col, mode)
+            assert labels == want_labels
+            want = reference_relabel(t, col, labels, perm)
+            assert (form, fcol) == want and form.vertices == want[0].vertices
+            check_decoding(code, want)
+
+
 class TestWideCodes:
     def test_past_65535_faces(self):
         # one triple subdivision breaks the torus's symmetry, so only a few
@@ -425,3 +467,9 @@ class TestWideCodes:
         assert int.from_bytes(code.data[:4], "big") == t.vertex_count
         assert int.from_bytes(code.data[4:8], "big") == t.face_count
         assert len(code.data) == 8 + 12 * t.face_count + t.vertex_count
+        # canonical_form decodes the wide code
+        form, fcol, labels = canonical_form(t, col)
+        assert (form.vertex_count, form.face_count) == (t.vertex_count, t.face_count)
+        assert is_proper(form, fcol)
+        assert form.faces == reference_relabel(t, None, labels, None)[0].faces
+        assert canon._unpack(code.data)[2] == list(form.faces)

@@ -1,14 +1,16 @@
 """The command line: exit codes, output shapes, file round trips."""
 
+import hashlib
 import os
 
 import pytest
 
-from baltri import parse_bip, parse_tri, format_tri
-from baltri.cli import _build_parser, main
+from baltri import FlipKind, parse_bip, parse_tri, format_tri, surface_name
+from baltri.cli import GALLERY, _build_parser, main
 from baltri.explorer import build_octahedron
 
 from conftest import run_python
+from oracles import reference_bfs
 
 
 def run(capsys, *argv):
@@ -296,6 +298,45 @@ class TestConnect:
 
 
 class TestBfs:
+    @pytest.mark.parametrize("start, max_vertices, max_states", [
+        ("k333-torus", 13, 60), ("cube-subdivision", 16, 40)
+    ])
+    def test_export_matches_the_oracle_forms(
+        self, capsys, tmp_path, start, max_vertices, max_states
+    ):
+        kinds = "bts,btw,bes,bew,ps,pc"
+        code, _, _ = run(
+            capsys, "bfs", start, "--kinds", kinds,
+            "--max-vertices", str(max_vertices), "--max-states", str(max_states),
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        t, col = GALLERY[start]()
+        first, states, edges, _ = reference_bfs(
+            t, col, [FlipKind(k) for k in kinds.split(",")],
+            max_vertices=max_vertices, max_states=max_states,
+        )
+
+        def digest(code):
+            return hashlib.sha256(code.data).hexdigest()[:16]
+
+        index = ["state\tvertices\tedges\tfaces\tsurface\tstart"]
+        for code in sorted(states):
+            tri, tcol = states[code]
+            index.append(
+                f"{digest(code)}\t{tri.vertex_count}\t{tri.edge_count}\t"
+                f"{tri.face_count}\t{surface_name(tri)}\t"
+                f"{'yes' if code == first else 'no'}"
+            )
+            state_file = tmp_path / "states" / f"{digest(code)}.tri"
+            assert state_file.read_text() == format_tri(tri, tcol)
+        assert (tmp_path / "index.tsv").read_text() == "\n".join(index) + "\n"
+        assert len(os.listdir(tmp_path / "states")) == len(states)
+        lines = [f"{digest(a)}\t{k.value}\t{digest(b)}" for a, k, b in edges]
+        assert (tmp_path / "edges.tsv").read_text() == "\n".join(
+            ["src\tmove\tdst", *lines]
+        ) + "\n"
+
     def test_summary_and_export(self, capsys, tmp_path):
         out_dir = str(tmp_path / "view")
         code, out, _ = run(

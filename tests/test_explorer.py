@@ -167,6 +167,43 @@ class TestBfs:
         assert view.state_count == 1  # nothing else fits under the cap
 
 
+class TestStatesMapping:
+    """FlipGraphView.states keeps codes and decodes a form on each read."""
+
+    @pytest.mark.parametrize("start, room, max_states", [
+        ("k333-torus", 4, 60), ("cube-subdivision", 2, 40)
+    ])
+    def test_keys_and_forms_match_the_reference(self, start, room, max_states):
+        t, col = _BUILDERS[start]()
+        caps = dict(max_vertices=t.vertex_count + room, max_states=max_states)
+        view = bfs(t, kinds=BENCH_KINDS, **caps)
+        _, want, _, _ = reference_bfs(t, col, BENCH_KINDS, **caps)
+        assert list(view.states) == list(want)
+        assert len(view.states) == view.state_count == len(want)
+        for code, (form, fcol) in want.items():
+            assert code in view.states
+            got, gotcol = view.states[code]
+            assert (got, gotcol) == (form, fcol)
+            assert got.vertices == form.vertices and got.edges == form.edges
+            assert view.states[code][0] is not got  # each read decodes afresh
+
+    def test_unknown_codes_and_writes_are_refused(self):
+        t, _ = build_octahedron()
+        view = bfs(t, max_vertices=9, max_states=200)
+        for code in (
+            canonical_code(*build_k333_torus()),
+            canon.CanonicalCode(ColorMode.IGNORE.value, view.start.data),
+        ):
+            assert code not in view.states
+            with pytest.raises(KeyError):
+                view.states[code]
+        with pytest.raises(TypeError):
+            view.states[view.start] = view.states[view.start]
+        with pytest.raises(TypeError):
+            del view.states[view.start]
+        assert view.state_count == 3
+
+
 class TestConnect:
     def test_octahedron_to_cube_subdivision(self):
         t1, _ = build_octahedron()
