@@ -126,7 +126,7 @@ def _start_flags(t: Triangulation):
     and third corner c is isomorphism invariant, so the minimal code over
     flags with the minimal triple equals the minimal code over all flags.
     """
-    deg = t._degrees
+    deg = {v: len(link) for v, link in t._links.items()}
     best_key = None
     flags = []
     for f in t.faces:
@@ -242,7 +242,7 @@ def _canonical(t, col, mode):
             sigma = dict(zip(best[0], sweep[0]))
             gens.append(sigma)
             _join_images(parent, index, corners, sigma)
-    nv, nf = len(t.vertices), len(t.faces)
+    nv, nf = t.vertex_count, len(t.faces)
     _advance(t, best, None, nf)  # only the winner runs to the end
     best_suffix, best_perm = _color_suffix(best[0], col, mode)
     width = "H" if nf < 65536 else "I"
@@ -283,6 +283,6 @@ def is_isomorphic(
     if mode is None:
         both = col1 is not None and col2 is not None
         mode = ColorMode.UP_TO_PERMUTATION if both else ColorMode.IGNORE
-    if len(t1.vertices) != len(t2.vertices) or len(t1.faces) != len(t2.faces):
+    if t1.vertex_count != t2.vertex_count or len(t1.faces) != len(t2.faces):
         return False
     return canonical_code(t1, col1, mode) == canonical_code(t2, col2, mode)

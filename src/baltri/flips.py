@@ -145,7 +145,7 @@ def _take(t: Triangulation, *faces: tuple[int, int, int]) -> list[Face]:
     keys = []
     for a, b, c in faces:
         k = face_key(a, b, c)
-        if k not in t._face_set:
+        if k not in t._edge_faces.get(k[:2], ()):
             raise InvalidSite(f"missing face {{{a},{b},{c}}}")
         keys.append(k)
     return keys
@@ -162,10 +162,11 @@ def _need_no_face(t: Triangulation, a: int, b: int, c: int) -> None:
 
 
 def _need_degree(t: Triangulation, v: int, want: int) -> None:
-    if v not in t._degrees:
+    link = t._links.get(v)
+    if link is None:
         raise InvalidSite(f"no vertex {v}")
-    if t.degree(v) != want:
-        raise InvalidSite(f"vertex {v} has degree {t.degree(v)}, needs {want}")
+    if len(link) != want:
+        raise InvalidSite(f"vertex {v} has degree {len(link)}, needs {want}")
 
 
 # -- rewrite rules ------------------------------------------------------------
@@ -360,11 +361,11 @@ def apply_flip(
     """
     rem, gone, build = _REWRITES[site.kind](t, site.vertices)
     add, color_src, _ = build()
-    rem = t._face_set.intersection(rem)
+    rem = set(rem)
     new: set[Face] = set()
     for f in add:
         # the precondition checks should rule this out
-        if f in new or (f in t._face_set and f not in rem):
+        if f in new or (f not in rem and t.has_face(*f)):
             raise WouldCreateDuplicateFace(f"face {f} already exists")
         new.add(f)
     t2 = _swap_faces(t, rem, add)
@@ -423,12 +424,13 @@ def _sites_bts(t: Triangulation, faces):
 def _sites_btw(t: Triangulation, faces):
     # with degree-4 links q r b c, r p c a, q p b a of p, q, r, where a, b, c lie
     # beyond qr, pr, pq: the seven faces and six distinct vertices hold
-    deg, third, face_set = t._degrees, t.other_face_third, t._face_set
+    links, edge_faces, third = t._links, t._edge_faces, t.other_face_third
     for p, q, r in faces:
-        if deg[p] != 4 or deg[q] != 4 or deg[r] != 4:
+        if len(links[p]) != 4 or len(links[q]) != 4 or len(links[r]) != 4:
             continue
         a, b, c = third(q, r, p), third(p, r, q), third(p, q, r)
-        if face_key(a, b, c) not in face_set:
+        k = face_key(a, b, c)
+        if k not in edge_faces.get(k[:2], ()):
             yield (p, q, r, a, b, c)
 
 
@@ -441,11 +443,11 @@ def _sites_bes(t: Triangulation, edges):
 def _sites_bew(t: Triangulation, edges):
     # with degree-4 links q c b d of p and p c a d of q, c and d the thirds of
     # pq: the patch and its six faces hold
-    deg, links, edge_faces = t._degrees, t._links, t._edge_faces
+    links, edge_faces = t._links, t._edge_faces
     for p, q in edges:
-        if deg[p] != 4 or deg[q] != 4:
-            continue
         lp, lq = links[p], links[q]
+        if len(lp) != 4 or len(lq) != 4:
+            continue
         a, b = lq[lq.index(p) - 2], lp[lp.index(q) - 2]
         if a != b and edge_key(a, b) not in edge_faces:
             yield (p, q)
@@ -469,11 +471,11 @@ def _sites_pc(t: Triangulation, vertices):
     # a degree-4 link w x y z and v beyond wz: the five faces hold, and the
     # six vertices are distinct once vx and vy are missing (v = x or y would
     # make one of them a link edge of u)
-    deg, links, edge_faces = t._degrees, t._links, t._edge_faces
+    links, edge_faces = t._links, t._edge_faces
     for u in vertices:
-        if deg[u] != 4:
-            continue
         link = links[u]
+        if len(link) != 4:
+            continue
         for i in range(4):
             w, x, y, z = _fan(link[i], link[i - 1], link[i - 2], link[i - 3])
             v = t.other_face_third(w, z, u)
@@ -502,9 +504,9 @@ def _sites_nflip(t: Triangulation, edges):
 
 def _sites_p2flip(t: Triangulation, edges):
     # with degree-4 links q v3 v4 v5 of p and p v3 v1 v5 of q: the faces hold
-    deg, links, edge_faces = t._degrees, t._links, t._edge_faces
+    links, edge_faces = t._links, t._edge_faces
     for e1, e2 in edges:
-        if deg[e1] != 4 or deg[e2] != 4:
+        if len(links[e1]) != 4 or len(links[e2]) != 4:
             continue
         thirds = t.edge_opposites(e1, e2)
         for q, p in ((e1, e2), (e2, e1)):
@@ -575,7 +577,8 @@ def enumerate_sites(t: Triangulation, kinds=None) -> list[FlipSite]:
     orientations of the same rewrite are collapsed to a normal form (least
     fan end for the splitting moves, least rotation for the hexagon move).
     """
-    return _scan(t, kinds, lambda elements, radius: getattr(t, elements))
+    index = {"faces": t.faces, "edges": t._edge_faces, "vertices": t._links}
+    return _scan(t, kinds, lambda elements, radius: index[elements])
 
 
 def _around(t: Triangulation, ring, elements: str):
@@ -584,10 +587,10 @@ def _around(t: Triangulation, ring, elements: str):
     if elements == "vertices":
         return ring
     if elements == "edges":
-        return {edge_key(v, w) for v in ring for w in t.neighbors(v)}
+        return {edge_key(v, w) for v in ring for w in t._links[v]}
     faces = set()
     for v in ring:
-        link = t.link_cycle(v)
+        link = t._links[v]
         faces.update(face_key(v, link[i - 1], link[i]) for i in range(len(link)))
     return faces
 
@@ -603,10 +606,11 @@ def _sites_after(
     old sites whose footprint misses those vertices still apply, and every
     other site is read off the elements within its kind's radius of them.
     """
-    touched = {v for f in old._face_set ^ new._face_set for v in f}
-    rings = [touched.intersection(new._degrees)]
+    touched = {v for f in set(old.faces).symmetric_difference(new.faces) for v in f}
+    links = new._links
+    rings = [touched.intersection(links)]
     for _ in range(2):
-        rings.append(rings[-1].union(*(new.neighbors(v) for v in rings[-1])))
+        rings.append(rings[-1].union(*(links[v] for v in rings[-1])))
     near = functools.cache(lambda elements, radius: _around(new, rings[radius], elements))
 
     # a footprint is the site tuple, but for bew the patch around it too

@@ -158,9 +158,9 @@ def expand_via_budget(
     remaining = {k: int(n) for k, n in dict(budget).items() if int(n) > 0}
 
     direct, _ = apply_flip(t, site)
-    target_faces = direct._face_set
+    target_faces = set(direct.faces)
     target_v = direct.vertex_count
-    target_degrees = sorted(direct._degrees.values())
+    target_degrees = sorted(map(len, direct._links.values()))
     target_code = canonical_code(direct)
 
     allowed_base = set(_footprint(t, site))
@@ -169,9 +169,9 @@ def expand_via_budget(
     def matches_target(cur: Triangulation) -> bool:
         if cur.vertex_count != target_v:
             return False
-        if cur._face_set == target_faces:
+        if cur.faces == direct.faces:
             return True
-        if sorted(cur._degrees.values()) != target_degrees:
+        if sorted(map(len, cur._links.values())) != target_degrees:
             return False
         return canonical_code(cur) == target_code
 
@@ -182,10 +182,10 @@ def expand_via_budget(
         if moves_left == 0:
             return None
         churn = max(_FACE_CHURN[k] for k, n in remaining.items() if n > 0)
-        if len(cur._face_set ^ target_faces) > churn * moves_left:
+        if len(target_faces.symmetric_difference(cur.faces)) > churn * moves_left:
             return None
-        allowed = allowed_base | (set(cur.vertices) - original_vertices)
-        inside = allowed.intersection(cur._degrees)
+        allowed = allowed_base | (cur._links.keys() - original_vertices)
+        inside = allowed.intersection(cur._links)
 
         def source(elements: str, _radius: int):
             # a site is read off an element whose corners are in its footprint

@@ -14,6 +14,13 @@ the surface type carries over.  So an existing Triangulation is always a
 closed surface, and validate() stays the reference the patch is tested
 against.
 
+A Triangulation keeps one index per fact: faces (the sorted face tuple),
+_edge_faces (each edge's two faces) and _links (each vertex's link cycle).
+Vertices, edges, degrees, neighbors and face membership are read off those.
+_links is keyed in ascending vertex order, so vertices comes out sorted
+and max_vertex_id is its last key: validate() builds it in that order, and
+a move only deletes keys or appends ids above max_vertex_id.
+
 Calls that check a supplied coloring do so in one gate, _coloring(): it
 raises NotBalanced unless is_proper() accepts the coloring, and finds one
 with find_coloring() when none is supplied.
@@ -56,29 +63,14 @@ def face_key(a: int, b: int, c: int) -> Face:
 class Triangulation:
     """A triangulation of a closed surface, immutable after construction."""
 
-    __slots__ = (
-        "faces",
-        "vertices",
-        "edges",
-        "_face_set",
-        "_edge_faces",
-        "_adjacency",
-        "_links",
-        "_degrees",
-        "_hash",
-        "_orientable",
-    )
+    __slots__ = ("faces", "_edge_faces", "_links", "_hash", "_orientable")
 
-    def __init__(self, faces, vertices, edges, edge_faces, adjacency, links, degrees):
-        # Internal constructor; use validate().
+    def __init__(self, faces, edge_faces, links):
+        # Internal constructor; use validate().  links must be keyed in
+        # ascending vertex order (see the module docstring).
         self.faces: tuple[Face, ...] = faces
-        self.vertices: tuple[int, ...] = vertices
-        self.edges: tuple[Edge, ...] = edges
-        self._face_set: frozenset[Face] = frozenset(faces)
         self._edge_faces: dict[Edge, tuple[Face, Face]] = edge_faces
-        self._adjacency: dict[int, frozenset[int]] = adjacency
         self._links: dict[int, tuple[int, ...]] = links
-        self._degrees: dict[int, int] = degrees
         self._hash = hash(self.faces)
         self._orientable: bool | None = None
 
@@ -94,19 +86,27 @@ class Triangulation:
 
     def __repr__(self):
         return (
-            f"Triangulation(V={len(self.vertices)}, E={len(self.edges)}, "
+            f"Triangulation(V={len(self._links)}, E={len(self._edge_faces)}, "
             f"F={len(self.faces)})"
         )
 
     # -- basic queries ------------------------------------------------------
 
     @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(self._links)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(sorted(self._edge_faces))
+
+    @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self._links)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._edge_faces)
 
     @property
     def face_count(self) -> int:
@@ -114,19 +114,20 @@ class Triangulation:
 
     @property
     def max_vertex_id(self) -> int:
-        return self.vertices[-1]
+        return next(reversed(self._links))
 
     def degree(self, v: int) -> int:
-        return self._degrees[v]
+        return len(self._links[v])
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adjacency[v]
+        return frozenset(self._links[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self._edge_faces
 
     def has_face(self, a: int, b: int, c: int) -> bool:
-        return face_key(a, b, c) in self._face_set
+        k = face_key(a, b, c)
+        return k in self._edge_faces.get(k[:2], ())
 
     def edge_opposites(self, u: int, v: int) -> tuple[int, int]:
         """The two vertices completing the faces on edge uv, sorted."""
@@ -150,7 +151,7 @@ class Triangulation:
         return self._links[v]
 
     def euler_characteristic(self) -> int:
-        return len(self.vertices) - len(self.edges) + len(self.faces)
+        return len(self._links) - len(self._edge_faces) + len(self.faces)
 
 
 def _link_graphs(faces, vertices) -> dict[int, dict[int, list[int]]]:
@@ -200,7 +201,7 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
 
     Raises DegenerateFace, DuplicateFace, NonManifoldEdge, PinchedVertex,
     Disconnected or ImpossibleSurface; on success returns the Triangulation
-    with all derived structure (edges, links, adjacency) computed.
+    with its edge faces and vertex links indexed.
     """
     faces: list[Face] = []
     seen: set[Face] = set()
@@ -235,7 +236,7 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
                 f"edge {{{e[0]},{e[1]}}} lies in {len(fs)} face(s), expected 2"
             )
 
-    vertices = tuple(sorted({v for f in faces for v in f}))
+    vertices = sorted({v for f in faces for v in f})
 
     # Link of every vertex must be a single cycle.  Each incident face
     # contributes one link edge between the other two corners; with every
@@ -243,7 +244,6 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
     # single cycle iff it is connected.
     link_adj = _link_graphs(faces, vertices)
     links = {v: _link_cycle(v, link_adj[v]) for v in vertices}
-    degrees = {v: len(link) for v, link in links.items()}
 
     # Face-adjacency graph must be connected (one surface at a time).
     seen_faces = {faces[0]}
@@ -260,10 +260,8 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
             f"face-adjacency graph has {len(faces) - len(seen_faces)} unreachable face(s)"
         )
 
-    adjacency = {v: frozenset(link_adj[v]) for v in vertices}
-    edges = tuple(sorted(edge_faces))
     ef = {e: (fs[0], fs[1]) for e, fs in edge_faces.items()}
-    t = Triangulation(tuple(faces), vertices, edges, ef, adjacency, links, degrees)
+    t = Triangulation(tuple(faces), ef, links)
 
     # Closed-surface sanity: the classification forces chi <= 2, with even
     # chi on orientable surfaces.
@@ -282,8 +280,9 @@ def _swap_faces(t: Triangulation, rem: set[Face], add: Sequence[Face]) -> Triang
     surface, its connectivity and its orientability carry over from t.  The
     edges and vertex links the swap touches are checked as validate() checks
     them (NonManifoldEdge, PinchedVertex), and a changed Euler
-    characteristic raises ImpossibleSurface.  rem must be faces of t, and
-    add must not repeat a face of t that stays.
+    characteristic raises ImpossibleSurface.  rem must be faces of t, add
+    must not repeat a face of t that stays, and a vertex of add not in t
+    must exceed max_vertex_id.
     """
     touched = sorted({v for f in (*rem, *add) for v in f})
     star: set[Face] = set()
@@ -294,44 +293,33 @@ def _swap_faces(t: Triangulation, rem: set[Face], add: Sequence[Face]) -> Triang
     link_adj = _link_graphs(star, {v for f in star for v in f})
 
     edge_faces = dict(t._edge_faces)
-    dropped: list[Edge] = []
-    created: list[Edge] = []
     for e in sorted({e for a, b, c in (*rem, *add) for e in ((a, b), (a, c), (b, c))}):
         thirds = link_adj.get(e[0], {}).get(e[1], ())
         if not thirds:
             del edge_faces[e]
-            dropped.append(e)
             continue
         if len(thirds) != 2:
             raise NonManifoldEdge(
                 f"edge {{{e[0]},{e[1]}}} lies in {len(thirds)} face(s), expected 2"
             )
-        if e not in edge_faces:
-            created.append(e)
         f, g = sorted(face_key(*e, x) for x in thirds)
         edge_faces[e] = (f, g)
 
-    adjacency, links, degrees = dict(t._adjacency), dict(t._links), dict(t._degrees)
-    lost: list[int] = []
-    born: list[int] = []
+    # touched ascends and created ids exceed t's, so the keys stay ascending
+    links = dict(t._links)
     for v in touched:
         around = link_adj.get(v)
-        if not around:
-            lost.append(v)
-            del adjacency[v], links[v], degrees[v]
-            continue
-        if v not in links:
-            born.append(v)
-        adjacency[v] = frozenset(around)
-        links[v] = _link_cycle(v, around)
-        degrees[v] = len(links[v])
+        if around:
+            links[v] = _link_cycle(v, around)
+        else:
+            del links[v]
 
-    t2 = Triangulation(
-        _resorted(t.faces, rem, add),
-        _resorted(t.vertices, lost, born),
-        _resorted(t.edges, dropped, created),
-        edge_faces, adjacency, links, degrees,
-    )
+    faces = list(t.faces)
+    for f in rem:
+        del faces[bisect_left(faces, f)]
+    for f in add:
+        insort(faces, f)
+    t2 = Triangulation(tuple(faces), edge_faces, links)
     chi = t.euler_characteristic()
     if t2.euler_characteristic() != chi:
         raise ImpossibleSurface(
@@ -340,16 +328,6 @@ def _swap_faces(t: Triangulation, rem: set[Face], add: Sequence[Face]) -> Triang
         )
     t2._orientable = t._orientable
     return t2
-
-
-def _resorted(items: tuple, drop, put) -> tuple:
-    """The sorted tuple items without drop and with put."""
-    out = list(items)
-    for x in drop:
-        del out[bisect_left(out, x)]
-    for x in put:
-        insort(out, x)
-    return tuple(out)
 
 
 def is_orientable(t: Triangulation) -> bool:
@@ -463,10 +441,10 @@ class Coloring:
 
 def is_proper(t: Triangulation, col: Coloring) -> bool:
     """Whether col assigns distinct colors in {0,1,2} across every edge."""
-    for v in t.vertices:
+    for v in t._links:
         if v not in col or col[v] not in (0, 1, 2):
             return False
-    return all(col[u] != col[v] for u, v in t.edges)
+    return all(col[u] != col[v] for u, v in t._edge_faces)
 
 
 def find_coloring(t: Triangulation) -> Coloring:

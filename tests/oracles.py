@@ -622,10 +622,9 @@ def _candidates_bts(t, faces):
 
 
 def _candidates_btw(t, faces):
-    deg = t._degrees
     for f in faces:
         p, q, r = f
-        if deg[p] != 4 or deg[q] != 4 or deg[r] != 4:
+        if t.degree(p) != 4 or t.degree(q) != 4 or t.degree(r) != 4:
             continue
         outer = (t.neighbors(p) | t.neighbors(q) | t.neighbors(r)) - {p, q, r}
         if len(outer) != 3:
@@ -647,9 +646,8 @@ def _candidates_bes(t, edges):
 
 
 def _candidates_bew(t, edges):
-    deg = t._degrees
     for p, q in edges:
-        if deg[p] == 4 and deg[q] == 4:
+        if t.degree(p) == 4 and t.degree(q) == 4:
             yield (p, q)
 
 
@@ -691,9 +689,8 @@ def _candidates_nflip(t, edges):
 
 
 def _candidates_p2flip(t, edges):
-    deg = t._degrees
     for e1, e2 in edges:
-        if deg[e1] != 4 or deg[e2] != 4:
+        if t.degree(e1) != 4 or t.degree(e2) != 4:
             continue
         thirds = t.edge_opposites(e1, e2)
         for q, p in ((e1, e2), (e2, e1)):

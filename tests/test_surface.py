@@ -106,6 +106,26 @@ class TestAccessors:
                 x = link[(i + 1) % len(link)]
                 assert t.has_face(v, w, x)
 
+    def test_has_face_matches_the_face_set(self, mixed_samples_14):
+        # has_face finds a face among the two on one of its edges; set(faces)
+        # is the plain membership it must agree with
+        samples = [t for t, _ in mixed_samples_14[::10]] + [validate(PROJECTIVE_PLANE)]
+        for t in samples:
+            faces = set(t.faces)
+            probes = [(p, True) for f in t.faces for p in itertools.permutations(f)]
+            for a, b in t.edges:
+                thirds = t.edge_opposites(a, b)
+                for x in set(t.link_cycle(a) + t.link_cycle(b)) - {a, b, *thirds}:
+                    probes.append(((x, a, b), False))
+                probes.append(((a, a, b), False))
+                probes.append(((b, a, b), False))
+            for a, c in itertools.combinations(t.vertices, 2):
+                if not t.has_edge(a, c):
+                    probes.extend(((a, c, w), False) for w in t.link_cycle(a))
+            for triple, want in probes:
+                assert t.has_face(*triple) is want
+                assert (tuple(sorted(triple)) in faces) is want
+
     def test_edge_opposites(self):
         t = validate(TETRAHEDRON)
         assert set(t.edge_opposites(0, 1)) == {2, 3}
