@@ -1,21 +1,23 @@
 """Canonical codes for triangulations and isomorphism testing.
 
-The code is flag based: a flag is a (face, directed edge of that face) pair.
-Starting from a flag, a breadth-first sweep over the face-adjacency graph
-relabels vertices in first-touch order and emits each visited face as three
-labels; crossing an edge flips the traversal direction, so a fixed local
-orientation propagates.  The face stream alone reconstructs the face set, so
-two triangulations share a code exactly when some flag-to-flag bijection
-matches them up, which is exactly isomorphism.  Taking the lexicographic
-minimum over all 6F start flags (both directions of every face edge, which
-also covers the two local orientations on non-orientable surfaces) removes
-the dependence on vertex numbering.
+The code is flag based: a flag is a face with a directed edge of it.  From a
+start flag, a breadth-first sweep over the face-adjacency graph labels
+vertices in first-touch order and emits each face as three labels; crossing an
+edge reverses its direction, so one local orientation propagates.  The stream
+rebuilds the face set, so two triangulations share a code exactly when they
+are isomorphic, and the least stream over all 6F start flags (both directions
+of each face edge, covering both local orientations on non-orientable
+surfaces) does not depend on vertex ids.
 
-Each sweep is compared with the least stream so far one face triple at a
-time, as in plantri (Brinkmann & McKay 2007): it is dropped at the first
-larger triple, and at the first smaller one it is suspended, not finished,
-as the new least.  Later sweeps resume it in doubling chunks as far as they
-compare, and a tie compares to the end, so only the winner is finished.
+Each sweep is compared with the least stream so far one face triple at a time,
+as in plantri (Brinkmann & McKay 2007): it is dropped at the first larger
+triple, and at the first smaller one it is suspended, not finished, as the new
+least.  Later sweeps resume it in doubling chunks as far as they compare, and
+a tie compares to the end, so only the winner is finished.  The sweeps run on
+a face index built once per call: each face's corner sum and, per corner, the
+position of the face across the opposite edge.  Crossing an edge is then one
+small-int lookup and one byte test, and a face labels only its third corner,
+as the face that queued it labeled the other two.
 
 A sweep that ties the least stream and color suffix to the end proves an
 automorphism: the vertex labeled L by the least sweep goes to the one
@@ -70,77 +72,89 @@ class CanonicalCode:
         return self.data.hex()
 
 
-def _emit_from_flag(t: Triangulation, face, u: int, v: int, best):
-    """Start the sweep from flag (face, u->v) and compare it with `best`.
-
-    Returns (None, False) at a larger triple, (sweep, True) on a tie to the
-    end, else (sweep, False): the new least, suspended after its first
-    smaller triple (after its first one when best is None)."""
-    sweep = ({}, [], {face}, [(face, u, v)])
-    order = _advance(t, sweep, best, 1 if best is None else len(t.faces))
+def _emit_from_flag(ix, i: int, u: int, v: int, best):
+    """Start the sweep from flag (face position i, u->v), compare with `best`:
+    (None, False) at a larger triple, (sweep, True) on a tie to the end, else
+    (sweep, False), the new least, suspended after its first smaller triple
+    (after its first one when best is None)."""
+    seen = bytearray(len(ix[0]))
+    seen[i] = 1
+    sweep = ({u: 0, v: 1}, [], seen, [(i, u, v)])
+    order = _advance(ix, sweep, best, 1 if best is None else len(seen))
     return (None if order > 0 else sweep), order == 0 and best is not None
 
 
-def _advance(t: Triangulation, sweep, best, stop: int) -> int:
-    """Resume a sweep (labels, triples, visited faces, face queue) until it
-    has `stop` triples or has visited every face; the queue head is the
-    triple count.  Against a sweep `best`, compare triple by triple, resuming
-    best in doubling chunks as this one catches up.  Returns 1 at a larger
-    triple, -1 after a smaller one (the sweep stops there), else 0."""
-    label, out, visited, queue = sweep
+def _advance(ix, sweep, best, stop: int) -> int:
+    """Resume a sweep (labels, triples, visited bytes, queue) over the face
+    index ix until it has `stop` triples or has visited every face; the queue
+    head is the triple count.  Against a sweep `best`, compare triple by
+    triple, resuming best in doubling chunks as this one catches up.  Returns
+    1 at a larger triple, -1 after a smaller one (stopping there), else 0."""
+    label, out, seen, queue = sweep
     ref = best[1] if best is not None else None
-    edge_faces = t._edge_faces
-    setdefault = label.setdefault
+    sums, across = ix
+    setdefault, append = label.setdefault, queue.append
     head, order = len(out), 0
-    # queue entries: (face key, entry direction a->b)
+    # queue entries: (face position, entry direction a->b), a and b labeled
     while head < len(queue) and head < stop:
-        f, a, b = queue[head]
-        c = f[0] + f[1] + f[2] - a - b  # the corner off the entry edge
-        triple = (
-            setdefault(a, len(label)),
-            setdefault(b, len(label)),
-            setdefault(c, len(label)),
-        )
+        i, a, b = queue[head]
+        c = sums[i] - a - b  # the corner off the entry edge
+        triple = (label[a], label[b], setdefault(c, len(label)))
         if ref is not None:
             if head == len(ref):
-                _advance(t, best, None, 2 * head)
+                _advance(ix, best, None, 2 * head)
             if triple != ref[head]:
                 if triple > ref[head]:
                     return 1
                 ref, stop, order = None, head + 1, -1
         head += 1
         out.append(triple)
-        for x, y in ((a, b), (b, c), (c, a)):
-            g1, g2 = edge_faces[(x, y) if x < y else (y, x)]
-            g = g2 if g1 == f else g1
-            if g not in visited:
-                visited.add(g)
-                queue.append((g, y, x))
+        nb = across[i]
+        g = nb[c]
+        if not seen[g]:
+            seen[g] = 1
+            append((g, b, a))
+        g = nb[a]
+        if not seen[g]:
+            seen[g] = 1
+            append((g, c, b))
+        g = nb[b]
+        if not seen[g]:
+            seen[g] = 1
+            append((g, a, c))
     return order
 
 
-def _start_flags(t: Triangulation):
-    """Start flags restricted to the minimal degree-triple class.
+def _face_index(t: Triangulation):
+    """Per face of t.faces: its corner sum, and corner -> the face across."""
+    pos = {f: i for i, f in enumerate(t.faces)}
+    across: list[dict[int, int]] = [{} for _ in pos]
+    for (x, y), (f, g) in t._edge_faces.items():
+        i, j = pos[f], pos[g]
+        across[i][f[0] + f[1] + f[2] - x - y] = j
+        across[j][g[0] + g[1] + g[2] - x - y] = i
+    return [a + b + c for a, b, c in t.faces], across
 
-    The degree triple (deg a, deg b, deg c) of a flag with entry edge a->b
-    and third corner c is isomorphism invariant, so the minimal code over
-    flags with the minimal triple equals the minimal code over all flags.
-    """
+
+def _start_flags(t: Triangulation):
+    """Start flags (face position, u, v) in the least degree-triple class.
+
+    The degree triple (deg u, deg v, deg w) of a flag with entry edge u->v
+    and third corner w is isomorphism invariant, so the least code over the
+    flags with the least triple is the least code over all flags.  Only the
+    faces with a corner of the least degree, where that triple starts, count."""
     deg = {v: len(link) for v, link in t._links.items()}
-    best_key = None
-    flags = []
-    for f in t.faces:
-        a, b, c = f
-        for u, v, w in (
-            (a, b, c), (b, a, c), (a, c, b),
-            (c, a, b), (b, c, a), (c, b, a),
-        ):
-            key = (deg[u], deg[v], deg[w])
-            if best_key is None or key < best_key:
-                best_key = key
-                flags = [(f, u, v)]
-            elif key == best_key:
-                flags.append((f, u, v))
+    low, best_key, flags = min(deg.values()), None, []
+    for i, (a, b, c) in enumerate(t.faces):
+        if low != deg[a] and low != deg[b] and low != deg[c]:
+            continue
+        for u, v, w in ((a, b, c), (b, a, c), (a, c, b), (c, a, b), (b, c, a), (c, b, a)):
+            if deg[u] == low:
+                key = (deg[v], deg[w])
+                if best_key is None or key < best_key:
+                    best_key, flags = key, [(i, u, v)]
+                elif key == best_key:
+                    flags.append((i, u, v))
     return flags
 
 
@@ -160,10 +174,8 @@ def canonical_code(
     col: Coloring | None = None,
     mode: ColorMode | None = None,
 ) -> CanonicalCode:
-    """Lexicographically least code over all start flags (and color perms).
-
-    Raises NotBalanced when a colored mode gets an improper coloring.
-    """
+    """Lexicographically least code over all start flags (and color perms);
+    raises NotBalanced when a colored mode gets an improper coloring."""
     return _checked(t, col, mode)[0]
 
 
@@ -216,11 +228,11 @@ def _canonical(t, col, mode):
         raise MissingColoring(f"mode {mode.value!r} requires a coloring")
     best = best_suffix = parent = None
     gens: list[dict[int, int]] = []
-    flags = _start_flags(t)
-    for i, (f, u, v) in enumerate(flags):
+    ix, flags = _face_index(t), _start_flags(t)
+    for i, (p, u, v) in enumerate(flags):
         if parent is not None and _find(parent, i) != i:
             continue  # an earlier flag of its class was swept
-        sweep, tied = _emit_from_flag(t, f, u, v, best)
+        sweep, tied = _emit_from_flag(ix, p, u, v, best)
         if sweep is None:
             continue
         if not tied:
@@ -235,7 +247,7 @@ def _canonical(t, col, mode):
         elif suffix == best_suffix:
             if parent is None:
                 parent = list(range(len(flags)))
-                corners = [(a, b, sum(g) - a - b) for g, a, b in flags]
+                corners = [(a, b, ix[0][p] - a - b) for p, a, b in flags]
                 index = {c: j for j, c in enumerate(corners)}
             # label maps list vertices in label order, so zipping them gives
             # the map sending the best sweep onto this one
@@ -243,7 +255,7 @@ def _canonical(t, col, mode):
             gens.append(sigma)
             _join_images(parent, index, corners, sigma)
     nv, nf = t.vertex_count, len(t.faces)
-    _advance(t, best, None, nf)  # only the winner runs to the end
+    _advance(ix, best, None, nf)  # only the winner runs to the end
     best_suffix, best_perm = _color_suffix(best[0], col, mode)
     width = "H" if nf < 65536 else "I"
     body = struct.pack(f">{2 + 3 * nf}{width}", nv, nf, *chain.from_iterable(best[1]))
@@ -273,13 +285,9 @@ def is_isomorphic(
     col2: Coloring | None = None,
     mode: ColorMode | None = None,
 ) -> bool:
-    """Code equality; mode defaults to up-to-permutation when colored.
-
-    With no colorings supplied the comparison ignores colors, matching the
-    uncolored notion of isomorphism; on balanced triangulations the colored
-    and uncolored notions agree because colorings are unique up to
-    permutation.
-    """
+    """Code equality; mode defaults to up-to-permutation when both inputs are
+    colored, else to ignoring colors.  On balanced triangulations the colored
+    and uncolored notions agree, as colorings are unique up to permutation."""
     if mode is None:
         both = col1 is not None and col2 is not None
         mode = ColorMode.UP_TO_PERMUTATION if both else ColorMode.IGNORE

@@ -69,14 +69,12 @@ def build_k333_torus() -> tuple[Triangulation, Coloring]:
     def v(i: int, j: int) -> int:
         return 3 * (i % 3) + (j % 3)
 
-    faces = set()
-    for i in range(3):
-        for j in range(3):
-            faces.add(tuple(sorted((v(i, j), v(i + 1, j), v(i, j + 1)))))
-            faces.add(tuple(sorted((v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)))))
-    tri = validate(sorted(faces))
+    faces = [
+        f for i in range(3) for j in range(3)
+        for f in ((v(i, j), v(i + 1, j), v(i, j + 1)), (v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)))
+    ]
     col = Coloring({3 * i + j: (i - j) % 3 for i in range(3) for j in range(3)})
-    return tri, col
+    return validate(faces), col
 
 
 def build_cube_subdivision() -> tuple[Triangulation, Coloring]:

@@ -68,18 +68,20 @@ class FlipKind(enum.Enum):
     NFLIP = "nflip", 6, 0, "nflip"
     P2FLIP = "p2flip", 7, 0, "p2flip"
 
+    __hash__ = object.__hash__  # identity, as equality is: C-level, unlike Enum's
+
     def __new__(cls, value: str, arity: int, delta: int, inverse: str):
         kind = object.__new__(cls)
         kind._value_ = value
         kind.arity = arity
         kind.delta = delta
         kind.rank = len(cls.__members__)
-        kind._inverse = inverse
+        kind.inverse = inverse  # the value until the class exists, then the kind
         return kind
 
-    @property
-    def inverse(self) -> "FlipKind":
-        return FlipKind(self._inverse)
+
+for _kind in FlipKind:
+    _kind.inverse = FlipKind(_kind.inverse)
 
 
 @dataclass(frozen=True)

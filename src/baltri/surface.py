@@ -71,7 +71,7 @@ class Triangulation:
         self.faces: tuple[Face, ...] = faces
         self._edge_faces: dict[Edge, tuple[Face, Face]] = edge_faces
         self._links: dict[int, tuple[int, ...]] = links
-        self._hash = hash(self.faces)
+        self._hash: int | None = None  # hash(faces), on the first __hash__
         self._orientable: bool | None = None
 
     # -- dunder plumbing ----------------------------------------------------
@@ -82,6 +82,8 @@ class Triangulation:
         return NotImplemented
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.faces)
         return self._hash
 
     def __repr__(self):

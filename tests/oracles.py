@@ -5,9 +5,11 @@ different algorithms than the package: isomorphism by backtracking over vertex
 bijections instead of canonical codes, site scans directly off the face list.
 The exceptions are reference_canonical, the slow form of the package's own
 canonical code, which the fast path must match byte for byte;
-eager_canonical, the sweep loop that runs every new least sweep to the end,
-which the suspending one must match in code, label map, color renaming and
-automorphisms;
+eager_canonical, the sweep loop that runs every new least sweep to the end
+over t's edge index, which the suspending one over a face index must match
+in code, label map, color renaming and automorphisms; reference_start_flags,
+which reads the degree triple of every flag, and which the start flags read
+only off faces with a corner of the least degree must match flag for flag;
 reference_normalize, the replay-from-scratch normalizer, which shares the
 package's rewrite case analysis and must match its output op for op; and
 reference_apply_flip, which shares the package's move rules but rebuilds the
@@ -209,6 +211,28 @@ def reference_canonical(faces, col=None, mode="ignore"):
     return header + body + suffix, labels, perm
 
 
+def reference_start_flags(t):
+    """The start flags (face, u, v) of the least degree-triple class, by
+    reading the degree triple of all six flags of every face.
+
+    Takes a package triangulation; the package's scan, which reads only
+    the faces with a corner of the least degree, must match it flag for
+    flag, in order, with each face given by its position in t.faces.
+    """
+    best_key, flags = None, []
+    for f in t.faces:
+        a, b, c = f
+        for u, v, w in (
+            (a, b, c), (b, a, c), (a, c, b), (c, a, b), (b, c, a), (c, b, a)
+        ):
+            key = (t.degree(u), t.degree(v), t.degree(w))
+            if best_key is None or key < best_key:
+                best_key, flags = key, [(f, u, v)]
+            elif key == best_key:
+                flags.append((f, u, v))
+    return flags
+
+
 def eager_canonical(t, col, mode):
     """_canonical with every sweep that goes below the best run to the end.
 
@@ -222,7 +246,6 @@ def eager_canonical(t, col, mode):
 
     from baltri.canon import (
         CanonicalCode, ColorMode, _color_suffix, _find, _join_images,
-        _start_flags,
     )
 
     def sweep(face, u, v, best):
@@ -249,7 +272,7 @@ def eager_canonical(t, col, mode):
     best = best_labels = best_perm = parent = None
     best_suffix = b""
     gens = []
-    flags = _start_flags(t)
+    flags = reference_start_flags(t)
     for i, (f, u, v) in enumerate(flags):
         if parent is not None and _find(parent, i) != i:
             continue

@@ -26,8 +26,9 @@ from baltri.explorer import (
     build_cube_subdivision,
     build_k333_torus,
     build_octahedron,
+    random_walk,
 )
-from baltri.flips import FlipKind, FlipSite, apply_flip
+from baltri.flips import FlipKind, FlipSite, apply_flip, enumerate_sites
 
 from conftest import grid_torus
 from oracles import (
@@ -37,6 +38,7 @@ from oracles import (
     reference_automorphism_count,
     reference_canonical,
     reference_relabel,
+    reference_start_flags,
 )
 
 
@@ -377,6 +379,64 @@ class TestSuspendedSweeps:
                 records = [sweep for sweep, _ in results if sweep is not None]
                 finished = [s for s in records if len(s[1]) == t.face_count]
                 assert len(finished) == 1 < len(records)
+
+
+def sparse_relabeled(t, col, seed):
+    """t and col on shuffled ids from 65,536 up, with gaps between them."""
+    rng = random.Random(seed)
+    vs = sorted(t.vertices)
+    image = rng.sample(range(65536, 65536 + 40 * len(vs)), len(vs))
+    phi = dict(zip(vs, image))
+    t2 = validate([tuple(phi[v] for v in f) for f in t.faces])
+    return t2, Coloring({phi[v]: col[v] for v in vs})
+
+
+class TestFaceIndex:
+    """The sweep runs over a per-call index of face positions; its results
+    must not depend on how t's edge index was built or on the vertex ids."""
+
+    def test_start_flags_match_the_full_scan(self, mixed_samples_14):
+        inputs = list(mixed_samples_14) + grown_samples()
+        inputs += [grid_torus(n) for n in (3, 6, 12)]
+        for t, _ in inputs:
+            flags = [(t.faces[i], u, v) for i, u, v in canon._start_flags(t)]
+            assert flags == reference_start_flags(t)
+
+    def test_edge_index_order_does_not_matter(self, mixed_samples_14):
+        # a move patches the edge index in another order than validate builds
+        # it; codes, label maps and automorphisms must not see the difference
+        reordered = 0
+        for t, col in mixed_samples_14:
+            for site in enumerate_sites(t)[::10]:
+                child, ccol = apply_flip(t, site, col)
+                rebuilt = validate(child.faces)
+                reordered += list(child._edge_faces) != list(rebuilt._edge_faces)
+                for mode in ColorMode:
+                    assert as_data(canon._canonical(child, ccol, mode)) == as_data(
+                        canon._canonical(rebuilt, ccol, mode)
+                    )
+        assert reordered > 0
+
+    def test_sparse_ids_past_65535(self):
+        # a grown sphere on wide ids, and walks on wide ids whose welds and
+        # contractions delete ids in the middle
+        inputs = [sparse_relabeled(*grown_samples()[1], 3)]
+        kinds = [FlipKind(k) for k in ("bts", "btw", "bes", "bew", "ps", "pc")]
+        deleting = {FlipKind.BTW, FlipKind.BEW, FlipKind.PC}
+        for seed, build in enumerate((build_octahedron, build_k333_torus)):
+            t, col = sparse_relabeled(*build(), seed)
+            t, col, taken = random_walk(
+                t, col, kinds, steps=40, seed=seed, max_vertices=30
+            )
+            assert deleting.intersection(s.kind for s in taken)
+            inputs.append((t, col))
+        for t, col in inputs:
+            assert min(t.vertices) >= 65536
+            assert t.max_vertex_id - min(t.vertices) >= t.vertex_count
+            for mode in ColorMode:
+                got = canon._canonical(t, col, mode)
+                assert as_data(got) == as_data(eager_canonical(t, col, mode))
+                assert got[0].data == reference_canonical(t.faces, col, mode.value)[0]
 
 
 def check_automorphisms(t, col, mode):

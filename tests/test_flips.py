@@ -415,6 +415,16 @@ class TestPatchedApply:
             assert_same_triangulation(got, want)
             assert gotcol == wantcol
 
+    def test_equals_and_hashes_as_the_rebuild(self, small_samples_50):
+        # the hash is computed on first use, on the patch and the rebuild alike
+        for t, col in small_samples_50:
+            for site in enumerate_sites(t)[::7]:
+                got, _ = apply_flip(t, site, col)
+                want = validate(got.faces)
+                assert got._hash is None and want._hash is None
+                assert got == want and hash(got) == hash(want) == hash(got.faces)
+                assert len({got, want}) == 1
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_matches_the_rebuild_on_the_projective_plane(self, seed):
