@@ -38,7 +38,7 @@ class PinchedVertex(TriangulationError):
 
 
 class Disconnected(TriangulationError):
-    """The face-adjacency graph is not connected."""
+    """The triangulation is not connected: its vertex graph has two or more parts."""
 
 
 class ImpossibleSurface(TriangulationError):

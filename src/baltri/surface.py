@@ -21,6 +21,11 @@ _links is keyed in ascending vertex order, so vertices comes out sorted
 and max_vertex_id is its last key: validate() builds it in that order, and
 a move only deletes keys or appends ids above max_vertex_id.
 
+Links are read one way, by _walk_link: a walk around the vertex over
+_edge_faces, rotated once into the link_cycle normal form.  validate() walks
+every link, then checks connectivity on the vertex graph through the links;
+_swap_faces walks only the links of the vertices it touches.
+
 Calls that check a supplied coloring do so in one gate, _coloring(): it
 raises NotBalanced unless is_proper() accepts the coloring, and finds one
 with find_coloring() when none is supplied.
@@ -29,7 +34,8 @@ with find_coloring() when none is supplied.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import deque
+from collections import Counter, deque
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -156,50 +162,39 @@ class Triangulation:
         return len(self._links) - len(self._edge_faces) + len(self.faces)
 
 
-def _link_graphs(faces, vertices) -> dict[int, dict[int, list[int]]]:
-    """Each vertex's link graph as adjacency lists.
-
-    Each face contributes, to each of its corners, the link edge between the
-    other two; vertices must hold every corner of faces.
-    """
-    link_adj: dict[int, dict[int, list[int]]] = {v: {} for v in vertices}
-    for a, b, c in faces:
-        link_adj[a].setdefault(b, []).append(c)
-        link_adj[a].setdefault(c, []).append(b)
-        link_adj[b].setdefault(a, []).append(c)
-        link_adj[b].setdefault(c, []).append(a)
-        link_adj[c].setdefault(a, []).append(b)
-        link_adj[c].setdefault(b, []).append(a)
-    return link_adj
-
-
-def _link_cycle(v: int, around: dict[int, list[int]]) -> tuple[int, ...]:
+def _walk_link(
+    v: int, w: int, count: int, edge_faces: Mapping[Edge, Sequence[Face]]
+) -> tuple[int, ...]:
     """The link of v as Triangulation.link_cycle gives it, or PinchedVertex.
 
-    around maps each neighbor of v to the link neighbors it has, one per
-    face on that edge.
+    Walks around v from its neighbor w, each step crossing the edge to the
+    next face in edge_faces, which must hold two faces on every edge at v.
+    count is the number of faces at v: a walk that closes before it has met
+    them all leaves the link in more than one cycle.
     """
-    # 2-regularity of the link graph is already implied by the edge check,
-    # but a short guard keeps failure modes separate.
-    for w, nbrs in around.items():
-        if len(nbrs) != 2:
-            raise PinchedVertex(f"link of vertex {v} is not 2-regular at {w}")
-    start = min(around)
-    prev, cur = start, min(around[start])
-    cycle = [start]
-    while cur != start:
-        cycle.append(cur)
-        x, y = around[cur]
-        prev, cur = cur, (y if x == prev else x)
-    if len(cycle) != len(around):
+    cycle = [w]
+    f = edge_faces[edge_key(v, w)][0]
+    x = f[0] + f[1] + f[2] - v - w
+    while x != w:
+        cycle.append(x)
+        g, h = edge_faces[(v, x) if v < x else (x, v)]
+        f = h if g == f else g
+        x = f[0] + f[1] + f[2] - v - x
+    if len(cycle) != count:
         raise PinchedVertex(f"link of vertex {v} splits into more than one cycle")
-    if len(cycle) < 3:
-        raise PinchedVertex(f"link of vertex {v} is shorter than 3")
-    return tuple(cycle)
+    i = cycle.index(min(cycle))
+    if cycle[i - 1] < cycle[i + 1 - len(cycle)]:
+        cycle.reverse()
+        i = len(cycle) - 1 - i
+    return tuple(cycle[i:] + cycle[:i])
 
 
 def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
     """Check that a face list describes a closed surface and index it.
+
+    Every edge must lie on two faces, and the walk around each vertex must
+    meet all its faces.  With every link one cycle, the surface is connected
+    iff its vertex graph is, so that is checked through the links.
 
     Raises DegenerateFace, DuplicateFace, NonManifoldEdge, PinchedVertex,
     Disconnected or ImpossibleSurface; on success returns the Triangulation
@@ -228,38 +223,33 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
 
     # Every edge must lie in exactly two faces.
     edge_faces: dict[Edge, list[Face]] = {}
+    neighbor: dict[int, int] = {}
     for f in faces:
         a, b, c = f
         for e in ((a, b), (a, c), (b, c)):
             edge_faces.setdefault(e, []).append(f)
+        neighbor[a], neighbor[b], neighbor[c] = b, c, a
     for e, fs in edge_faces.items():
         if len(fs) != 2:
             raise NonManifoldEdge(
                 f"edge {{{e[0]},{e[1]}}} lies in {len(fs)} face(s), expected 2"
             )
 
-    vertices = sorted({v for f in faces for v in f})
+    count = Counter(chain.from_iterable(faces))
+    links = {v: _walk_link(v, neighbor[v], count[v], edge_faces) for v in sorted(count)}
 
-    # Link of every vertex must be a single cycle.  Each incident face
-    # contributes one link edge between the other two corners; with every
-    # edge in exactly two faces the link graph is 2-regular, so it is a
-    # single cycle iff it is connected.
-    link_adj = _link_graphs(faces, vertices)
-    links = {v: _link_cycle(v, link_adj[v]) for v in vertices}
-
-    # Face-adjacency graph must be connected (one surface at a time).
-    seen_faces = {faces[0]}
-    queue = deque([faces[0]])
-    while queue:
-        a, b, c = queue.popleft()
-        for e in ((a, b), (a, c), (b, c)):
-            for g in edge_faces[e]:
-                if g not in seen_faces:
-                    seen_faces.add(g)
-                    queue.append(g)
-    if len(seen_faces) != len(faces):
+    # The vertex graph must be connected (one surface at a time).
+    first = next(iter(links))
+    reached = {first}
+    stack = [first]
+    while stack:
+        for w in links[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    if len(reached) != len(links):
         raise Disconnected(
-            f"face-adjacency graph has {len(faces) - len(seen_faces)} unreachable face(s)"
+            f"vertex graph has {len(links) - len(reached)} unreachable vertex(es)"
         )
 
     ef = {e: (fs[0], fs[1]) for e, fs in edge_faces.items()}
@@ -280,39 +270,45 @@ def _swap_faces(t: Triangulation, rem: set[Face], add: Sequence[Face]) -> Triang
 
     Every move swaps one disk for another with the same boundary, so the
     surface, its connectivity and its orientability carry over from t.  The
-    edges and vertex links the swap touches are checked as validate() checks
-    them (NonManifoldEdge, PinchedVertex), and a changed Euler
-    characteristic raises ImpossibleSurface.  rem must be faces of t, add
-    must not repeat a face of t that stays, and a vertex of add not in t
-    must exceed max_vertex_id.
+    edge faces of the edges of rem and add are patched and checked in sorted
+    edge order (NonManifoldEdge), and the links of their vertices walked
+    (PinchedVertex), as validate() does; a changed Euler characteristic
+    raises ImpossibleSurface.  rem must be faces of t, add must not repeat a
+    face of t that stays, and a vertex of add not in t must exceed max_vertex_id.
     """
-    touched = sorted({v for f in (*rem, *add) for v in f})
-    star: set[Face] = set()
-    for v in touched:
-        link = t._links.get(v, ())
-        star.update(face_key(v, link[i - 1], link[i]) for i in range(len(link)))
-    star = star.difference(rem).union(add)
-    link_adj = _link_graphs(star, {v for f in star for v in f})
+    around: dict[Edge, list[Face]] = {}
+    for a, b, c in (*rem, *add):
+        for e in ((a, b), (a, c), (b, c)):
+            if e not in around:
+                around[e] = [f for f in t._edge_faces.get(e, ()) if f not in rem]
+    for f in add:
+        a, b, c = f
+        for e in ((a, b), (a, c), (b, c)):
+            around[e].append(f)
 
     edge_faces = dict(t._edge_faces)
-    for e in sorted({e for a, b, c in (*rem, *add) for e in ((a, b), (a, c), (b, c))}):
-        thirds = link_adj.get(e[0], {}).get(e[1], ())
-        if not thirds:
+    neighbor: dict[int, int] = {}
+    for e in sorted(around):
+        fs = around[e]
+        if not fs:
             del edge_faces[e]
             continue
-        if len(thirds) != 2:
+        if len(fs) != 2:
             raise NonManifoldEdge(
-                f"edge {{{e[0]},{e[1]}}} lies in {len(thirds)} face(s), expected 2"
+                f"edge {{{e[0]},{e[1]}}} lies in {len(fs)} face(s), expected 2"
             )
-        f, g = sorted(face_key(*e, x) for x in thirds)
-        edge_faces[e] = (f, g)
+        edge_faces[e] = (fs[0], fs[1]) if fs[0] < fs[1] else (fs[1], fs[0])
+        neighbor[e[0]], neighbor[e[1]] = e[1], e[0]
 
-    # touched ascends and created ids exceed t's, so the keys stay ascending
+    # Past the edge check, a touched vertex with faces left has a patched
+    # edge to start from.  Created ids exceed t's, so the keys stay ascending.
+    count = Counter(chain.from_iterable(add))
+    count.subtract(chain.from_iterable(rem))
     links = dict(t._links)
-    for v in touched:
-        around = link_adj.get(v)
-        if around:
-            links[v] = _link_cycle(v, around)
+    for v in sorted(count):
+        n = count[v] + len(t._links.get(v, ()))
+        if n:
+            links[v] = _walk_link(v, neighbor[v], n, edge_faces)
         else:
             del links[v]
 

@@ -12,6 +12,9 @@ which reads the degree triple of every flag, and which the start flags read
 only off faces with a corner of the least degree must match flag for flag;
 reference_normalize, the replay-from-scratch normalizer, which shares the
 package's rewrite case analysis and must match its output op for op; and
+reference_validate, validate as it read links off per-vertex link graphs
+and searched the face-adjacency graph, which the link-walking validate must
+match index for index and error class for error class; and
 reference_apply_flip, which shares the package's move rules but rebuilds the
 whole triangulation through validate, and which the patching apply_flip must
 match field for field; and reference_inverse_site, the undo site written out
@@ -31,6 +34,7 @@ internals.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import permutations
 
 
@@ -564,6 +568,137 @@ def reference_normalize(g, ops):
         )
         assert relabel is not None
         seq = seq[: i - 1] + replacement + [op.relabeled(relabel) for op in seq[i + 1 :]]
+
+
+def _link_graphs(faces, vertices):
+    """Each vertex's link graph as adjacency lists.
+
+    Each face contributes, to each of its corners, the link edge between the
+    other two; vertices must hold every corner of faces.
+    """
+    link_adj = {v: {} for v in vertices}
+    for a, b, c in faces:
+        link_adj[a].setdefault(b, []).append(c)
+        link_adj[a].setdefault(c, []).append(b)
+        link_adj[b].setdefault(a, []).append(c)
+        link_adj[b].setdefault(c, []).append(a)
+        link_adj[c].setdefault(a, []).append(b)
+        link_adj[c].setdefault(b, []).append(a)
+    return link_adj
+
+
+def _link_cycle(v, around):
+    """The link of v as Triangulation.link_cycle gives it, or PinchedVertex.
+
+    around maps each neighbor of v to the link neighbors it has, one per
+    face on that edge.
+    """
+    from baltri.errors import PinchedVertex
+
+    # 2-regularity of the link graph is already implied by the edge check,
+    # but a short guard keeps failure modes separate.
+    for w, nbrs in around.items():
+        if len(nbrs) != 2:
+            raise PinchedVertex(f"link of vertex {v} is not 2-regular at {w}")
+    start = min(around)
+    prev, cur = start, min(around[start])
+    cycle = [start]
+    while cur != start:
+        cycle.append(cur)
+        x, y = around[cur]
+        prev, cur = cur, (y if x == prev else x)
+    if len(cycle) != len(around):
+        raise PinchedVertex(f"link of vertex {v} splits into more than one cycle")
+    if len(cycle) < 3:
+        raise PinchedVertex(f"link of vertex {v} is shorter than 3")
+    return tuple(cycle)
+
+
+def reference_validate(face_list):
+    """validate as the package once wrote it: links read off per-vertex link
+    graphs, connectivity checked by a face-adjacency search.
+
+    Raises DegenerateFace, DuplicateFace, NonManifoldEdge, PinchedVertex,
+    Disconnected or ImpossibleSurface; on success returns the Triangulation
+    with its edge faces and vertex links indexed.
+    """
+    from baltri.errors import (
+        DegenerateFace,
+        Disconnected,
+        DuplicateFace,
+        ImpossibleSurface,
+        NonManifoldEdge,
+    )
+    from baltri.surface import Triangulation, face_key, is_orientable
+
+    faces = []
+    seen = set()
+    for raw in face_list:
+        t = tuple(raw)
+        if len(t) != 3:
+            raise DegenerateFace(f"face {t!r} does not have exactly 3 vertices")
+        a, b, c = t
+        for x in t:
+            if not isinstance(x, int) or x < 0:
+                raise DegenerateFace(f"face {t!r} has a non-(non-negative-integer) vertex")
+        if a == b or b == c or a == c:
+            raise DegenerateFace(f"face {t!r} repeats a vertex")
+        k = face_key(a, b, c)
+        if k in seen:
+            raise DuplicateFace(f"face {{{k[0]},{k[1]},{k[2]}}} appears twice")
+        seen.add(k)
+        faces.append(k)
+    if not faces:
+        raise DegenerateFace("empty face list")
+    faces.sort()
+
+    # Every edge must lie in exactly two faces.
+    edge_faces = {}
+    for f in faces:
+        a, b, c = f
+        for e in ((a, b), (a, c), (b, c)):
+            edge_faces.setdefault(e, []).append(f)
+    for e, fs in edge_faces.items():
+        if len(fs) != 2:
+            raise NonManifoldEdge(
+                f"edge {{{e[0]},{e[1]}}} lies in {len(fs)} face(s), expected 2"
+            )
+
+    vertices = sorted({v for f in faces for v in f})
+
+    # Link of every vertex must be a single cycle.  Each incident face
+    # contributes one link edge between the other two corners; with every
+    # edge in exactly two faces the link graph is 2-regular, so it is a
+    # single cycle iff it is connected.
+    link_adj = _link_graphs(faces, vertices)
+    links = {v: _link_cycle(v, link_adj[v]) for v in vertices}
+
+    # Face-adjacency graph must be connected (one surface at a time).
+    seen_faces = {faces[0]}
+    queue = deque([faces[0]])
+    while queue:
+        a, b, c = queue.popleft()
+        for e in ((a, b), (a, c), (b, c)):
+            for g in edge_faces[e]:
+                if g not in seen_faces:
+                    seen_faces.add(g)
+                    queue.append(g)
+    if len(seen_faces) != len(faces):
+        raise Disconnected(
+            f"face-adjacency graph has {len(faces) - len(seen_faces)} unreachable face(s)"
+        )
+
+    ef = {e: (fs[0], fs[1]) for e, fs in edge_faces.items()}
+    t = Triangulation(tuple(faces), ef, links)
+
+    # Closed-surface sanity: the classification forces chi <= 2, with even
+    # chi on orientable surfaces.
+    chi = t.euler_characteristic()
+    if chi > 2 or (chi % 2 and is_orientable(t)):
+        raise ImpossibleSurface(
+            f"no closed surface has Euler characteristic {chi} and this orientability"
+        )
+    return t
 
 
 def reference_apply_flip(t, site, col=None):

@@ -11,6 +11,7 @@ from baltri import (
     NonManifoldEdge,
     NotBalanced,
     ParseError,
+    PinchedVertex,
     TriangulationError,
     WouldCreateDuplicateFace,
     canonical_code,
@@ -37,6 +38,8 @@ from baltri.flips import (
     site_from_str,
     site_to_str,
 )
+
+from baltri.surface import _swap_faces, face_key
 
 from conftest import PROJECTIVE_PLANE, grid_torus, run_python, walk_sample
 from oracles import (
@@ -469,11 +472,31 @@ class TestPatchSoundness:
                     monkeypatch.setitem(
                         flips._REWRITES, site.kind, _dropping_one_face(real, index)
                     )
-                    with pytest.raises(TriangulationError):
+                    # the rebuilt face list names the fault validate finds
+                    with pytest.raises(TriangulationError) as want:
+                        reference_apply_flip(t, site, col)
+                    with pytest.raises(TriangulationError) as got:
                         apply_flip(t, site, col)
+                    assert got.type is want.type
                     monkeypatch.setitem(flips._REWRITES, site.kind, real)
                     refused += 1
         assert refused > 500
+
+    def test_a_pinching_patch_is_refused(self):
+        # v's star moved onto a vertex u two edges clear of it: every edge
+        # still lies on two faces, but u's link becomes two cycles
+        t, _ = grid_torus(6)
+        v = t.vertices[0]
+        near = {w for x in t.link_cycle(v) for w in t.link_cycle(x)}
+        u = next(x for x in t.vertices if x not in near)
+        link = t.link_cycle(v)
+        pairs = [(link[i - 1], link[i]) for i in range(len(link))]
+        rem = {face_key(v, a, b) for a, b in pairs}
+        add = [face_key(u, a, b) for a, b in pairs]
+        with pytest.raises(PinchedVertex):
+            validate(sorted(set(t.faces) - rem | set(add)))
+        with pytest.raises(PinchedVertex):
+            _swap_faces(t, rem, add)
 
     def test_a_holed_patch_is_refused_under_optimization(self):
         done = run_python(

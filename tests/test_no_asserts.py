@@ -10,7 +10,7 @@ import baltri
 
 from conftest import python_command
 
-OPTIMIZED_MODULES = ("test_flips.py", "test_acceptance.py")
+OPTIMIZED_MODULES = ("test_flips.py", "test_acceptance.py", "test_surface.py")
 
 
 def test_package_source_has_no_assert_statements():
@@ -48,8 +48,8 @@ def optimized_runs():
 
 @pytest.mark.parametrize("module", OPTIMIZED_MODULES)
 def test_flip_tests_pass_under_optimization(module, optimized_runs):
-    # the move layer's soundness checks, and the headline guarantees built
-    # on them, must hold without asserts
+    # validate's and the move layer's soundness checks, and the headline
+    # guarantees built on them, must hold without asserts
     proc = optimized_runs[module]
     out, _ = proc.communicate(timeout=120)
     print(out[-3000:])

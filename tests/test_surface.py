@@ -1,8 +1,10 @@
 """Validation, surface classification, and coloring basics."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baltri import (
     Coloring,
@@ -13,6 +15,7 @@ from baltri import (
     NonManifoldEdge,
     NotBalanced,
     PinchedVertex,
+    TriangulationError,
     find_coloring,
     is_orientable,
     is_proper,
@@ -20,10 +23,11 @@ from baltri import (
     surface_name,
     validate,
 )
-from baltri.explorer import build_k333_torus, build_octahedron
+from baltri.explorer import build_cube_subdivision, build_k333_torus, build_octahedron
 from baltri.surface import _coloring
 
-from conftest import PROJECTIVE_PLANE
+from conftest import PROJECTIVE_PLANE, walk_sample
+from oracles import reference_validate
 
 TETRAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
@@ -88,6 +92,112 @@ class TestValidate:
         t1 = validate(TETRAHEDRON)
         t2 = validate([(2, 3, 1), (3, 0, 2), (1, 3, 0), (2, 0, 1)])
         assert t1 == t2
+
+
+def _outcome(check, faces):
+    """What check makes of faces: the error class, or the kept indexes with
+    their key order."""
+    try:
+        t = check(list(faces))
+    except TriangulationError as exc:
+        return type(exc)
+    return t.faces, list(t._edge_faces.items()), list(t._links.items())
+
+
+def assert_validates_as_the_reference(faces):
+    want = _outcome(reference_validate, faces)
+    assert _outcome(validate, faces) == want
+    return want
+
+
+# TestValidate's bad inputs and the empty list, with the error each must raise
+BAD_INPUTS = [
+    ([(0, 0, 1), (0, 1, 2)], DegenerateFace),
+    ([(0, 1), (0, 1, 2)], DegenerateFace),
+    ([(0, 1, -2)], DegenerateFace),
+    ([], DegenerateFace),
+    (TETRAHEDRON + [(2, 1, 3)], DuplicateFace),
+    ([(0, 1, 2)], NonManifoldEdge),
+    ([(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4)], NonManifoldEdge),
+    (TETRAHEDRON + [(0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6)], PinchedVertex),
+    (TETRAHEDRON + [(4, 5, 6), (4, 5, 7), (4, 6, 7), (5, 6, 7)], Disconnected),
+]
+
+SURFACES = {
+    "tetrahedron": TETRAHEDRON,
+    "octahedron": build_octahedron()[0].faces,
+    "k333-torus": build_k333_torus()[0].faces,
+    "cube-subdivision": build_cube_subdivision()[0].faces,
+    "projective-plane": PROJECTIVE_PLANE,
+    "walked-sphere": walk_sample(7, steps=12, max_vertices=14)[0].faces,
+    "walked-torus": walk_sample(
+        7, steps=12, max_vertices=14, start="k333-torus"
+    )[0].faces,
+}
+
+
+def _shifted(faces, by):
+    return [tuple(v + by for v in f) for f in faces]
+
+
+def _mutated(faces, kind, rng):
+    """faces broken (or not) in one of the ways validate must tell apart."""
+    faces = list(faces)
+    vertices = sorted({v for f in faces for v in f})
+    if kind == "drop":
+        del faces[rng.randrange(len(faces))]
+    elif kind == "repeat":
+        f = list(rng.choice(faces))
+        rng.shuffle(f)
+        faces.append(tuple(f))
+    elif kind == "add":
+        faces.append(tuple(rng.sample(range(vertices[-1] + 3), 3)))
+    elif kind == "pinch":
+        # a second copy glued to the first at one vertex
+        by = vertices[-1] + 1
+        glue = {rng.choice(vertices) + by: rng.choice(vertices)}
+        faces += [tuple(glue.get(v, v) for v in f) for f in _shifted(faces, by)]
+    else:  # "union": a second copy beside the first
+        faces += _shifted(faces, vertices[-1] + 1)
+    return faces
+
+
+class TestAgainstTheReference:
+    @pytest.mark.parametrize("faces, error", BAD_INPUTS)
+    def test_bad_inputs(self, faces, error):
+        assert assert_validates_as_the_reference(faces) is error
+
+    def test_the_impossible_surface(self, monkeypatch):
+        monkeypatch.setattr("baltri.surface.is_orientable", lambda t: True)
+        assert assert_validates_as_the_reference(PROJECTIVE_PLANE) is ImpossibleSurface
+
+    def test_samples_shuffled_and_relabeled(self, mixed_samples_14):
+        rng = random.Random(0)
+        for t, _ in mixed_samples_14[::4]:
+            names = rng.sample(range(10 * t.vertex_count), t.vertex_count)
+            label = dict(zip(t.vertices, names))
+            faces = [tuple(rng.sample([label[v] for v in f], 3)) for f in t.faces]
+            rng.shuffle(faces)
+            # still a surface, so the indexes are compared, not an error
+            assert isinstance(assert_validates_as_the_reference(faces), tuple)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        surface=st.sampled_from(sorted(SURFACES)),
+        kinds=st.lists(
+            st.sampled_from(["drop", "repeat", "add", "pinch", "union"]),
+            min_size=1,
+            max_size=3,
+        ),
+        seed=st.integers(0, 10**6),
+    )
+    def test_mutated_samples(self, surface, kinds, seed):
+        rng = random.Random(seed)
+        faces = SURFACES[surface]
+        for kind in kinds:
+            faces = _mutated(faces, kind, rng)
+        rng.shuffle(faces)
+        assert_validates_as_the_reference(faces)
 
 
 class TestAccessors:
