@@ -20,12 +20,13 @@ and shares every neighbor frozenset it does not touch.  The normalizer
 applies the script once, which rejects a script that does not apply, and
 caches the graph after each prefix; a rewrite at position i keeps the
 prefixes before i and rebuilds later ones only as rewriting reaches them.
+A BipOp is the plain tuple (kind, args) with named fields, equal to it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -137,17 +138,18 @@ FORWARD_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class BipOp:
-    kind: BipOpKind
-    args: tuple[int, ...]
+class BipOp(namedtuple("BipOp", "kind args")):
+    """An operation: the tuple (kind, args); NotApplicable on the wrong arity."""
 
-    def __post_init__(self):
-        if len(self.args) != OP_ARITY[self.kind]:
+    __slots__ = ()
+
+    def __new__(cls, kind: BipOpKind, args: Iterable[int]):
+        args = tuple(args)
+        if len(args) != OP_ARITY[kind]:
             raise NotApplicable(
-                f"{self.kind.value} takes {OP_ARITY[self.kind]} arguments, "
-                f"got {len(self.args)}"
+                f"{kind.value} takes {OP_ARITY[kind]} arguments, got {len(args)}"
             )
+        return tuple.__new__(cls, (kind, args))
 
     def is_forward(self) -> bool:
         return self.kind in FORWARD_KINDS
@@ -162,7 +164,8 @@ class BipOp:
         return ()
 
     def relabeled(self, mapping: Mapping[int, int]) -> "BipOp":
-        return BipOp(self.kind, tuple(mapping.get(a, a) for a in self.args))
+        args = tuple([mapping.get(a, a) for a in self.args])
+        return tuple.__new__(BipOp, (self.kind, args))
 
     def __str__(self):
         return self.kind.value + " " + " ".join(str(a + 1) for a in self.args)

@@ -39,6 +39,7 @@ three, so this is the unique permutation with the least suffix.
 
 Layout: V, F, then the 3F labels, all big-endian of one width: 2 bytes
 while F < 65536 (which bounds V and every label below 65536), else 4.
+A CanonicalCode is the plain tuple (mode value, these bytes), equal to it.
 A code decodes back to its form: the faces are the label triples, the
 coloring gives vertex i the suffix's byte i, and the width follows from the
 length, as a 4-byte code is longer than any 2-byte one can be.
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 from .errors import MissingColoring
@@ -61,12 +62,10 @@ class ColorMode(enum.Enum):
     UP_TO_PERMUTATION = "up-to-permutation"
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalCode:
-    """Representation-independent byte form of a triangulation."""
+class CanonicalCode(namedtuple("CanonicalCode", "mode data")):
+    """Representation-independent byte form of a triangulation: (mode, data)."""
 
-    mode: str
-    data: bytes
+    __slots__ = ()
 
     def hex(self) -> str:
         return self.data.hex()

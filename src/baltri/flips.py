@@ -25,6 +25,8 @@ and enumerate_sites() never needs a coloring.
 
 FlipKind carries each kind's facts (arity, delta, inverse, rank).  Each
 kind's rewrite rule also names the site of its own undo, in its own roles.
+A FlipSite is the plain tuple (kind, vertices) with named fields, equal to it
+and hashed as it, so site order is tuple order with kinds ordered by rank.
 
 New vertices take ids above max_vertex_id in the listed order, so results
 are reproducible and inverse_site() can name them before the move runs.
@@ -38,8 +40,7 @@ from __future__ import annotations
 import enum
 import functools
 from bisect import insort
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .errors import (
     InvalidSite,
@@ -79,30 +80,35 @@ class FlipKind(enum.Enum):
         kind.inverse = inverse  # the value until the class exists, then the kind
         return kind
 
+    def __lt__(self, other: "FlipKind") -> bool:
+        return self.rank < other.rank
+
 
 for _kind in FlipKind:
     _kind.inverse = FlipKind(_kind.inverse)
 
 
-@dataclass(frozen=True)
-class FlipSite:
-    """A move kind with the vertex tuple it acts on."""
+class FlipSite(namedtuple("FlipSite", "kind vertices")):
+    """A move kind with the vertex tuple it acts on: the tuple (kind, vertices).
 
-    kind: FlipKind
-    vertices: tuple[int, ...]
+    Raises InvalidSite unless vertices is a sequence of kind.arity ints; the
+    site readers and maps build through tuple.__new__, past these checks.
+    """
 
-    def __post_init__(self):
-        want = self.kind.arity
-        if len(self.vertices) != want:
+    __slots__ = ()
+
+    def __new__(cls, kind: FlipKind, vertices):
+        try:
+            vertices = tuple(vertices)
+        except TypeError:
+            raise InvalidSite(f"{kind.value} site vertices must be a sequence") from None
+        if len(vertices) != kind.arity:
             raise InvalidSite(
-                f"{self.kind.value} site needs {want} vertices, "
-                f"got {len(self.vertices)}"
+                f"{kind.value} site needs {kind.arity} vertices, got {len(vertices)}"
             )
-
-    def __lt__(self, other: "FlipSite") -> bool:
-        if self.kind is other.kind:
-            return self.vertices < other.vertices
-        return self.kind.rank < other.kind.rank
+        if not all(isinstance(v, int) for v in vertices):
+            raise InvalidSite(f"{kind.value} site vertices {vertices} are not all ints")
+        return tuple.__new__(cls, (kind, vertices))
 
     def __str__(self) -> str:
         return site_to_str(self)
@@ -174,19 +180,13 @@ def _need_degree(t: Triangulation, v: int, want: int) -> None:
 # -- rewrite rules ------------------------------------------------------------
 #
 # Each _rw_* validates the site against t and returns
-#   (faces to remove, vertices removed, build)
-# where build() gives (faces to add, color sources, undo): color sources maps
-# each created vertex id to the existing vertex whose color it copies, and
-# undo is the vertex tuple of the kind.inverse site that takes the move back.
+#   (faces to remove, vertices removed, faces to add, color sources, undo)
+# where color sources maps each created vertex id to the existing vertex whose
+# color it copies, and undo is the vertex tuple of the kind.inverse site that
+# takes the move back.
 # The rules are the one checker of a supplied site: apply_flip, inverse_site
 # and site_footprint run them (and rewrites._checked).  enumerate_sites runs
 # none, as its readers list only sites the rules accept.
-
-_Rewrite = tuple[
-    list[Face],
-    tuple[int, ...],
-    Callable[[], tuple[list[Face], dict[int, int], tuple[int, ...]]],
-]
 
 
 def _fan(w: int, x: int, y: int, z: int) -> tuple[int, int, int, int]:
@@ -199,20 +199,20 @@ def _hexagon(h: tuple[int, ...]) -> tuple[int, ...]:
     return min(h, h[3:] + h[:3])
 
 
-def _rw_bts(t: Triangulation, verts) -> _Rewrite:
+def _rw_bts(t: Triangulation, verts):
     a, b, c = verts
     _need_distinct(verts)
     rem = _take(t, (a, b, c))
     m = t.max_vertex_id
     p, q, r = m + 1, m + 2, m + 3  # partners of a, b, c
-    return rem, (), lambda: ([
+    return rem, (), [
         face_key(a, b, r), face_key(a, q, c), face_key(p, b, c),
         face_key(a, q, r), face_key(p, b, r), face_key(p, q, c),
         face_key(p, q, r),
-    ], {p: a, q: b, r: c}, (p, q, r, a, b, c))
+    ], {p: a, q: b, r: c}, (p, q, r, a, b, c)
 
 
-def _rw_btw(t: Triangulation, verts) -> _Rewrite:
+def _rw_btw(t: Triangulation, verts):
     p, q, r, a, b, c = verts
     _need_distinct(verts)
     for v in (p, q, r):
@@ -221,20 +221,20 @@ def _rw_btw(t: Triangulation, verts) -> _Rewrite:
         t, (p, q, r), (a, b, r), (a, q, c), (p, b, c), (a, q, r), (p, b, r), (p, q, c)
     )
     _need_no_face(t, a, b, c)
-    return rem, (p, q, r), lambda: ([face_key(a, b, c)], {}, face_key(a, b, c))
+    return rem, (p, q, r), [face_key(a, b, c)], {}, face_key(a, b, c)
 
 
-def _rw_bes(t: Triangulation, verts) -> _Rewrite:
+def _rw_bes(t: Triangulation, verts):
     a, b, c, d = verts
     if c == d:
         raise InvalidSite("opposite corners coincide")
     rem = _take(t, (a, b, c), (a, b, d))
     m = t.max_vertex_id
     p, q = m + 1, m + 2  # partners of a, b
-    return rem, (), lambda: ([
+    return rem, (), [
         face_key(a, q, c), face_key(p, b, c), face_key(a, q, d),
         face_key(p, b, d), face_key(p, q, c), face_key(p, q, d),
-    ], {p: a, q: b}, (p, q))
+    ], {p: a, q: b}, (p, q)
 
 
 def bew_patch(t: Triangulation, p: int, q: int) -> tuple[int, int, int, int]:
@@ -263,7 +263,7 @@ def bew_patch(t: Triangulation, p: int, q: int) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
-def _rw_bew(t: Triangulation, verts) -> _Rewrite:
+def _rw_bew(t: Triangulation, verts):
     p, q = verts
     if p == q:
         raise InvalidSite("site vertices coincide")
@@ -272,50 +272,47 @@ def _rw_bew(t: Triangulation, verts) -> _Rewrite:
         raise InvalidSite("patch closes up on itself")
     _need_no_edge(t, a, b)
     rem = _take(t, (p, b, c), (p, b, d), (p, q, c), (p, q, d), (q, a, c), (q, a, d))
-    return rem, (p, q), lambda: (
-        [face_key(a, b, c), face_key(a, b, d)], {}, (*edge_key(a, b), c, d)
-    )
+    add = [face_key(a, b, c), face_key(a, b, d)]
+    return rem, (p, q), add, {}, (*edge_key(a, b), c, d)
 
 
-def _rw_ps(t: Triangulation, verts) -> _Rewrite:
+def _rw_ps(t: Triangulation, verts):
     v, w, x, y, z = verts
     _need_distinct((w, x, y, z))
     rem = _take(t, (v, w, x), (v, x, y), (v, y, z))
     _need_no_edge(t, w, z)
     n = t.max_vertex_id + 1
-    return rem, (), lambda: ([
+    return rem, (), [
         face_key(v, w, z), face_key(n, w, x), face_key(n, x, y),
         face_key(n, y, z), face_key(n, w, z),
-    ], {n: v}, (n, *_fan(w, x, y, z), v))
+    ], {n: v}, (n, *_fan(w, x, y, z), v)
 
 
-def _rw_pc(t: Triangulation, verts) -> _Rewrite:
+def _rw_pc(t: Triangulation, verts):
     u, w, x, y, z, v = verts
     _need_distinct(verts)
     _need_degree(t, u, 4)
     rem = _take(t, (u, w, x), (u, x, y), (u, y, z), (u, w, z), (v, w, z))
     _need_no_edge(t, v, x)
     _need_no_edge(t, v, y)
-    return rem, (u,), lambda: (
-        [face_key(v, w, x), face_key(v, x, y), face_key(v, y, z)], {},
-        (v, *_fan(w, x, y, z)),
-    )
+    add = [face_key(v, w, x), face_key(v, x, y), face_key(v, y, z)]
+    return rem, (u,), add, {}, (v, *_fan(w, x, y, z))
 
 
-def _rw_nflip(t: Triangulation, verts) -> _Rewrite:
+def _rw_nflip(t: Triangulation, verts):
     v1, v2, v3, v4, v5, v6 = verts
     _need_distinct(verts)
     rem = _take(t, (v1, v2, v3), (v1, v3, v4), (v1, v4, v6), (v4, v5, v6))
     _need_no_edge(t, v2, v6)
     _need_no_edge(t, v2, v5)
     _need_no_edge(t, v3, v5)
-    return rem, (), lambda: ([
+    return rem, (), [
         face_key(v1, v2, v6), face_key(v2, v5, v6),
         face_key(v2, v3, v5), face_key(v3, v4, v5),
-    ], {}, _hexagon((v2, v1, v6, v5, v4, v3)))
+    ], {}, _hexagon((v2, v1, v6, v5, v4, v3))
 
 
-def _rw_p2flip(t: Triangulation, verts) -> _Rewrite:
+def _rw_p2flip(t: Triangulation, verts):
     v1, v2, v3, v4, v5, q, p = verts
     _need_distinct(verts)
     _need_degree(t, q, 4)
@@ -327,11 +324,11 @@ def _rw_p2flip(t: Triangulation, verts) -> _Rewrite:
     _need_no_edge(t, v1, v4)
     m = t.max_vertex_id
     q2, p2 = m + 1, m + 2  # q2 takes v3's color, p2 takes v1's
-    return rem, (q, p), lambda: ([
+    return rem, (q, p), [
         face_key(v1, v2, q2), face_key(v2, p2, q2), face_key(v2, v3, p2),
         face_key(p2, v3, v4), face_key(q2, p2, v4), face_key(v1, q2, v4),
         face_key(v1, v4, v5),
-    ], {q2: v3, p2: v1}, (v1, v5, v4, v3, v2, q2, p2))
+    ], {q2: v3, p2: v1}, (v1, v5, v4, v3, v2, q2, p2)
 
 
 _REWRITES = {
@@ -361,8 +358,7 @@ def apply_flip(
     col is carried along unchecked, as moves keep a proper coloring proper;
     NotBalanced means it lacks a vertex the move copies a color from or removes.
     """
-    rem, gone, build = _REWRITES[site.kind](t, site.vertices)
-    add, color_src, _ = build()
+    rem, gone, add, color_src, _ = _REWRITES[site.kind](t, site.vertices)
     rem = set(rem)
     new: set[Face] = set()
     for f in add:
@@ -389,8 +385,8 @@ def inverse_site(t: Triangulation, site: FlipSite) -> FlipSite:
     triangulation isomorphic to t (identical to t except that moves whose
     undo re-creates vertices use fresh ids for them).
     """
-    _, _, build = _REWRITES[site.kind](t, site.vertices)
-    return FlipSite(site.kind.inverse, build()[2])
+    undo = _REWRITES[site.kind](t, site.vertices)[4]
+    return tuple.__new__(FlipSite, (site.kind.inverse, undo))
 
 
 def site_footprint(t: Triangulation, site: FlipSite) -> frozenset[int]:
@@ -554,7 +550,7 @@ _NORMAL_FORMS = {
 def _map_site(site: FlipSite, sigma) -> FlipSite:
     """The image of site under the vertex map sigma, in enumerate_sites' form."""
     image = tuple([sigma[v] for v in site.vertices])
-    return FlipSite(site.kind, _NORMAL_FORMS[site.kind](image))
+    return tuple.__new__(FlipSite, (site.kind, _NORMAL_FORMS[site.kind](image)))
 
 
 def _scan(t: Triangulation, kinds, source) -> list[FlipSite]:
@@ -563,12 +559,12 @@ def _scan(t: Triangulation, kinds, source) -> list[FlipSite]:
     source(elements, radius) gives the faces, edges or vertices of t to read
     each kind's sites off.
     """
-    want = FlipKind if kinds is None else sorted(set(kinds), key=lambda k: k.rank)
+    want = FlipKind if kinds is None else sorted(set(kinds))
     out: list[FlipSite] = []
     for kind in want:
         read, elements, radius = _READERS[kind]
         found = set(read(t, source(elements, radius)))
-        out.extend(FlipSite(kind, tup) for tup in sorted(found))
+        out.extend([tuple.__new__(FlipSite, (kind, tup)) for tup in sorted(found)])
     return out
 
 

@@ -115,6 +115,40 @@ def run_python(code, *flags):
     return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
 
 
+# test module name -> its python -O pytest run (see test_no_asserts)
+OPTIMIZED_RUNS = pytest.StashKey[dict]()
+
+
+def start_optimized_run(config, module):
+    """The python -O pytest run of one test module, started on first call."""
+    runs = config.stash.setdefault(OPTIMIZED_RUNS, {})
+    if module not in runs:
+        tests = os.path.join(os.path.dirname(__file__), module)
+        argv, env = python_command(
+            "import sys, pytest\n"
+            f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', {tests!r}]))",
+            "-O",
+        )
+        runs[module] = subprocess.Popen(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
+        )
+    return runs[module]
+
+
+def pytest_collection_finish(session):
+    # start the selected python -O runs now, so they overlap the rest of the run
+    for item in session.items:
+        if getattr(item, "originalname", None) == "test_flip_tests_pass_under_optimization":
+            start_optimized_run(session.config, item.callspec.params["module"])
+
+
+def pytest_sessionfinish(session):
+    # only a run whose test was not reached is still going
+    for proc in session.config.stash.get(OPTIMIZED_RUNS, {}).values():
+        proc.kill()
+        proc.wait()
+
+
 # --- bipartite sampling -------------------------------------------------------
 
 

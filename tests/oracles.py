@@ -712,8 +712,7 @@ def reference_apply_flip(t, site, col=None):
     from baltri.flips import _REWRITES
     from baltri.surface import validate
 
-    rem, gone, build = _REWRITES[site.kind](t, site.vertices)
-    add, color_src, _ = build()
+    rem, gone, add, color_src, _ = _REWRITES[site.kind](t, site.vertices)
     faces = set(t.faces)
     faces.difference_update(rem)
     for f in add:

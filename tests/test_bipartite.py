@@ -1,5 +1,7 @@
 """Bipartite graphs, the six operations, and sequence normalization."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -96,6 +98,27 @@ class TestOps:
             BipOp(kind, tuple(range(arity)))
             with pytest.raises(NotApplicable):
                 BipOp(kind, tuple(range(arity + 1)))
+
+    def test_the_args_are_stored_as_a_tuple(self):
+        op = BipOp(BipOpKind.DEL_LEAF, [3])
+        assert op.args == (3,) and type(op.args) is tuple
+        assert {op: 1}[BipOp(BipOpKind.DEL_LEAF, (3,))] == 1
+        assert op == (BipOpKind.DEL_LEAF, (3,))
+        assert hash(op) == hash((BipOpKind.DEL_LEAF, (3,)))
+        assert BipOp(BipOpKind.ADD_LEAF, iter([0, 6])).args == (0, 6)
+        assert repr(op) == f"BipOp(kind={BipOpKind.DEL_LEAF!r}, args=(3,))"
+
+    def test_pickle_copy_and_relabel_keep_the_type(self):
+        ops = [BipOp(kind, tuple(range(arity))) for kind, arity in OP_ARITY.items()]
+        copies = [copy.copy(ops), copy.deepcopy(ops)]
+        copies += [pickle.loads(pickle.dumps(ops, p)) for p in range(6)]
+        copies.append([op.relabeled({0: 7}) for op in ops])
+        for back in copies[:-1]:
+            assert back == ops
+        assert [op.args[0] for op in copies[-1]] == [7] * len(ops)
+        for back in copies:
+            assert all(type(op) is BipOp for op in back)
+            assert all(type(op.args) is tuple for op in back)
 
     def test_created_ids(self):
         assert BipOp(BipOpKind.ADD_LEAF, (0, 9)).created() == (9,)

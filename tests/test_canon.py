@@ -1,8 +1,10 @@
 """Canonical codes: invariance, modes, agreement with brute force and with
 the full-sweep reference, pinned bytes, decoding, and wide codes."""
 
+import copy
 import functools
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -513,6 +515,36 @@ class TestDecoding:
             want = reference_relabel(t, col, labels, perm)
             assert (form, fcol) == want and form.vertices == want[0].vertices
             check_decoding(code, want)
+
+
+class TestCodeValueType:
+    # a code is the plain tuple (mode, data) with named fields; it keeps the
+    # field repr and survives pickling and copying as a CanonicalCode
+    def test_codes_sort_and_compare_as_their_tuples(self, mixed_samples_14):
+        codes = [
+            canonical_code(t, col, mode)
+            for t, col in mixed_samples_14[::2]
+            for mode in ColorMode
+        ]
+        pairs = [(c.mode, c.data) for c in codes]
+        rng = random.Random(0)
+        shuffled = rng.sample(codes, len(codes))
+        assert [(c.mode, c.data) for c in sorted(shuffled)] == sorted(pairs)
+        for c, d in zip(codes, shuffled):
+            assert c == (c.mode, c.data)
+            assert hash(c) == hash((c.mode, c.data))
+            assert (c < d) == ((c.mode, c.data) < (d.mode, d.data))
+            assert (c == d) == ((c.mode, c.data) == (d.mode, d.data))
+            assert repr(c) == f"CanonicalCode(mode={c.mode!r}, data={c.data!r})"
+            assert c.hex() == c.data.hex()
+
+    def test_pickle_and_copy_round_trip(self, mixed_samples_14):
+        codes = [canonical_code(t, col) for t, col in mixed_samples_14[::8]]
+        copies = [copy.copy(codes), copy.deepcopy(codes)]
+        copies += [pickle.loads(pickle.dumps(codes, p)) for p in range(6)]
+        for back in copies:
+            assert back == codes
+            assert all(type(c) is canon.CanonicalCode for c in back)
 
 
 class TestWideCodes:

@@ -1,5 +1,7 @@
 """The eight local moves: inventories, soundness, inverses, site handling."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -130,7 +132,7 @@ class TestApply:
         monkeypatch.setitem(
             flips._REWRITES,
             FlipKind.BTS,
-            lambda t, v: ((), (), lambda: ([t.faces[1]], {}, ())),
+            lambda t, v: ((), (), [t.faces[1]], {}, ()),
         )
         with pytest.raises(WouldCreateDuplicateFace):
             apply_flip(t, FlipSite(FlipKind.BTS, t.faces[0]), col)
@@ -356,6 +358,70 @@ class TestSiteStrings:
                 assert len(site.vertices) == site.kind.arity
 
 
+class TestSiteConstruction:
+    def test_the_vertices_are_stored_as_a_tuple(self):
+        t, col = build_octahedron()
+        bes = enumerate_sites(t, [FlipKind.BES])[0]
+        p, q = inverse_site(t, bes).vertices
+        t, col = apply_flip(t, bes, col)
+        site = FlipSite(FlipKind.BEW, [p, q])
+        assert site.vertices == (p, q) and type(site.vertices) is tuple
+        assert site == FlipSite(FlipKind.BEW, (p, q))
+        assert {site: 1}[FlipSite(FlipKind.BEW, iter((p, q)))] == 1
+        assert str(site) == f"bew:{p + 1},{q + 1}"
+        assert site_footprint(t, site) == {p, q, *bew_patch(t, p, q)}
+        assert apply_flip(t, site, col)[0].vertex_count == 6
+
+    @pytest.mark.parametrize("kind", list(FlipKind))
+    def test_the_wrong_arity_is_invalid(self, kind):
+        for n in (0, kind.arity - 1, kind.arity + 1):
+            with pytest.raises(InvalidSite, match=f"needs {kind.arity} vertices"):
+                FlipSite(kind, tuple(range(n)))
+        assert FlipSite(kind, range(kind.arity)).vertices == tuple(range(kind.arity))
+
+    @pytest.mark.parametrize(
+        "vertices", [5, None, "abc", (0, 1, "2"), (0, 1, 2.0), [0, None, 2]]
+    )
+    def test_a_non_integer_vertex_is_invalid(self, vertices):
+        with pytest.raises(InvalidSite):
+            FlipSite(FlipKind.BTS, vertices)
+
+
+class TestValueType:
+    # a site is the plain tuple (kind, vertices) with named fields; it keeps
+    # the field repr and survives pickling and copying as a FlipSite
+    def test_sorting_shuffled_sites_gives_the_listed_order(self, mixed_samples_14):
+        rng = random.Random(0)
+        kinds = set()
+        for t, _ in mixed_samples_14:
+            sites = enumerate_sites(t)
+            kinds.update(s.kind for s in sites)
+            shuffled = rng.sample(sites, len(sites))
+            assert sorted(shuffled) == sites
+            assert sorted(shuffled, key=lambda s: (s.kind.rank, s.vertices)) == sites
+        assert kinds == set(FlipKind)
+
+    def test_a_site_is_its_tuple(self, mixed_samples_14):
+        for t, _ in mixed_samples_14[::4]:
+            for site in enumerate_sites(t):
+                assert site == (site.kind, site.vertices)
+                assert hash(site) == hash((site.kind, site.vertices))
+                assert repr(site) == (
+                    f"FlipSite(kind={site.kind!r}, vertices={site.vertices!r})"
+                )
+                assert type(site.vertices) is tuple
+
+    def test_pickle_and_copy_round_trip(self, mixed_samples_14):
+        for t, _ in mixed_samples_14[::4]:
+            sites = enumerate_sites(t)
+            copies = [copy.copy(sites), copy.deepcopy(sites)]
+            copies += [pickle.loads(pickle.dumps(sites, p)) for p in range(6)]
+            for back in copies:
+                assert back == sites
+                assert all(type(s) is FlipSite for s in back)
+                assert [str(s) for s in back] == [str(s) for s in sites]
+
+
 class TestFootprint:
     def test_footprint_covers_the_site(self, sphere_samples_12):
         for t, _ in sphere_samples_12[:15]:
@@ -450,13 +516,8 @@ def _dropping_one_face(rule, index):
     """rule with the index-th added face left out: the patch is no disk."""
 
     def broken(t, verts):
-        rem, gone, build = rule(t, verts)
-
-        def build_less():
-            add, color_src, undo = build()
-            return add[:index] + add[index + 1:], color_src, undo
-
-        return rem, gone, build_less
+        rem, gone, add, color_src, undo = rule(t, verts)
+        return rem, gone, add[:index] + add[index + 1:], color_src, undo
 
     return broken
 
@@ -467,7 +528,7 @@ class TestPatchSoundness:
         for t, col in sphere_samples_12[:10]:
             for site in enumerate_sites(t):
                 real = flips._REWRITES[site.kind]
-                added = len(real(t, site.vertices)[2]()[0])
+                added = len(real(t, site.vertices)[2])
                 for index in range(added):
                     monkeypatch.setitem(
                         flips._REWRITES, site.kind, _dropping_one_face(real, index)
@@ -505,8 +566,8 @@ class TestPatchSoundness:
             "from baltri.flips import FlipKind, FlipSite, apply_flip\n"
             "real = flips._REWRITES[FlipKind.BES]\n"
             "def broken(t, v):\n"
-            "    rem, gone, build = real(t, v)\n"
-            "    return rem, gone, lambda: (build()[0][1:], *build()[1:])\n"
+            "    rem, gone, add, color_src, undo = real(t, v)\n"
+            "    return rem, gone, add[1:], color_src, undo\n"
             "flips._REWRITES[FlipKind.BES] = broken\n"
             "t, col = build_octahedron()\n"
             "a, b = t.edges[0]\n"
