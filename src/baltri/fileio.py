@@ -129,10 +129,11 @@ def _tri_text(number, colors, faces) -> str:
 
 # -- bipartite graphs ----------------------------------------------------------
 
-def _parse_parts_edges(nv, ne, rest, allow):
+def _parse_parts_edges(nv, ne, rest, nw=None):
+    """The BipGraph of the 'n' and 'e' records; with nw, also the 'w' walks."""
     parts: list[int] | None = None
     edges: dict[tuple[int, int], None] = {}  # in file order
-    extra = []
+    walks = []
     for ln, fields in rest:
         if fields[0] == "n":
             if parts is not None:
@@ -151,29 +152,38 @@ def _parse_parts_edges(nv, ne, rest, allow):
             if (u, v) in edges or (v, u) in edges:
                 raise ParseError(f"line {ln}: repeated edge {{{u + 1},{v + 1}}}")
             edges[u, v] = None
-        elif fields[0] in allow:
-            extra.append((ln, fields))
+        elif fields[0] == "w" and nw is not None:
+            vals = _int_fields(ln, fields[1:], "walk vertices")
+            if len(vals) < 4:
+                raise ParseError(f"line {ln}: a walk needs at least 4 vertices")
+            walks.append(tuple(_vertex(ln, v, nv) for v in vals))
         else:
             raise ParseError(f"line {ln}: unknown record {fields[0]!r}")
     if parts is None:
         raise ParseError("missing 'n' parts line")
     if len(edges) != ne:
         raise ParseError(f"header promises {ne} edges, found {len(edges)}")
-    return parts, list(edges), extra
+    if nw is not None and len(walks) != nw:
+        raise ParseError(f"header promises {nw} walks, found {len(walks)}")
+    return BipGraph({v: parts[v] for v in range(nv)}, edges), walks
+
+
+def _graph_lines(header: str, g: BipGraph) -> tuple[list[str], dict[int, int]]:
+    """header, g's 'n' line and sorted 'e' lines, and the numbering they use."""
+    order = {v: i for i, v in enumerate(sorted(g.parts))}
+    lines = [header, "n " + " ".join(str(g.part(v)) for v in order)]
+    for u, v in sorted(tuple(sorted((order[u], order[v]))) for u, v in g.edges):
+        lines.append(f"e {u + 1} {v + 1}")
+    return lines, order
 
 
 def parse_bip(text: str) -> BipGraph:
     (nv, ne), rest = _header(_significant_lines(text), "bip", 2)
-    parts, edges, _ = _parse_parts_edges(nv, ne, rest, allow=())
-    return BipGraph({v: parts[v] for v in range(nv)}, edges)
+    return _parse_parts_edges(nv, ne, rest)[0]
 
 
 def format_bip(g: BipGraph) -> str:
-    order = {v: i for i, v in enumerate(sorted(g.parts))}
-    lines = [f"p bip {len(g.parts)} {g.edge_count()}"]
-    lines.append("n " + " ".join(str(g.part(v)) for v in sorted(g.parts)))
-    for u, v in sorted(tuple(sorted((order[u], order[v]))) for u, v in g.edges):
-        lines.append(f"e {u + 1} {v + 1}")
+    lines, _ = _graph_lines(f"p bip {len(g.parts)} {g.edge_count()}", g)
     return "\n".join(lines) + "\n"
 
 
@@ -181,25 +191,13 @@ def format_bip(g: BipGraph) -> str:
 
 def parse_emb(text: str) -> EvenEmbedding:
     (nv, ne, nw), rest = _header(_significant_lines(text), "emb", 3)
-    parts, edges, extra = _parse_parts_edges(nv, ne, rest, allow=("w",))
-    walks = []
-    for ln, fields in extra:
-        vals = _int_fields(ln, fields[1:], "walk vertices")
-        if len(vals) < 4:
-            raise ParseError(f"line {ln}: a walk needs at least 4 vertices")
-        walks.append(tuple(_vertex(ln, v, nv) for v in vals))
-    if len(walks) != nw:
-        raise ParseError(f"header promises {nw} walks, found {len(walks)}")
-    return EvenEmbedding(BipGraph({v: parts[v] for v in range(nv)}, edges), walks)
+    return EvenEmbedding(*_parse_parts_edges(nv, ne, rest, nw))
 
 
 def format_emb(emb: EvenEmbedding) -> str:
     g = emb.graph
-    order = {v: i for i, v in enumerate(sorted(g.parts))}
-    lines = [f"p emb {len(g.parts)} {g.edge_count()} {len(emb.walks)}"]
-    lines.append("n " + " ".join(str(g.part(v)) for v in sorted(g.parts)))
-    for u, v in sorted(tuple(sorted((order[u], order[v]))) for u, v in g.edges):
-        lines.append(f"e {u + 1} {v + 1}")
+    head = f"p emb {len(g.parts)} {g.edge_count()} {len(emb.walks)}"
+    lines, order = _graph_lines(head, g)
     for walk in emb.walks:
         lines.append("w " + " ".join(str(order[v] + 1) for v in walk))
     return "\n".join(lines) + "\n"

@@ -240,27 +240,20 @@ def _rw_bes(t: Triangulation, verts):
 def bew_patch(t: Triangulation, p: int, q: int) -> tuple[int, int, int, int]:
     """Recover (a, b, c, d) of the double-subdivision patch from its pair.
 
-    a is the neighbor of q outside the patch interior, b the one of p, and
-    c < d are the two shared wing vertices.  Raises InvalidSite when p, q do
-    not sit inside such a patch.
+    Read off the degree-4 links q c b d of p and p c a d of q: a is the
+    neighbor of q outside the patch interior, b the one of p, and c < d are
+    the thirds of pq.  Raises InvalidSite when p, q do not sit inside such a
+    patch.
     """
     _need_degree(t, p, 4)
     _need_degree(t, q, 4)
     if not t.has_edge(p, q):
         raise InvalidSite(f"vertices {p} and {q} are not adjacent")
-    common = t.neighbors(p) & t.neighbors(q)
-    if len(common) != 2:
-        raise InvalidSite(
-            f"vertices {p} and {q} share {len(common)} neighbors, need 2"
-        )
-    c, d = sorted(common)
-    rest_q = t.neighbors(q) - {p, c, d}
-    rest_p = t.neighbors(p) - {q, c, d}
-    if len(rest_q) != 1 or len(rest_p) != 1:
-        raise InvalidSite(f"vertices {p} and {q} do not bound a double subdivision")
-    (a,) = rest_q
-    (b,) = rest_p
-    return a, b, c, d
+    lp, lq = t._links[p], t._links[q]
+    a, b = lq[lq.index(p) - 2], lp[lp.index(q) - 2]
+    if a == b:
+        raise InvalidSite("patch closes up on itself")
+    return (a, b, *t.edge_opposites(p, q))
 
 
 def _rw_bew(t: Triangulation, verts):
@@ -268,8 +261,6 @@ def _rw_bew(t: Triangulation, verts):
     if p == q:
         raise InvalidSite("site vertices coincide")
     a, b, c, d = bew_patch(t, p, q)
-    if a == b:
-        raise InvalidSite("patch closes up on itself")
     _need_no_edge(t, a, b)
     rem = _take(t, (p, b, c), (p, b, d), (p, q, c), (p, q, d), (q, a, c), (q, a, d))
     add = [face_key(a, b, c), face_key(a, b, d)]

@@ -21,10 +21,12 @@ _links is keyed in ascending vertex order, so vertices comes out sorted
 and max_vertex_id is its last key: validate() builds it in that order, and
 a move only deletes keys or appends ids above max_vertex_id.
 
-Links are read one way, by _walk_link: a walk around the vertex over
-_edge_faces, rotated once into the link_cycle normal form.  validate() walks
-every link, then checks connectivity on the vertex graph through the links;
-_swap_faces walks only the links of the vertices it touches.
+Both indexes are written one way, by _index, which swaps some faces for
+others in place: it checks that each touched edge keeps two faces or none,
+and reads each touched link with _walk_link, a walk around the vertex over
+_edge_faces rotated once into the link_cycle normal form.  validate() runs
+it on empty indexes with every face, then checks connectivity on the vertex
+graph through the links; _swap_faces runs it on copies of t's indexes.
 
 Calls that check a supplied coloring do so in one gate, _coloring(): it
 raises NotBalanced unless is_proper() accepts the coloring, and finds one
@@ -36,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter, deque
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DegenerateFace,
@@ -189,12 +191,63 @@ def _walk_link(
     return tuple(cycle[i:] + cycle[:i])
 
 
+def _index(
+    edge_faces: dict, links: dict, rem: Collection[Face], add: Sequence[Face]
+) -> None:
+    """Swap the faces rem for the sorted faces add in both indexes, in place.
+
+    The touched edges, those of add and then those only rem has, are checked
+    in insertion order: each must be left on two faces, stored sorted, or on
+    none, and is dropped; else NonManifoldEdge.  Then the link of each vertex
+    of rem or add is walked in ascending order (PinchedVertex), or dropped
+    with its last face.  rem must be faces in edge_faces, and a vertex new to
+    links must exceed its keys, so that they stay ascending.
+    """
+    around: dict[Edge, list[Face]] = {}
+    for f in add:
+        a, b, c = f
+        for e in ((a, b), (a, c), (b, c)):
+            around.setdefault(e, []).append(f)
+    for a, b, c in rem:
+        for e in ((a, b), (a, c), (b, c)):
+            around.setdefault(e, [])
+
+    neighbor: dict[int, int] = {}
+    for e, fs in around.items():
+        if e in edge_faces:
+            fs = sorted([g for g in edge_faces[e] if g not in rem] + fs)
+        if len(fs) != 2:
+            if fs:
+                raise NonManifoldEdge(
+                    f"edge {{{e[0]},{e[1]}}} lies in {len(fs)} face(s), expected 2"
+                )
+            del edge_faces[e]
+            continue
+        u, v = e
+        edge_faces[e] = (fs[0], fs[1])
+        neighbor[u], neighbor[v] = v, u
+
+    # Past the edge check, a vertex with faces left has a kept edge to start
+    # from: one of add, or one between a face of rem and a face that stays.
+    count = Counter(chain.from_iterable(add))
+    count.subtract(chain.from_iterable(rem))
+    for v in sorted(count):
+        n = count[v]
+        if v in links:
+            n += len(links[v])
+        if n:
+            links[v] = _walk_link(v, neighbor[v], n, edge_faces)
+        else:
+            del links[v]
+
+
 def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
     """Check that a face list describes a closed surface and index it.
 
-    Every edge must lie on two faces, and the walk around each vertex must
-    meet all its faces.  With every link one cycle, the surface is connected
-    iff its vertex graph is, so that is checked through the links.
+    Every edge must lie on two faces, checked by _index in the order the
+    edges first occur in the sorted faces, and the walk around each vertex
+    must meet all its faces.  With every link one cycle, the surface is
+    connected iff its vertex graph is, so that is checked through the links.
 
     Raises DegenerateFace, DuplicateFace, NonManifoldEdge, PinchedVertex,
     Disconnected or ImpossibleSurface; on success returns the Triangulation
@@ -220,25 +273,11 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
     if not faces:
         raise DegenerateFace("empty face list")
     faces.sort()
-
-    # Every edge must lie in exactly two faces.
-    edge_faces: dict[Edge, list[Face]] = {}
-    neighbor: dict[int, int] = {}
-    for f in faces:
-        a, b, c = f
-        for e in ((a, b), (a, c), (b, c)):
-            edge_faces.setdefault(e, []).append(f)
-        neighbor[a], neighbor[b], neighbor[c] = b, c, a
-    for e, fs in edge_faces.items():
-        if len(fs) != 2:
-            raise NonManifoldEdge(
-                f"edge {{{e[0]},{e[1]}}} lies in {len(fs)} face(s), expected 2"
-            )
-
-    count = Counter(chain.from_iterable(faces))
-    links = {v: _walk_link(v, neighbor[v], count[v], edge_faces) for v in sorted(count)}
+    t = Triangulation(tuple(faces), {}, {})
+    _index(t._edge_faces, t._links, (), faces)
 
     # The vertex graph must be connected (one surface at a time).
+    links = t._links
     first = next(iter(links))
     reached = {first}
     stack = [first]
@@ -251,9 +290,6 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
         raise Disconnected(
             f"vertex graph has {len(links) - len(reached)} unreachable vertex(es)"
         )
-
-    ef = {e: (fs[0], fs[1]) for e, fs in edge_faces.items()}
-    t = Triangulation(tuple(faces), ef, links)
 
     # Closed-surface sanity: the classification forces chi <= 2, with even
     # chi on orientable surfaces.
@@ -270,48 +306,14 @@ def _swap_faces(t: Triangulation, rem: set[Face], add: Sequence[Face]) -> Triang
 
     Every move swaps one disk for another with the same boundary, so the
     surface, its connectivity and its orientability carry over from t.  The
-    edge faces of the edges of rem and add are patched and checked in sorted
-    edge order (NonManifoldEdge), and the links of their vertices walked
+    indexes are copied and patched by _index, which checks the touched edges
+    in insertion order (NonManifoldEdge) and walks the touched links
     (PinchedVertex), as validate() does; a changed Euler characteristic
     raises ImpossibleSurface.  rem must be faces of t, add must not repeat a
     face of t that stays, and a vertex of add not in t must exceed max_vertex_id.
     """
-    around: dict[Edge, list[Face]] = {}
-    for a, b, c in (*rem, *add):
-        for e in ((a, b), (a, c), (b, c)):
-            if e not in around:
-                around[e] = [f for f in t._edge_faces.get(e, ()) if f not in rem]
-    for f in add:
-        a, b, c = f
-        for e in ((a, b), (a, c), (b, c)):
-            around[e].append(f)
-
-    edge_faces = dict(t._edge_faces)
-    neighbor: dict[int, int] = {}
-    for e in sorted(around):
-        fs = around[e]
-        if not fs:
-            del edge_faces[e]
-            continue
-        if len(fs) != 2:
-            raise NonManifoldEdge(
-                f"edge {{{e[0]},{e[1]}}} lies in {len(fs)} face(s), expected 2"
-            )
-        edge_faces[e] = (fs[0], fs[1]) if fs[0] < fs[1] else (fs[1], fs[0])
-        neighbor[e[0]], neighbor[e[1]] = e[1], e[0]
-
-    # Past the edge check, a touched vertex with faces left has a patched
-    # edge to start from.  Created ids exceed t's, so the keys stay ascending.
-    count = Counter(chain.from_iterable(add))
-    count.subtract(chain.from_iterable(rem))
-    links = dict(t._links)
-    for v in sorted(count):
-        n = count[v] + len(t._links.get(v, ()))
-        if n:
-            links[v] = _walk_link(v, neighbor[v], n, edge_faces)
-        else:
-            del links[v]
-
+    edge_faces, links = dict(t._edge_faces), dict(t._links)
+    _index(edge_faces, links, rem, sorted(add))
     faces = list(t.faces)
     for f in rem:
         del faces[bisect_left(faces, f)]

@@ -17,8 +17,11 @@ and searched the face-adjacency graph, which the link-walking validate must
 match index for index and error class for error class; and
 reference_apply_flip, which shares the package's move rules but rebuilds the
 whole triangulation through validate, and which the patching apply_flip must
-match field for field; and reference_inverse_site, the undo site written out
-kind by kind, which the undo tuples the move rules build must match; and
+match field for field; and reference_bew_patch, the double-subdivision patch
+found by neighbor-set arithmetic, which the patch read off the two degree-4
+links must match pair for pair; and reference_inverse_site, the undo site
+written out kind by kind, which the undo tuples the move rules build must
+match; and
 reference_enumerate_sites, which reads candidate tuples off t and keeps those
 the package's move rules accept, and which the inline-checking site readers
 must match site for site; and
@@ -725,6 +728,31 @@ def reference_apply_flip(t, site, col=None):
     return t2, col.updated({v: col[src] for v, src in color_src.items()}, removed=gone)
 
 
+def reference_bew_patch(t, p, q):
+    """bew_patch as the package once wrote it: the patch (a, b, c, d) around
+    the pair p, q found from their neighbor sets, or InvalidSite."""
+    from baltri.errors import InvalidSite
+
+    for v in (p, q):
+        if v not in t.vertices:
+            raise InvalidSite(f"no vertex {v}")
+        if t.degree(v) != 4:
+            raise InvalidSite(f"vertex {v} has degree {t.degree(v)}, needs 4")
+    if not t.has_edge(p, q):
+        raise InvalidSite(f"vertices {p} and {q} are not adjacent")
+    common = t.neighbors(p) & t.neighbors(q)
+    if len(common) != 2:
+        raise InvalidSite(f"vertices {p} and {q} share {len(common)} neighbors, need 2")
+    c, d = sorted(common)
+    rest_q = t.neighbors(q) - {p, c, d}
+    rest_p = t.neighbors(p) - {q, c, d}
+    if len(rest_q) != 1 or len(rest_p) != 1:
+        raise InvalidSite(f"vertices {p} and {q} do not bound a double subdivision")
+    (a,) = rest_q
+    (b,) = rest_p
+    return a, b, c, d
+
+
 def reference_inverse_site(t, site):
     """inverse_site, one branch per move kind.
 
@@ -732,7 +760,7 @@ def reference_inverse_site(t, site):
     the site tuple and the ids the move will create.  Takes and returns
     package objects.
     """
-    from baltri.flips import _REWRITES, FlipKind, FlipSite, bew_patch
+    from baltri.flips import _REWRITES, FlipKind, FlipSite
     from baltri.surface import face_key
 
     _REWRITES[site.kind](t, site.vertices)  # validate against t
@@ -745,7 +773,7 @@ def reference_inverse_site(t, site):
     if k is FlipKind.BES:
         return FlipSite(FlipKind.BEW, (m + 1, m + 2))
     if k is FlipKind.BEW:
-        a, b, c, d = bew_patch(t, *v)
+        a, b, c, d = reference_bew_patch(t, *v)
         if a > b:
             a, b = b, a
         return FlipSite(FlipKind.BES, (a, b, c, d))

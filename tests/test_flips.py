@@ -47,6 +47,7 @@ from conftest import PROJECTIVE_PLANE, grid_torus, run_python, walk_sample
 from oracles import (
     naive_ps_sites,
     reference_apply_flip,
+    reference_bew_patch,
     reference_enumerate_sites,
     reference_inverse_site,
     reference_verdicts,
@@ -231,7 +232,8 @@ class TestEnumeration:
             sites = enumerate_sites(t)
             assert len(sites) == len(set(sites))
             keyed = [(s.kind.value, s.vertices) for s in sites]
-            grouped = sorted(keyed, key=lambda kv: kv[0])
+            ranks = [s.kind.rank for s in sites]
+            assert ranks == sorted(ranks)  # kinds come in rank order
             # within one kind the vertex tuples come sorted
             by_kind = {}
             for k, v in keyed:
@@ -294,6 +296,29 @@ def assert_sites_match_the_reference(t):
     assert enumerate_sites(t) == reference_enumerate_sites(t)
     for kind in FlipKind:
         assert enumerate_sites(t, [kind]) == reference_enumerate_sites(t, [kind])
+
+
+class TestBewPatch:
+    def test_matches_the_reference_on_every_pair(self, mixed_samples_14):
+        # on the triangular bipyramid every equator pair has degree 4 and
+        # the patch closes up on itself (a == b)
+        bipyramid = validate(
+            [(0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4), (0, 2, 4), (1, 2, 4)]
+        )
+        outcomes = {"patch": 0, "refused": 0}
+        for t in [bipyramid] + [t for t, _ in mixed_samples_14]:
+            for p in t.vertices:
+                for q in t.vertices:
+                    try:
+                        want = reference_bew_patch(t, p, q)
+                    except InvalidSite as exc:
+                        with pytest.raises(type(exc)):
+                            bew_patch(t, p, q)
+                        outcomes["refused"] += 1
+                    else:
+                        assert bew_patch(t, p, q) == want
+                        outcomes["patch"] += 1
+        assert min(outcomes.values()) > 100
 
 
 class TestReadersMatchTheReference:
@@ -542,6 +567,26 @@ class TestPatchSoundness:
                     monkeypatch.setitem(flips._REWRITES, site.kind, real)
                     refused += 1
         assert refused > 500
+
+    def test_an_overfull_patch_is_refused(self, monkeypatch):
+        # the rule puts back the face it takes out: apply_flip's duplicate
+        # check lets it through, and each of its edges ends on three faces
+        real = flips._REWRITES[FlipKind.BTS]
+
+        def overfull(t, verts):
+            rem, gone, add, color_src, undo = real(t, verts)
+            return rem, gone, add + rem, color_src, undo
+
+        monkeypatch.setitem(flips._REWRITES, FlipKind.BTS, overfull)
+        t, col = build_cube_subdivision()
+        sites = enumerate_sites(t, [FlipKind.BTS])
+        for site in sites:
+            with pytest.raises(TriangulationError) as want:
+                reference_apply_flip(t, site, col)
+            with pytest.raises(TriangulationError) as got:
+                apply_flip(t, site, col)
+            assert got.type is want.type is NonManifoldEdge
+        assert len(sites) == 24
 
     def test_a_pinching_patch_is_refused(self):
         # v's star moved onto a vertex u two edges clear of it: every edge
