@@ -5,7 +5,8 @@ plus the closed walks bounding its faces.  Every walk has even length at
 least 4 and every edge lies on exactly two walk slots.  Validity beyond
 that bookkeeping is checked by coning each walk and validating the result
 as a triangulation, which rejects pinched vertices, repeated traversals,
-and disconnected data in one stroke.
+and disconnected data in one stroke; face_subdivision returns that
+triangulation.
 
 Subdividing every face with a cone vertex turns an even embedding into a
 balanced triangulation (parts keep colors 0 and 1, cones get color 2);
@@ -34,7 +35,7 @@ def _canonical_walk(walk: Sequence[int]) -> tuple[int, ...]:
 class EvenEmbedding:
     """A bipartite graph with the even closed walks bounding its faces."""
 
-    __slots__ = ("graph", "walks")
+    __slots__ = ("graph", "walks", "_subdivision")
 
     def __init__(self, graph: BipGraph, walks: Iterable[Sequence[int]]):
         self.graph = graph
@@ -57,30 +58,22 @@ class EvenEmbedding:
                 raise InvalidEmbedding(
                     f"edge {e} lies on {slots.get(e, 0)} walk slots, need 2"
                 )
-        for e in slots:
-            if e not in graph.edges:
-                raise InvalidEmbedding(f"walk uses unknown edge {e}")
-        if graph.min_degree() == 0:
-            raise InvalidEmbedding("isolated vertex")
         if not graph.parts:
             raise InvalidEmbedding("empty graph")
+        if graph.min_degree() == 0:
+            raise InvalidEmbedding("isolated vertex")
+        cone = max(graph.parts) + 1
+        faces = []
+        colors = {v: graph.part(v) for v in graph.parts}
+        for walk in self.walks:
+            faces += [(cone, a, b) for a, b in zip(walk, walk[1:] + walk[:1])]
+            colors[cone] = 2
+            cone += 1
         try:
-            self._subdivide()
+            tri = validate(faces)
         except TriangulationError as exc:
             raise InvalidEmbedding(f"walks do not close up a surface: {exc}") from exc
-
-    def _subdivide(self) -> tuple[Triangulation, Coloring]:
-        cone = max(self.graph.parts) + 1
-        faces = []
-        for walk in self.walks:
-            for a, b in zip(walk, walk[1:] + walk[:1]):
-                faces.append((cone, a, b))
-            cone += 1
-        tri = validate(faces)
-        colors = {v: self.graph.part(v) for v in self.graph.parts}
-        for c in range(max(self.graph.parts) + 1, cone):
-            colors[c] = 2
-        return tri, Coloring(colors)
+        self._subdivision = (tri, Coloring(colors))
 
     @property
     def walk_count(self) -> int:
@@ -106,9 +99,9 @@ def face_subdivision(emb: EvenEmbedding) -> tuple[Triangulation, Coloring]:
 
     Original vertices keep their part as the color, cone vertices get
     color 2 and ids above every graph vertex, one per walk in sorted
-    walk order.
+    walk order.  The triangulation is the one the embedding was validated as.
     """
-    return emb._subdivide()
+    return emb._subdivision
 
 
 def subdivision_vertex_count(emb: EvenEmbedding) -> int:
@@ -152,7 +145,11 @@ def subdivision_obstruction(t1: Triangulation, t2: Triangulation) -> Verdict:
     vertices: if deleting some color class of it leaves minimum degree
     at least 3, every shrinking move on it stays blocked and the smaller
     triangulation cannot be reached.  INCONCLUSIVE promises nothing.
-    Each input's coloring is found; NotBalanced if one has none.
+    The deletion is not built: each vertex's link alternates the two
+    colors other than its own, so deleting a color leaves it half its
+    neighbours, and the test reads degree >= 6 off every vertex of the
+    other two colors.  Each input's coloring is found; NotBalanced if one
+    has none.
     """
     col1, col2 = find_coloring(t1), find_coloring(t2)
     if is_isomorphic(t1, t2):
@@ -166,8 +163,7 @@ def subdivision_obstruction(t1: Triangulation, t2: Triangulation) -> Verdict:
         sides.append((t2, col2))
     for tri, col in sides:
         for color in (0, 1, 2):
-            emb = delete_color_class(tri, col, color)
-            if emb.graph.min_degree() >= 3:
+            if all(tri.degree(v) >= 6 for v in tri.vertices if col[v] != color):
                 return Verdict.UNREACHABLE
     return Verdict.INCONCLUSIVE
 

@@ -429,9 +429,10 @@ def _sites_bes(t: Triangulation, edges):
         yield (a, b, *t.edge_opposites(a, b))
 
 
-def _sites_bew(t: Triangulation, edges):
-    # with degree-4 links q c b d of p and p c a d of q, c and d the thirds of
-    # pq: the patch and its six faces hold
+def _pairs(t: Triangulation, edges):
+    # (p, q, a, b) for each edge pq with degree-4 links q c b d of p and
+    # p c a d of q (c, d the thirds of pq) whose far corners a and b differ
+    # and are not adjacent: the bew sites, and the edges p2flip builds on
     links, edge_faces = t._links, t._edge_faces
     for p, q in edges:
         lp, lq = links[p], links[q]
@@ -439,7 +440,13 @@ def _sites_bew(t: Triangulation, edges):
             continue
         a, b = lq[lq.index(p) - 2], lp[lp.index(q) - 2]
         if a != b and edge_key(a, b) not in edge_faces:
-            yield (p, q)
+            yield p, q, a, b
+
+
+def _sites_bew(t: Triangulation, edges):
+    # the patch and its six faces hold for each of _pairs
+    for p, q, _, _ in _pairs(t, edges):
+        yield (p, q)
 
 
 def _sites_ps(t: Triangulation, vertices):
@@ -492,17 +499,11 @@ def _sites_nflip(t: Triangulation, edges):
 
 
 def _sites_p2flip(t: Triangulation, edges):
-    # with degree-4 links q v3 v4 v5 of p and p v3 v1 v5 of q: the faces hold
-    links, edge_faces = t._links, t._edge_faces
-    for e1, e2 in edges:
-        if len(links[e1]) != 4 or len(links[e2]) != 4:
-            continue
+    # with degree-4 links q v3 v4 v5 of p and p v3 v1 v5 of q: v1 is q's far
+    # corner and v4 p's, so the pair's corners hold, and the faces hold
+    for e1, e2, a, b in _pairs(t, edges):
         thirds = t.edge_opposites(e1, e2)
-        for q, p in ((e1, e2), (e2, e1)):
-            lq, lp = links[q], links[p]
-            v1, v4 = lq[lq.index(p) - 2], lp[lp.index(q) - 2]
-            if edge_key(v1, v4) in edge_faces:
-                continue
+        for q, p, v1, v4 in ((e1, e2, b, a), (e2, e1, a, b)):
             for v3, v5 in (thirds, thirds[::-1]):
                 v2 = t.other_face_third(v1, v3, q)
                 if len({v1, v2, v3, v4, v5, q, p}) == 7:

@@ -28,6 +28,12 @@ _edge_faces rotated once into the link_cycle normal form.  validate() runs
 it on empty indexes with every face, then checks connectivity on the vertex
 graph through the links; _swap_faces runs it on copies of t's indexes.
 
+The two global facts, the 3-coloring and the orientability, are each forced
+once one face is fixed, so both are read off one face walk, _crossings,
+which crosses every edge of every face breadth first from t.faces[0]:
+find_coloring() forces each far corner's color, and is_orientable() each
+far face's orientation sign.
+
 Calls that check a supplied coloring do so in one gate, _coloring(): it
 raises NotBalanced unless is_proper() accepts the coloring, and finds one
 with find_coloring() when none is supplied.
@@ -36,7 +42,7 @@ with find_coloring() when none is supplied.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter, deque
+from collections import Counter
 from itertools import chain
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -330,37 +336,48 @@ def _swap_faces(t: Triangulation, rem: set[Face], add: Sequence[Face]) -> Triang
     return t2
 
 
+def _crossings(t: Triangulation) -> Iterator[tuple[Face, int, int, Face]]:
+    """The face walk: (f, x, y, g) for each edge xy of each face f, g across it.
+
+    Visits the faces breadth first from t.faces[0], the edges of each sorted
+    face f = (a, b, c) in the order ab, ac, bc, so x < y.  On a connected
+    surface it reaches every face, crossing every edge once from each side.
+    """
+    edge_faces = t._edge_faces
+    order = [t.faces[0]]
+    seen = set(order)
+    for f in order:
+        a, b, c = f
+        for x, y in ((a, b), (a, c), (b, c)):
+            g, h = edge_faces[(x, y)]
+            if g == f:
+                g = h
+            yield f, x, y, g
+            if g not in seen:
+                seen.add(g)
+                order.append(g)
+
+
 def is_orientable(t: Triangulation) -> bool:
     """Whether the faces admit globally consistent orientations.
 
-    Orients one face arbitrarily and propagates: across each edge the two
-    incident faces must traverse it in opposite directions.  A conflict
-    anywhere means the surface is non-orientable.
+    Gives each sorted face a sign, +1 for a -> b -> c and -1 for the reverse,
+    starting with +1 on t.faces[0], and propagates it along the face walk
+    _crossings: the two faces on an edge must run it in opposite directions,
+    and an edge x < y runs backward in a sorted face exactly when that face's
+    third corner, its middle one, lies between x and y.  A conflict anywhere
+    means the surface is non-orientable.
     """
-    if t._orientable is not None:
-        return t._orientable
-    orientation: dict[Face, tuple[int, int, int]] = {}
-    first = t.faces[0]
-    orientation[first] = first
-    queue = deque([first])
-    ok = True
-    while queue and ok:
-        f = queue.popleft()
-        a, b, c = orientation[f]
-        for x, y in ((a, b), (b, c), (c, a)):
-            g1, g2 = t._edge_faces[edge_key(x, y)]
-            g = g2 if g1 == f else g1
-            want = (y, x, g[0] + g[1] + g[2] - x - y)
-            if g in orientation:
-                got = orientation[g]
-                if want not in (got, got[1:] + got[:1], got[2:] + got[:2]):
-                    ok = False  # g is not oriented the same way round
-                    break
-            else:
-                orientation[g] = want
-                queue.append(g)
-    t._orientable = ok
-    return ok
+    if t._orientable is None:
+        sign = {t.faces[0]: 1}
+        ok = True
+        for f, x, y, g in _crossings(t):
+            want = -sign[f] if (x != f[1] != y) == (x != g[1] != y) else sign[f]
+            if sign.setdefault(g, want) != want:
+                ok = False
+                break
+        t._orientable = ok
+    return t._orientable
 
 
 def surface_id(t: Triangulation) -> tuple[bool, int]:
@@ -451,36 +468,20 @@ def find_coloring(t: Triangulation) -> Coloring:
     """Find the proper 3-coloring, or raise NotBalanced.
 
     Seeds the lexicographically least face with colors (0, 1, 2) in
-    ascending vertex order and propagates across face adjacencies; the third
-    vertex of each neighboring face is forced.  On a connected triangulation
-    the coloring is unique up to permuting the three colors, so this is
-    canonical given the face set.
+    ascending vertex order and propagates along the face walk _crossings:
+    crossing edge xy forces 3 - color[x] - color[y] onto the far face's third
+    corner.  On a connected triangulation the coloring is unique up to
+    permuting the three colors, so this is canonical given the face set.
     """
-    color: dict[int, int] = {}
-    first = t.faces[0]
-    for c, v in enumerate(first):
-        color[v] = c
-    queue = deque([first])
-    handled = {first}
-    while queue:
-        f = queue.popleft()
-        a, b, c = f
-        for x, y in ((a, b), (a, c), (b, c)):
-            g1, g2 = t._edge_faces[(x, y)]
-            g = g2 if g1 == f else g1
-            z = next(w for w in g if w != x and w != y)
-            forced = 3 - color[x] - color[y]
-            if z in color:
-                if color[z] != forced:
-                    raise NotBalanced(
-                        f"coloring contradiction at vertex {z}: "
-                        f"needs {forced}, already {color[z]}"
-                    )
-            else:
-                color[z] = forced
-            if g not in handled:
-                handled.add(g)
-                queue.append(g)
+    color = {v: c for c, v in enumerate(t.faces[0])}
+    for _, x, y, g in _crossings(t):
+        z = g[0] + g[1] + g[2] - x - y
+        forced = 3 - color[x] - color[y]
+        if color.setdefault(z, forced) != forced:
+            raise NotBalanced(
+                f"coloring contradiction at vertex {z}: "
+                f"needs {forced}, already {color[z]}"
+            )
     col = Coloring(color)
     if not is_proper(t, col):
         raise NotBalanced("propagated coloring is not proper")

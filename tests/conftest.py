@@ -42,6 +42,31 @@ PROJECTIVE_PLANE = [
     (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
 ]
 
+# PROJECTIVE_PLANE # PROJECTIVE_PLANE: face {0,1,2} dropped from two copies,
+# the second copy's other vertices shifted by 3, glued along the hole
+KLEIN_BOTTLE = [f for f in PROJECTIVE_PLANE if f != (0, 1, 2)] + [
+    tuple(v if v < 3 else v + 3 for v in f) for f in PROJECTIVE_PLANE if f != (0, 1, 2)
+]
+
+
+def barycentric(faces):
+    """The barycentric subdivision of faces, with its coloring by simplex
+    dimension: the vertices keep their ids and color 0, then each edge's
+    midpoint (color 1) and each face's barycenter (color 2) take the next
+    ids, in sorted order.  Balanced whatever faces is."""
+    faces = sorted(tuple(sorted(f)) for f in faces)
+    edges = sorted({e for a, b, c in faces for e in ((a, b), (a, c), (b, c))})
+    color = {v: 0 for f in faces for v in f}
+    first = max(color) + 1
+    mid = {e: first + i for i, e in enumerate(edges)}
+    out = []
+    for i, (a, b, c) in enumerate(faces, first + len(edges)):
+        for e in ((a, b), (a, c), (b, c)):
+            out += [(v, mid[e], i) for v in e]
+        color[i] = 2
+    color.update(dict.fromkeys(mid.values(), 1))
+    return out, Coloring(color)
+
 
 def grid_torus(n):
     """The n x n 6-regular torus with its coloring; n must be a multiple of 3."""
@@ -56,6 +81,16 @@ def grid_torus(n):
             faces.append((v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)))
     col = Coloring({v(i, j): (i - j) % 3 for i in range(n) for j in range(n)})
     return validate(faces), col
+
+
+def sparse_relabeled(t, col, seed):
+    """t and col on shuffled ids from 65,536 up, with gaps between them."""
+    rng = random.Random(seed)
+    vs = sorted(t.vertices)
+    image = rng.sample(range(65536, 65536 + 40 * len(vs)), len(vs))
+    phi = dict(zip(vs, image))
+    t2 = validate([tuple(phi[v] for v in f) for f in t.faces])
+    return t2, Coloring({phi[v]: col[v] for v in vs})
 
 
 def walk_sample(seed, *, steps, max_vertices, start="octahedron", kinds=None):
@@ -87,6 +122,23 @@ def mixed_samples_14():
         out.append(
             walk_sample(seed, steps=12, max_vertices=14, start="k333-torus")
         )
+    return out
+
+
+@pytest.fixture(scope="session")
+def non_orientable_samples():
+    """The balanced subdivisions of PROJECTIVE_PLANE and KLEIN_BOTTLE, each
+    followed by three seeded walks from it, at most 4 vertices larger."""
+    out = []
+    for faces in (PROJECTIVE_PLANE, KLEIN_BOTTLE):
+        subdivided, col = barycentric(faces)
+        t = validate(subdivided)
+        out.append((t, col))
+        for seed in range(3):
+            walked = random_walk(
+                t, col, steps=12, seed=seed, max_vertices=t.vertex_count + 4
+            )
+            out.append(walked[:2])
     return out
 
 

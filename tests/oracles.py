@@ -15,6 +15,12 @@ package's rewrite case analysis and must match its output op for op; and
 reference_validate, validate as it read links off per-vertex link graphs
 and searched the face-adjacency graph, which the link-walking validate must
 match index for index and error class for error class; and
+reference_find_coloring and reference_is_orientable, the two separate face
+walks the package once ran, which the one shared walk must match in coloring,
+answer and NotBalanced message; and
+reference_subdivision_obstruction, which builds each color-class deletion
+and reads its minimum degree, and whose verdicts the degree test must
+match; and
 reference_apply_flip, which shares the package's move rules but rebuilds the
 whole triangulation through validate, and which the patching apply_flip must
 match field for field; and reference_bew_patch, the double-subdivision patch
@@ -702,6 +708,97 @@ def reference_validate(face_list):
             f"no closed surface has Euler characteristic {chi} and this orientability"
         )
     return t
+
+
+def reference_is_orientable(t):
+    """is_orientable as the package once wrote it: a breadth-first walk that
+    stores an oriented tuple per face and compares rotations.  Does not read
+    or write t's cached answer."""
+    from baltri.surface import edge_key
+
+    orientation = {}
+    first = t.faces[0]
+    orientation[first] = first
+    queue = deque([first])
+    while queue:
+        f = queue.popleft()
+        a, b, c = orientation[f]
+        for x, y in ((a, b), (b, c), (c, a)):
+            g1, g2 = t._edge_faces[edge_key(x, y)]
+            g = g2 if g1 == f else g1
+            want = (y, x, g[0] + g[1] + g[2] - x - y)
+            if g in orientation:
+                got = orientation[g]
+                if want not in (got, got[1:] + got[:1], got[2:] + got[:2]):
+                    return False  # g is not oriented the same way round
+            else:
+                orientation[g] = want
+                queue.append(g)
+    return True
+
+
+def reference_find_coloring(t):
+    """find_coloring as the package once wrote it: its own breadth-first face
+    walk with a handled set, forcing each far corner's color; NotBalanced on a
+    contradiction or an improper result."""
+    from baltri.errors import NotBalanced
+    from baltri.surface import Coloring, is_proper
+
+    color = {}
+    first = t.faces[0]
+    for c, v in enumerate(first):
+        color[v] = c
+    queue = deque([first])
+    handled = {first}
+    while queue:
+        f = queue.popleft()
+        a, b, c = f
+        for x, y in ((a, b), (a, c), (b, c)):
+            g1, g2 = t._edge_faces[(x, y)]
+            g = g2 if g1 == f else g1
+            z = next(w for w in g if w != x and w != y)
+            forced = 3 - color[x] - color[y]
+            if z in color:
+                if color[z] != forced:
+                    raise NotBalanced(
+                        f"coloring contradiction at vertex {z}: "
+                        f"needs {forced}, already {color[z]}"
+                    )
+            else:
+                color[z] = forced
+            if g not in handled:
+                handled.add(g)
+                queue.append(g)
+    col = Coloring(color)
+    if not is_proper(t, col):
+        raise NotBalanced("propagated coloring is not proper")
+    return col
+
+
+def reference_subdivision_obstruction(t1, t2):
+    """subdivision_obstruction as the package once wrote it: each color class
+    of the larger side deleted in turn, as an EvenEmbedding, and the minimum
+    degree read off the bipartite graph left.  Takes package objects and
+    returns a Verdict."""
+    from baltri.canon import is_isomorphic
+    from baltri.embeddings import Verdict, delete_color_class
+    from baltri.surface import find_coloring, surface_id
+
+    col1, col2 = find_coloring(t1), find_coloring(t2)
+    if is_isomorphic(t1, t2):
+        return Verdict.INCONCLUSIVE
+    if surface_id(t1) != surface_id(t2):
+        return Verdict.UNREACHABLE
+    sides = []
+    if t1.vertex_count >= t2.vertex_count:
+        sides.append((t1, col1))
+    if t2.vertex_count >= t1.vertex_count:
+        sides.append((t2, col2))
+    for tri, col in sides:
+        for color in (0, 1, 2):
+            if delete_color_class(tri, col, color).graph.min_degree() >= 3:
+                return Verdict.UNREACHABLE
+    return Verdict.INCONCLUSIVE
 
 
 def reference_apply_flip(t, site, col=None):

@@ -19,6 +19,7 @@ from baltri import (
     canonical_form,
     is_isomorphic,
     is_proper,
+    surface_name,
     validate,
 )
 from baltri import canon
@@ -32,7 +33,7 @@ from baltri.explorer import (
 )
 from baltri.flips import FlipKind, FlipSite, apply_flip, enumerate_sites
 
-from conftest import grid_torus
+from conftest import grid_torus, sparse_relabeled
 from oracles import (
     brute_isomorphism,
     color_permutations,
@@ -360,6 +361,16 @@ class TestSuspendedSweeps:
                         eager_canonical(s, c, mode)
                     )
 
+    def test_projective_plane_walks(self, non_orientable_samples):
+        # the balanced projective plane and three walks from it
+        for seed, (t, col) in enumerate(non_orientable_samples[:4]):
+            assert surface_name(t) == "projective plane"
+            for s, c in ((t, col), relabeled(t, col, seed)):
+                for mode in ColorMode:
+                    assert as_data(canon._canonical(s, c, mode)) == as_data(
+                        eager_canonical(s, c, mode)
+                    )
+
     def test_only_the_winner_reaches_the_last_face(self, monkeypatch):
         # without automorphisms nothing ties, so each record (a sweep going
         # below the best) used to be swept to the end; now one sweep is
@@ -381,16 +392,6 @@ class TestSuspendedSweeps:
                 records = [sweep for sweep, _ in results if sweep is not None]
                 finished = [s for s in records if len(s[1]) == t.face_count]
                 assert len(finished) == 1 < len(records)
-
-
-def sparse_relabeled(t, col, seed):
-    """t and col on shuffled ids from 65,536 up, with gaps between them."""
-    rng = random.Random(seed)
-    vs = sorted(t.vertices)
-    image = rng.sample(range(65536, 65536 + 40 * len(vs)), len(vs))
-    phi = dict(zip(vs, image))
-    t2 = validate([tuple(phi[v] for v in f) for f in t.faces])
-    return t2, Coloring({phi[v]: col[v] for v in vs})
 
 
 class TestFaceIndex:

@@ -16,6 +16,7 @@ from baltri import (
     subdivision_vertex_count,
     surface_name,
 )
+from baltri import surface
 from baltri.bipartite import BipGraph
 from baltri.embeddings import EvenEmbedding
 from baltri.explorer import (
@@ -23,6 +24,8 @@ from baltri.explorer import (
     build_k333_torus,
     build_octahedron,
 )
+
+from oracles import reference_subdivision_obstruction
 
 
 def square():
@@ -61,6 +64,15 @@ class TestConstruction:
         with pytest.raises(InvalidEmbedding, match="4 walk slots"):
             EvenEmbedding(g, [(0, 1, 0, 1)])
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(InvalidEmbedding, match="^empty graph$"):
+            EvenEmbedding(BipGraph({}, []), [])
+
+    def test_isolated_vertex_rejected(self):
+        g = BipGraph({0: 0, 1: 1, 2: 0, 3: 1, 4: 0}, square().edges)
+        with pytest.raises(InvalidEmbedding, match="^isolated vertex$"):
+            EvenEmbedding(g, [(0, 1, 2, 3), (0, 3, 2, 1)])
+
     def test_pinched_walk_system_rejected(self):
         # two squares sharing one vertex close up into a pinched complex
         g = BipGraph(
@@ -98,6 +110,17 @@ class TestFaceSubdivision:
         t2, col2 = build_cube_subdivision()
         assert t == t2
         assert col == col2
+
+    def test_the_validated_cone_is_returned(self, monkeypatch):
+        calls = []
+        real = surface.validate
+        monkeypatch.setattr(
+            "baltri.embeddings.validate", lambda f: calls.append(f) or real(f)
+        )
+        t, col = build_cube_subdivision()
+        assert len(calls) == 1
+        assert t == real(calls[0])
+        assert face_subdivision(cube_embedding()) == (t, col)
 
     def test_hex_prism_counts(self):
         emb = hex_prism_embedding()
@@ -216,3 +239,26 @@ class TestObstruction:
                 )
                 seen += 1
         assert seen > 0
+
+    def test_degrees_match_the_deleted_classes(
+        self, mixed_samples_14, non_orientable_samples
+    ):
+        # deleting a color halves each other vertex's degree, so the degree
+        # test must give the verdicts of building each deletion; each input
+        # is set against the smallest one on its surface, both ways round
+        inputs = [build_octahedron(), build_k333_torus(), build_cube_subdivision()]
+        inputs += [face_subdivision(hex_prism_embedding())]
+        inputs += mixed_samples_14 + non_orientable_samples
+        by_surface = {}
+        for t, _ in inputs:
+            by_surface.setdefault(surface_name(t), []).append(t)
+        assert len(by_surface) == 4
+        verdicts = []
+        for group in by_surface.values():
+            smallest = min(group, key=lambda t: t.vertex_count)
+            for t in group:
+                for t1, t2 in ((t, smallest), (smallest, t)):
+                    want = reference_subdivision_obstruction(t1, t2)
+                    assert subdivision_obstruction(t1, t2) is want
+                    verdicts.append(want)
+        assert Verdict.UNREACHABLE in verdicts and Verdict.INCONCLUSIVE in verdicts

@@ -21,6 +21,7 @@ from baltri import (
     is_proper,
     subdivision_obstruction,
     surface_name,
+    validate,
     verify_expansion,
 )
 from baltri.explorer import (
@@ -42,7 +43,7 @@ from baltri.flips import (
     inverse_site,
 )
 
-from conftest import _BUILDERS, grid_torus
+from conftest import _BUILDERS, KLEIN_BOTTLE, barycentric, grid_torus
 from oracles import reference_bfs, reference_connect
 
 SPLITS = (FlipKind.PS, FlipKind.PC)
@@ -242,6 +243,13 @@ class TestConnect:
         t2, _ = build_k333_torus()
         with pytest.raises(SurfaceMismatch):
             connect(t1, t2, max_vertices=12, max_states=100)
+
+    def test_torus_and_klein_bottle_mismatch(self):
+        # both have chi = 0: only orientability tells them apart
+        t1, _ = build_k333_torus()
+        t2 = validate(barycentric(KLEIN_BOTTLE)[0])
+        with pytest.raises(SurfaceMismatch):
+            connect(t1, t2, max_vertices=60, max_states=5)
 
     def test_caps_too_small(self):
         t1, _ = build_octahedron()

@@ -23,11 +23,19 @@ from baltri import (
     surface_name,
     validate,
 )
+from baltri.cli import GALLERY
 from baltri.explorer import build_cube_subdivision, build_k333_torus, build_octahedron
 from baltri.surface import _coloring
 
-from conftest import PROJECTIVE_PLANE, walk_sample
-from oracles import reference_validate
+from conftest import (
+    KLEIN_BOTTLE,
+    PROJECTIVE_PLANE,
+    barycentric,
+    grid_torus,
+    sparse_relabeled,
+    walk_sample,
+)
+from oracles import reference_find_coloring, reference_is_orientable, reference_validate
 
 TETRAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
@@ -268,6 +276,26 @@ class TestSurfaces:
         assert surface_id(t) == (False, 1)
         assert surface_name(t) == "projective plane"
 
+    def test_klein_bottle(self):
+        # chi is even, so only the face walk tells it from the torus
+        t = validate(KLEIN_BOTTLE)
+        assert (t.vertex_count, t.face_count) == (9, 18)
+        assert t.euler_characteristic() == 0
+        assert not is_orientable(t)
+        assert surface_id(t) == (False, 2)
+        assert surface_name(t) == "Klein bottle"
+
+    @pytest.mark.parametrize(
+        "faces, vertex_count, name",
+        [(PROJECTIVE_PLANE, 31, "projective plane"), (KLEIN_BOTTLE, 54, "Klein bottle")],
+    )
+    def test_balanced_subdivisions(self, faces, vertex_count, name):
+        subdivided, col = barycentric(faces)
+        t = validate(subdivided)
+        assert t.vertex_count == vertex_count
+        assert is_proper(t, col)
+        assert surface_name(t) == name
+
 
 class TestColoring:
     def test_octahedron_coloring_found_and_proper(self):
@@ -341,3 +369,43 @@ class TestColoring:
         col2 = col.updated({99: 1}, removed=[0])
         assert 0 not in col2
         assert col2[99] == 1
+
+
+def _found_coloring(find, t):
+    """find's coloring of t as a dict, or its NotBalanced class and message."""
+    try:
+        return find(t).as_dict()
+    except NotBalanced as exc:
+        return type(exc), str(exc)
+
+
+def _coned(faces, face):
+    """faces with face split at a new vertex: a degree-3 vertex, unbalanced."""
+    n = max(v for f in faces for v in f) + 1
+    a, b, c = face
+    return [f for f in faces if f != face] + [(a, b, n), (a, c, n), (b, c, n)]
+
+
+class TestFaceWalk:
+    """find_coloring and is_orientable read one face walk; each must match
+    the separate walk it replaced, error message included."""
+
+    def test_matches_the_two_walks(self, mixed_samples_14, non_orientable_samples):
+        balanced = [build() for build in GALLERY.values()]
+        balanced += [grid_torus(n) for n in (3, 6, 9)]
+        balanced += [
+            sparse_relabeled(t, col, seed) for seed, (t, col) in enumerate(mixed_samples_14)
+        ]
+        balanced += non_orientable_samples
+        unbalanced = [TETRAHEDRON, PROJECTIVE_PLANE, KLEIN_BOTTLE]
+        for t, _ in mixed_samples_14[::20] + non_orientable_samples:
+            unbalanced += [_coned(t.faces, t.faces[0]), _coned(t.faces, t.faces[-1])]
+        inputs = [t.faces for t, _ in balanced] + unbalanced
+        outcomes = set()
+        for faces in inputs:
+            t = validate(faces)  # a fresh one, so is_orientable is not cached
+            want = _found_coloring(reference_find_coloring, t)
+            assert _found_coloring(find_coloring, t) == want
+            assert is_orientable(t) is reference_is_orientable(t)
+            outcomes.add((isinstance(want, dict), is_orientable(t)))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
