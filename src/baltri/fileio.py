@@ -29,7 +29,7 @@ sorted order and emit sorted faces and edges.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .bipartite import BipGraph, BipOp, BipOpKind, OP_ARITY
 from .embeddings import EvenEmbedding
@@ -75,38 +75,67 @@ def _header(lines, tag: str, argc: int) -> tuple[list[int], list]:
 def parse_tri(text: str) -> tuple[Triangulation, Coloring | None]:
     """Parse a .tri document; the optional coloring is returned as given.
 
-    Surface validity is enforced (the face list must close up a surface);
-    properness of the coloring is the caller's concern.
+    One pass reads the 'f' lines with int() and the one 'k' line, which may
+    follow them, past blank lines and comments; one bounds check covers every
+    face vertex.  A text it rejects goes to _tri_fault to name the bad line.
+    validate checks the surface; properness of the coloring is the caller's.
     """
-    (nv, nf), rest = _header(_significant_lines(text), "tri", 2)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = filter(None, map(str.split, lines))
     faces: list[tuple[int, int, int]] = []
     colors: list[int] | None = None
+    try:
+        p, tag, nv, nf = next(rows)
+        nv, nf = int(nv), int(nf)
+        for fields in rows:
+            if fields[0] == "f" and len(fields) == 4:
+                faces.append((int(fields[1]) - 1, int(fields[2]) - 1, int(fields[3]) - 1))
+            elif fields[0] == "k" and colors is None:
+                colors = [int(c) for c in fields[1:]]
+            else:
+                _tri_fault(text)
+    except (StopIteration, ValueError):
+        _tri_fault(text)
+    if not (
+        (p, tag) == ("p", "tri")
+        and len(faces) == nf
+        and (colors is None or len(colors) == nv and set(colors) <= {1, 2, 3})
+        and (not faces or min(map(min, faces)) >= 0 and max(map(max, faces)) < nv)
+    ):
+        _tri_fault(text)
+    tri = validate(faces)
+    if tri.vertex_count != nv:
+        raise ParseError(f"header promises {nv} vertices, faces use {tri.vertex_count}")
+    return tri, (Coloring({v: c - 1 for v, c in enumerate(colors)}) if colors else None)
+
+
+def _tri_fault(text: str) -> NoReturn:
+    """Raise the ParseError for a .tri document parse_tri's pass rejected:
+    its first bad line in file order, else its face count."""
+    (nv, nf), rest = _header(_significant_lines(text), "tri", 2)
+    colors: list[int] | None = None
+    found = 0
     for ln, fields in rest:
         if fields[0] == "k":
             if colors is not None:
                 raise ParseError(f"line {ln}: second 'k' line")
-            vals = _int_fields(ln, fields[1:], "colors")
-            if len(vals) != nv:
-                raise ParseError(f"line {ln}: expected {nv} colors, got {len(vals)}")
-            if not all(1 <= c <= 3 for c in vals):
+            colors = _int_fields(ln, fields[1:], "colors")
+            if len(colors) != nv:
+                raise ParseError(f"line {ln}: expected {nv} colors, got {len(colors)}")
+            if not all(1 <= c <= 3 for c in colors):
                 raise ParseError(f"line {ln}: colors must lie in 1..3")
-            colors = vals
         elif fields[0] == "f":
             vals = _int_fields(ln, fields[1:], "face vertices")
             if len(vals) != 3:
                 raise ParseError(f"line {ln}: a face needs 3 vertices, got {len(vals)}")
-            faces.append(tuple(_vertex(ln, v, nv) for v in vals))
+            for v in vals:
+                _vertex(ln, v, nv)
+            found += 1
         else:
             raise ParseError(f"line {ln}: unknown record {fields[0]!r}")
-    if len(faces) != nf:
-        raise ParseError(f"header promises {nf} faces, found {len(faces)}")
-    tri = validate(faces)
-    if tri.vertex_count != nv:
-        raise ParseError(
-            f"header promises {nv} vertices, faces use {tri.vertex_count}"
-        )
-    col = Coloring({v: colors[v] - 1 for v in range(nv)}) if colors else None
-    return tri, col
+    raise ParseError(f"header promises {nf} faces, found {found}")
 
 
 def format_tri(tri: Triangulation, col: Coloring | None = None) -> str:

@@ -484,16 +484,20 @@ def _sites_nflip(t: Triangulation, edges):
     # six vertices are distinct once the chords are missing (v2 = v5, v2 = v6
     # or v3 = v5 would make v3v5 or v2v5 an edge); from v4 first, the same
     # strips come rotated by three
-    edge_faces, third = t._edge_faces, t.other_face_third
+    edge_faces = t._edge_faces
     for v1, v4 in edges:
-        thirds = t.edge_opposites(v1, v4)
-        for v3, v6 in (thirds, thirds[::-1]):
-            v2 = third(v1, v3, v4)
-            v5 = third(v4, v6, v1)
+        f, g = edge_faces[v1, v4]
+        a = f[0] + f[1] + f[2] - v1 - v4
+        b = g[0] + g[1] + g[2] - v1 - v4
+        for v3, v6 in ((a, b), (b, a)):
+            f, g = edge_faces[(v1, v3) if v1 < v3 else (v3, v1)]
+            v2 = (g[0] + g[1] + g[2] if v4 in f else f[0] + f[1] + f[2]) - v1 - v3
+            f, g = edge_faces[(v4, v6) if v4 < v6 else (v6, v4)]
+            v5 = (g[0] + g[1] + g[2] if v1 in f else f[0] + f[1] + f[2]) - v4 - v6
             if (
-                edge_key(v2, v6) not in edge_faces
-                and edge_key(v2, v5) not in edge_faces
-                and edge_key(v3, v5) not in edge_faces
+                ((v2, v6) if v2 < v6 else (v6, v2)) not in edge_faces
+                and ((v2, v5) if v2 < v5 else (v5, v2)) not in edge_faces
+                and ((v3, v5) if v3 < v5 else (v5, v3)) not in edge_faces
             ):
                 yield _hexagon((v1, v2, v3, v4, v5, v6))
 

@@ -469,9 +469,9 @@ def find_coloring(t: Triangulation) -> Coloring:
 
     Seeds the lexicographically least face with colors (0, 1, 2) in
     ascending vertex order and propagates along the face walk _crossings:
-    crossing edge xy forces 3 - color[x] - color[y] onto the far face's third
-    corner.  On a connected triangulation the coloring is unique up to
-    permuting the three colors, so this is canonical given the face set.
+    crossing edge xy forces 3 - color[x] - color[y], the color neither has,
+    onto the far face's third corner.  The walk reaches every face, so the
+    result is proper; it is unique up to permuting the colors, so canonical.
     """
     color = {v: c for c, v in enumerate(t.faces[0])}
     for _, x, y, g in _crossings(t):
@@ -482,10 +482,7 @@ def find_coloring(t: Triangulation) -> Coloring:
                 f"coloring contradiction at vertex {z}: "
                 f"needs {forced}, already {color[z]}"
             )
-    col = Coloring(color)
-    if not is_proper(t, col):
-        raise NotBalanced("propagated coloring is not proper")
-    return col
+    return Coloring(color)
 
 
 def _coloring(t: Triangulation, col: Coloring | None) -> Coloring:

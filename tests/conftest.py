@@ -49,6 +49,15 @@ KLEIN_BOTTLE = [f for f in PROJECTIVE_PLANE if f != (0, 1, 2)] + [
 ]
 
 
+def connected_sum(faces1, faces2):
+    """faces1 # faces2, glued along the first face of each: corner i of
+    faces2[0] becomes corner i of faces1[0], and faces2's other vertices
+    take ids past faces1's."""
+    shift = max(v for f in faces1 for v in f) + 1
+    glue = dict(zip(faces2[0], faces1[0]))
+    return [*faces1[1:], *(tuple(glue.get(v, v + shift) for v in f) for f in faces2[1:])]
+
+
 def barycentric(faces):
     """The barycentric subdivision of faces, with its coloring by simplex
     dimension: the vertices keep their ids and color 0, then each edge's
@@ -140,6 +149,24 @@ def non_orientable_samples():
             )
             out.append(walked[:2])
     return out
+
+
+@pytest.fixture(scope="session")
+def genus_two():
+    """Two k333-torus copies glued along a face, each corner onto itself, so
+    colors match: chi = -2, and each glued vertex has degree 6 + 6 - 2."""
+    t, col = build_k333_torus()
+    shift = t.max_vertex_id + 1
+    color = col.as_dict()
+    color.update({v + shift: c for v, c in col.items() if v not in t.faces[0]})
+    return validate(connected_sum(t.faces, t.faces)), Coloring(color)
+
+
+@pytest.fixture(scope="session")
+def three_crosscaps():
+    """The balanced subdivision of KLEIN_BOTTLE # PROJECTIVE_PLANE: chi = -1."""
+    faces, col = barycentric(connected_sum(KLEIN_BOTTLE, PROJECTIVE_PLANE))
+    return validate(faces), col
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,9 @@ package's rewrite case analysis and must match its output op for op; and
 reference_validate, validate as it read links off per-vertex link graphs
 and searched the face-adjacency graph, which the link-walking validate must
 match index for index and error class for error class; and
+reference_parse_tri, the .tri parser that checked every line as it read it,
+which the one-pass parser must match in faces and colors, or in error class
+and message; and
 reference_find_coloring and reference_is_orientable, the two separate face
 walks the package once ran, which the one shared walk must match in coloring,
 answer and NotBalanced message; and
@@ -708,6 +711,44 @@ def reference_validate(face_list):
             f"no closed surface has Euler characteristic {chi} and this orientability"
         )
     return t
+
+
+def reference_parse_tri(text):
+    """parse_tri as the package once wrote it: every line checked as it is
+    read, through fileio's line helpers."""
+    from baltri.errors import ParseError
+    from baltri.fileio import _header, _int_fields, _significant_lines, _vertex
+    from baltri.surface import Coloring, validate
+
+    (nv, nf), rest = _header(_significant_lines(text), "tri", 2)
+    faces: list[tuple[int, int, int]] = []
+    colors: list[int] | None = None
+    for ln, fields in rest:
+        if fields[0] == "k":
+            if colors is not None:
+                raise ParseError(f"line {ln}: second 'k' line")
+            vals = _int_fields(ln, fields[1:], "colors")
+            if len(vals) != nv:
+                raise ParseError(f"line {ln}: expected {nv} colors, got {len(vals)}")
+            if not all(1 <= c <= 3 for c in vals):
+                raise ParseError(f"line {ln}: colors must lie in 1..3")
+            colors = vals
+        elif fields[0] == "f":
+            vals = _int_fields(ln, fields[1:], "face vertices")
+            if len(vals) != 3:
+                raise ParseError(f"line {ln}: a face needs 3 vertices, got {len(vals)}")
+            faces.append(tuple(_vertex(ln, v, nv) for v in vals))
+        else:
+            raise ParseError(f"line {ln}: unknown record {fields[0]!r}")
+    if len(faces) != nf:
+        raise ParseError(f"header promises {nf} faces, found {len(faces)}")
+    tri = validate(faces)
+    if tri.vertex_count != nv:
+        raise ParseError(
+            f"header promises {nv} vertices, faces use {tri.vertex_count}"
+        )
+    col = Coloring({v: colors[v] - 1 for v in range(nv)}) if colors else None
+    return tri, col
 
 
 def reference_is_orientable(t):

@@ -101,6 +101,32 @@ class TestValidate:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["validate", "FILE.tri"], "# a comment\n\n   \n# and no records\n", "empty input"),
+            (
+                ["bip", "apply", "FILE.bip", "FILE.ops"],
+                "p bip 2 1\nn 0 1\nn 0 1\ne 1 2\n",
+                "line 3: second 'n' line",
+            ),
+            (["apply", "octahedron", "bts 1,3,5"], None, "lacks a ':' separator"),
+            (["apply", "octahedron", "bts:1,0,5"], None, "vertex below 1"),
+        ],
+        ids=["empty-tri", "second-n-line", "no-separator", "vertex-below-1"],
+    )
+    def test_rare_parse_faults_exit_two(self, capsys, tmp_path, argv, text, message):
+        # FILE.tri and FILE.bip hold the text given, FILE.ops a valid script
+        paths = {"FILE.tri": text, "FILE.bip": text, "FILE.ops": "add-leaf 1 3\n"}
+        for name, body in paths.items():
+            (tmp_path / name).write_text(body or "")
+        code, out, err = run(
+            capsys, *(str(tmp_path / a) if a in paths else a for a in argv)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ") and message in err
+
     def test_non_utf8_file_exits_two(self, capsys, tmp_path):
         t, col = build_octahedron()
         p = tmp_path / "octa.tri"

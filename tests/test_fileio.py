@@ -1,9 +1,13 @@
 """Text formats: round trips, renumbering, and line-addressed errors."""
 
+import random
+import re
+
 import pytest
 
 from baltri import (
     Coloring,
+    DuplicateFace,
     NonManifoldEdge,
     ParseError,
     cube_embedding,
@@ -16,12 +20,17 @@ from baltri import (
     parse_bip_script,
     parse_emb,
     parse_tri,
+    surface_name,
     validate,
 )
+from baltri import cli
 from baltri.bipartite import BipOp, BipOpKind
+from baltri.cli import GALLERY
+from baltri.errors import BaltriError
 from baltri.explorer import build_k333_torus, build_octahedron
 
-from conftest import k33, random_bip_case
+from conftest import grid_torus, k33, random_bip_case
+from oracles import reference_parse_tri
 
 OCTA_TEXT = """\
 # the six-vertex sphere
@@ -109,6 +118,27 @@ class TestTri:
         with pytest.raises(NonManifoldEdge):
             parse_tri("p tri 3 1\nf 1 2 3\n")
 
+    def test_only_comments_and_blank_lines(self):
+        with pytest.raises(ParseError, match="^empty input$"):
+            parse_tri("# a comment\n\n   \n\t# and no records\n")
+
+    def test_color_line_after_the_faces(self):
+        lines = OCTA_TEXT.splitlines()
+        t, col = parse_tri("\n".join(lines[:2] + lines[3:] + lines[2:3]))
+        assert (t, col) == build_octahedron()
+
+    def test_round_trip_below_zero_chi(self, genus_two, three_crosscaps):
+        for (t, col), name in (
+            (genus_two, "orientable surface of genus 2"),
+            (three_crosscaps, "non-orientable surface with 3 crosscaps"),
+        ):
+            text = format_tri(t, col)
+            t2, col2 = parse_tri(text)
+            assert format_tri(t2, col2) == text
+            assert surface_name(t2) == name
+            want = reference_parse_tri(text)
+            assert (t2.faces, col2) == (want[0].faces, want[1])
+
     def test_comments_and_blank_lines_are_skipped(self):
         text = "\n\n# leading\n" + OCTA_TEXT.replace(
             "f 2 4 6", "f 2 4 6   # inline comment"
@@ -133,6 +163,10 @@ class TestBip:
     def test_missing_parts_line(self):
         with pytest.raises(ParseError, match="missing 'n'"):
             parse_bip("p bip 2 1\ne 1 2\n")
+
+    def test_second_parts_line(self):
+        with pytest.raises(ParseError, match="^line 3: second 'n' line$"):
+            parse_bip("p bip 2 1\nn 0 1\nn 0 1\ne 1 2\n")
 
     def test_part_bit_out_of_range(self):
         with pytest.raises(ParseError, match="0 or 1"):
@@ -202,3 +236,126 @@ class TestScripts:
     def test_zero_vertex_number(self):
         with pytest.raises(ParseError, match="start at 1"):
             parse_bip_script("add-leaf 0 2\n")
+
+
+# -- the one-pass .tri parser against the line-by-line one ----------------------
+
+FUZZ_CASES = 2400
+# a pattern for each ParseError parse_tri can raise
+FAULTS = (
+    "^empty input$", "expected header 'p tri N N'", "header counts must be integers",
+    "second 'k' line", r"expected \d+ colors", "colors must lie in", "colors must be integers",
+    "face vertices must be integers", "a face needs 3 vertices", r"vertex -?\d+ out of range",
+    "unknown record", r"^header promises \d+ faces", r"^header promises \d+ vertices",
+)
+TOKENS = ("0", "-1", "1", "2", "3", "4", "9", "+2", "07", "1_0", "x", "1.5", "", "k", "f", "p")
+
+
+def _mutated(rng, lines, nv):
+    """lines with one edit: a line dropped, duplicated or swapped, a token
+    changed, a vertex out of range or not an integer, an extra field, a
+    stray 'k' line, the 'k' line moved, a comment, a blank line, a header
+    count off by one, a doubled space, or every line commented out."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    fields = lines[i].split()
+    how = rng.randrange(14 if rng.random() < 0.1 else 13)
+    if how == 0:
+        del lines[i]
+    elif how == 1:
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif how == 2 and fields:
+        fields[rng.randrange(len(fields))] = rng.choice(TOKENS)
+        lines[i] = " ".join(fields)
+    elif how in (3, 4) and len(fields) > 1:
+        bad = ("0", str(nv + 1), "-3", str(2**70)) if how == 3 else ("x", "1.5", "2a", "")
+        fields[rng.randrange(1, len(fields))] = rng.choice(bad)
+        lines[i] = " ".join(fields)
+    elif how == 5:
+        lines[i] += " " + rng.choice(TOKENS[:7])
+    elif how == 6:
+        count = nv + rng.choice((0, 0, 0, -1, 1))
+        colors = " ".join(rng.choice("1231234") for _ in range(count))
+        lines.insert(rng.randrange(len(lines) + 1), f"k {colors}".strip())
+    elif how == 7:
+        ks = [j for j, line in enumerate(lines) if line.startswith("k")]
+        if ks:
+            lines.insert(rng.randrange(len(lines)), lines.pop(ks[0]))
+    elif how == 8:
+        if rng.random() < 0.5:
+            lines.insert(i, rng.choice(("# note", "#", "  # f 1 2 3", "#k 1 2 3")))
+        else:
+            lines[i] += rng.choice(("  # trailing", "#", " #f 1 2"))
+    elif how == 9:
+        lines.insert(i, rng.choice(("", "   ", "\t", " \t ")))
+    elif how == 10 and len(fields) == 4 and fields[0] == "p":
+        j = rng.choice((2, 3))
+        if fields[j].isdigit():
+            fields[j] = str(int(fields[j]) + rng.choice((-1, 1)))
+            lines[i] = " ".join(fields)
+    elif how == 11:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif how == 12:
+        lines[i] = lines[i].replace(" ", "  ", 1)
+    elif how == 13:
+        lines = ["# " + line for line in lines]
+    return lines or [""]
+
+
+@pytest.fixture(scope="module")
+def fuzz_texts(mixed_samples_14):
+    """FUZZ_CASES seeded .tri texts, mutated from the gallery, grid tori and
+    mixed_samples_14, with and without 'k' lines, some with CRLF ends."""
+    bases = [build() for build in GALLERY.values()]
+    bases += [grid_torus(n) for n in (3, 6)] + mixed_samples_14[::10]
+    bases += [(t, None) for t, _ in bases[::2]]
+    rng = random.Random(20170502)
+    texts = []
+    for _ in range(FUZZ_CASES):
+        t, col = rng.choice(bases)
+        lines = format_tri(t, col).splitlines()
+        if rng.random() < 0.3:
+            lines.insert(0, "# " + rng.choice(("header", "a surface", "p tri 1 1")))
+        for _ in range(rng.choice((0, 1, 1, 1, 2, 3))):
+            lines = _mutated(rng, lines, t.vertex_count)
+        end = "\r\n" if rng.random() < 0.2 else "\n"
+        texts.append(end.join(lines) + rng.choice((end, "", end + end)))
+    return texts
+
+
+def _parsed(parse, text):
+    """The faces and colors parse reads off text, or its error's class and message."""
+    try:
+        t, col = parse(text)
+    except (ParseError, BaltriError) as exc:
+        return type(exc), str(exc)
+    return t.faces, None if col is None else col.as_dict()
+
+
+class TestOnePass:
+    """parse_tri must read every text as the line-by-line reference_parse_tri
+    does: the same faces and colors, or the same error, line number included."""
+
+    def test_matches_the_reference(self, fuzz_texts):
+        outcomes = []
+        for text in fuzz_texts:
+            want = _parsed(reference_parse_tri, text)
+            assert _parsed(parse_tri, text) == want, text
+            outcomes.append(want)
+        # every check fires somewhere, and many texts still parse
+        failed = [o for o in outcomes if isinstance(o[0], type)]
+        errors = "\n".join(message for _, message in failed)
+        assert all(re.search(m, errors, re.M) for m in FAULTS), errors
+        assert len(failed) < FUZZ_CASES * 3 // 4
+        assert {kind for kind, _ in failed} >= {ParseError, NonManifoldEdge, DuplicateFace}
+
+    def test_exit_codes_match(self, fuzz_texts, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "case.tri"
+        for text in fuzz_texts[::12]:
+            path.write_bytes(text.encode())
+            got = cli.main(["validate", str(path)]), capsys.readouterr()
+            with monkeypatch.context() as m:
+                m.setattr(cli, "parse_tri", reference_parse_tri)
+                want = cli.main(["validate", str(path)]), capsys.readouterr()
+            assert got == want, text

@@ -377,6 +377,14 @@ class TestSiteStrings:
         with pytest.raises(ParseError):
             site_from_str("bts:1,2,x")
 
+    def test_missing_separator(self):
+        with pytest.raises(ParseError, match="lacks a ':' separator"):
+            site_from_str("bts 1,3,5")
+
+    def test_vertex_below_one(self):
+        with pytest.raises(ParseError, match="vertex below 1"):
+            site_from_str("bts:1,0,5")
+
     def test_arities_match_the_table(self, sphere_samples_12):
         for t, _ in sphere_samples_12[:5]:
             for site in enumerate_sites(t):

@@ -296,6 +296,28 @@ class TestSurfaces:
         assert is_proper(t, col)
         assert surface_name(t) == name
 
+    def test_genus_two(self, genus_two):
+        t, col = genus_two
+        assert (t.vertex_count, t.face_count, t.euler_characteristic()) == (15, 34, -2)
+        assert sorted(t.degree(v) for v in t.vertices) == [6] * 12 + [10] * 3
+        assert is_proper(t, col)
+        assert surface_id(t) == (True, 2)
+        assert surface_name(t) == "orientable surface of genus 2"
+
+    def test_three_crosscaps(self, three_crosscaps):
+        t, col = three_crosscaps
+        assert t.euler_characteristic() == -1
+        assert is_proper(t, col)
+        assert surface_id(t) == (False, 3)
+        assert surface_name(t) == "non-orientable surface with 3 crosscaps"
+
+    def test_below_zero_chi_against_the_reference(self, genus_two, three_crosscaps):
+        rng = random.Random(1)
+        for t, _ in (genus_two, three_crosscaps):
+            faces = [tuple(rng.sample(f, 3)) for f in t.faces]
+            rng.shuffle(faces)
+            assert assert_validates_as_the_reference(faces)[0] == t.faces
+
 
 class TestColoring:
     def test_octahedron_coloring_found_and_proper(self):
@@ -390,13 +412,15 @@ class TestFaceWalk:
     """find_coloring and is_orientable read one face walk; each must match
     the separate walk it replaced, error message included."""
 
-    def test_matches_the_two_walks(self, mixed_samples_14, non_orientable_samples):
+    def test_matches_the_two_walks(
+        self, mixed_samples_14, non_orientable_samples, genus_two, three_crosscaps
+    ):
         balanced = [build() for build in GALLERY.values()]
         balanced += [grid_torus(n) for n in (3, 6, 9)]
         balanced += [
             sparse_relabeled(t, col, seed) for seed, (t, col) in enumerate(mixed_samples_14)
         ]
-        balanced += non_orientable_samples
+        balanced += non_orientable_samples + [genus_two, three_crosscaps]
         unbalanced = [TETRAHEDRON, PROJECTIVE_PLANE, KLEIN_BOTTLE]
         for t, _ in mixed_samples_14[::20] + non_orientable_samples:
             unbalanced += [_coned(t.faces, t.faces[0]), _coned(t.faces, t.faces[-1])]
