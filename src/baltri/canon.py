@@ -14,12 +14,15 @@ as in plantri (Brinkmann & McKay 2007): it is dropped at the first larger
 triple, and at the first smaller one it is suspended, not finished, as the new
 least.  Later sweeps resume it in doubling chunks as far as they compare, and
 a tie compares to the end, so only the winner is finished.  The sweeps run on
-a face index built once per call: each face's corner sum and, per corner, the
-position of the face across the opposite edge.  Crossing an edge is then one
+a face index built once per call from the sorted faces and each edge's two
+faces: each face's corner sum and, per corner, the position of the face
+across the opposite edge.  With the vertex degrees, which pick the start
+flags, that is all a call reads, so the search canonicalizes a child from
+those parts patched, with no Triangulation built (see explorer).  Crossing an edge is then one
 small-int lookup and one byte test, and a face labels only its third corner,
 as the face that queued it labeled the other two.
 
-A sweep that ties the least stream and color suffix to the end proves an
+A sweep that ties the least stream (and a FIXED suffix) to the end proves an
 automorphism: the vertex labeled L by the least sweep goes to the one
 labeled L by this one.  As in nauty (McKay 1981; McKay & Piperno 2014), each
 start flag is joined with its image under it in a union-find, and a flag is
@@ -35,7 +38,14 @@ Color handling appends one byte per relabeled vertex after the face stream;
 the stream length is fixed by (V, F), so byte-wise comparison stays
 lexicographic on (faces, colors).  Up to permutation, colors are renamed in
 order of first appearance along the labels: a proper 3-coloring uses all
-three, so this is the unique permutation with the least suffix.
+three, so this is the unique permutation with the least suffix.  That suffix
+is forced by the stream: its first triple is labels 0, 1, 2, and each later
+triple was queued across an edge whose two corners are labeled, so a new
+third label takes the color they lack.  So it is read off the winner in one
+pass that needs no coloring, and checking that every triple has three colors
+makes the pass a complete balance check (NotBalanced).  A tie is an
+automorphism, which permutes the colors, so ties join at once up to
+permutation; only a FIXED coloring is compared suffix against suffix.
 
 Layout: V, F, then the 3F labels, all big-endian of one width: 2 bytes
 while F < 65536 (which bounds V and every label below 65536), else 4.
@@ -52,7 +62,7 @@ import struct
 from collections import namedtuple
 from itertools import chain
 
-from .errors import MissingColoring
+from .errors import Disconnected, MissingColoring, NotBalanced
 from .surface import Coloring, Triangulation, _coloring, face_key, validate
 
 
@@ -124,27 +134,27 @@ def _advance(ix, sweep, best, stop: int) -> int:
     return order
 
 
-def _face_index(t: Triangulation):
-    """Per face of t.faces: its corner sum, and corner -> the face across."""
-    pos = {f: i for i, f in enumerate(t.faces)}
+def _face_index(faces, edge_faces):
+    """Per face of faces: its corner sum, and corner -> the face across, read
+    off edge_faces, each edge's two faces."""
+    pos = {f: i for i, f in enumerate(faces)}
     across: list[dict[int, int]] = [{} for _ in pos]
-    for (x, y), (f, g) in t._edge_faces.items():
+    for (x, y), (f, g) in edge_faces.items():
         i, j = pos[f], pos[g]
         across[i][f[0] + f[1] + f[2] - x - y] = j
         across[j][g[0] + g[1] + g[2] - x - y] = i
-    return [a + b + c for a, b, c in t.faces], across
+    return [a + b + c for a, b, c in faces], across
 
 
-def _start_flags(t: Triangulation):
+def _start_flags(faces, deg: dict[int, int]):
     """Start flags (face position, u, v) in the least degree-triple class.
 
     The degree triple (deg u, deg v, deg w) of a flag with entry edge u->v
     and third corner w is isomorphism invariant, so the least code over the
     flags with the least triple is the least code over all flags.  Only the
     faces with a corner of the least degree, where that triple starts, count."""
-    deg = {v: len(link) for v, link in t._links.items()}
     low, best_key, flags = min(deg.values()), None, []
-    for i, (a, b, c) in enumerate(t.faces):
+    for i, (a, b, c) in enumerate(faces):
         if low != deg[a] and low != deg[b] and low != deg[c]:
             continue
         for u, v, w in ((a, b, c), (b, a, c), (a, c, b), (c, a, b), (b, c, a), (c, b, a)):
@@ -155,6 +165,21 @@ def _start_flags(t: Triangulation):
                 elif key == best_key:
                     flags.append((i, u, v))
     return flags
+
+
+def _forced_suffix(triples) -> bytes:
+    """The colors of a stream's labels renamed by first appearance, forced
+    along it: the first triple, labels 0, 1, 2, takes colors 0, 1, 2, and a
+    new label the color its triple's other two lack.  NotBalanced unless
+    every triple has three colors: on every face, a complete balance check."""
+    color = bytearray(b"\0\1\2")
+    for a, b, c in triples:
+        x, y = color[a], color[b]
+        if c == len(color) and x != y:
+            color.append(3 - x - y)
+        if x == y or color[c] != 3 - x - y:
+            raise NotBalanced("the faces admit no proper 3-coloring")
+    return bytes(color)
 
 
 def _color_suffix(label: dict[int, int], col: Coloring, mode: ColorMode):
@@ -195,11 +220,12 @@ def canonical_form(
 
 
 def _checked(t, col, mode):
-    """_canonical, a colored mode's coloring first passing surface's gate; the
-    search skips the gate, as its colorings are found or made by flips."""
+    """_canonical, a colored mode's coloring first passing surface's gate."""
     if mode is None:
         mode = ColorMode.IGNORE if col is None else ColorMode.UP_TO_PERMUTATION
-    if mode is not ColorMode.IGNORE and col is not None:
+    if mode is not ColorMode.IGNORE:
+        if col is None:
+            raise MissingColoring(f"mode {mode.value!r} requires a coloring")
         col = _coloring(t, col)
     return _canonical(t, col, mode)
 
@@ -221,13 +247,19 @@ def _decode(code: CanonicalCode) -> tuple[Triangulation, Coloring | None]:
 
 
 def _canonical(t, col, mode):
-    """(code, label map, color renaming or None in IGNORE mode, automorphisms:
-    one map per tie, in t's ids, keeping colors up to one permutation)."""
-    if mode is not ColorMode.IGNORE and col is None:
-        raise MissingColoring(f"mode {mode.value!r} requires a coloring")
-    best = best_suffix = parent = None
+    """_canonical_parts on a validated t."""
+    deg = {v: len(link) for v, link in t._links.items()}
+    return _canonical_parts(t.faces, t._edge_faces, deg, col, mode)
+
+
+def _canonical_parts(faces, edge_faces, deg, col, mode):
+    """(code, label map, color renaming or None, automorphisms: one map per
+    tie, keeping colors up to one permutation) of the sorted faces, each
+    edge's two faces and the degrees.  Only FIXED mode needs col; Disconnected
+    if the winning sweep misses a face, NotBalanced from a forced suffix."""
+    best = parent = None
     gens: list[dict[int, int]] = []
-    ix, flags = _face_index(t), _start_flags(t)
+    ix, flags = _face_index(faces, edge_faces), _start_flags(faces, deg)
     for i, (p, u, v) in enumerate(flags):
         if parent is not None and _find(parent, i) != i:
             continue  # an earlier flag of its class was swept
@@ -235,30 +267,38 @@ def _canonical(t, col, mode):
         if sweep is None:
             continue
         if not tied:
-            best, best_suffix = sweep, None
+            best = sweep
             continue
-        # a tie ran both sweeps to the end, so both label maps are complete
-        if best_suffix is None:
-            best_suffix = _color_suffix(best[0], col, mode)[0]
-        suffix = _color_suffix(sweep[0], col, mode)[0]
-        if suffix < best_suffix:
-            best, best_suffix = sweep, suffix
-        elif suffix == best_suffix:
-            if parent is None:
-                parent = list(range(len(flags)))
-                corners = [(a, b, ix[0][p] - a - b) for p, a, b in flags]
-                index = {c: j for j, c in enumerate(corners)}
-            # label maps list vertices in label order, so zipping them gives
-            # the map sending the best sweep onto this one
-            sigma = dict(zip(best[0], sweep[0]))
-            gens.append(sigma)
-            _join_images(parent, index, corners, sigma)
-    nv, nf = t.vertex_count, len(t.faces)
+        # a tie ran both sweeps to the end, so both label maps are complete;
+        # up to permutation the suffix is a function of the stream, so only
+        # a fixed coloring can break the tie
+        if mode is ColorMode.FIXED:
+            suffix, least = (_color_suffix(s[0], col, mode)[0] for s in (sweep, best))
+            if suffix != least:
+                if suffix < least:
+                    best = sweep
+                continue
+        if parent is None:
+            parent = list(range(len(flags)))
+            corners = [(a, b, ix[0][p] - a - b) for p, a, b in flags]
+            index = {c: j for j, c in enumerate(corners)}
+        # label maps list vertices in label order, so zipping them gives
+        # the map sending the best sweep onto this one
+        sigma = dict(zip(best[0], sweep[0]))
+        gens.append(sigma)
+        _join_images(parent, index, corners, sigma)
+    nv, nf = len(deg), len(faces)
     _advance(ix, best, None, nf)  # only the winner runs to the end
-    best_suffix, best_perm = _color_suffix(best[0], col, mode)
+    if len(best[1]) != nf:
+        raise Disconnected(f"a sweep from one face reaches {len(best[1])} of {nf}")
+    if mode is ColorMode.UP_TO_PERMUTATION:
+        suffix = _forced_suffix(best[1])
+        perm = None if col is None else {col[v]: i for v, i in zip(best[0], range(3))}
+    else:
+        suffix, perm = _color_suffix(best[0], col, mode)
     width = "H" if nf < 65536 else "I"
     body = struct.pack(f">{2 + 3 * nf}{width}", nv, nf, *chain.from_iterable(best[1]))
-    return CanonicalCode(mode.value, body + best_suffix), best[0], best_perm, gens
+    return CanonicalCode(mode.value, body + suffix), best[0], perm, gens
 
 
 def _find(parent: list[int], i: int) -> int:

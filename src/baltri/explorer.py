@@ -11,9 +11,18 @@ codes and decode a state's form only when they expand it: a state costs its
 code, plus its automorphisms until it is expanded.  FlipGraphView.states
 decodes a fresh validated form on each read.
 
-States are codes up to color permutation, and a balanced triangulation
-has one coloring up to it, so bfs, connect and replay_path find their own
-coloring.  random_walk carries one along, checked by surface's gate.
+States are codes up to color permutation, whose suffix the face stream
+forces (see canon), so bfs, connect and replay_path carry no coloring, and
+canonicalizing an input checks that it is balanced.  random_walk carries a
+coloring along, checked by surface's gate.
+
+Children are certified by code.  _child runs the move's rule once and builds
+only what canon reads, each patched from the parent: the sorted faces, the
+edge index (_swap_edges, which checks the touched edges) and the degrees.
+No link is walked and no Triangulation or Coloring built.  A child whose
+code equals a known state's is that state's face set, as the code rebuilds
+the face set; a new code is validated by _decode before it is expanded, and
+connect decodes its meeting state before it returns a path.
 
 bfs and connect apply one site per orbit of the automorphisms canonicalizing
 a state finds (McKay, Isomorph-free exhaustive generation, J. Algorithms 26,
@@ -34,25 +43,20 @@ test comes first, so a record above the cap yields nothing.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .canon import CanonicalCode, ColorMode, is_isomorphic
-from .canon import _canonical, _decode
+from .canon import _canonical, _canonical_parts, _decode
 from .embeddings import cube_embedding, face_subdivision
 from .errors import NotConnectedWithinCaps, SurfaceMismatch
-from .flips import (
-    FlipKind,
-    FlipSite,
-    _map_site,
-    _sites_after,
-    apply_flip,
-    enumerate_sites,
-    inverse_site,
-)
-from .surface import Coloring, Triangulation, find_coloring, surface_id, validate
-from .surface import _coloring
+from .flips import FlipKind, FlipSite, _exchange, _map_site, _sites_after
+from .flips import apply_flip, enumerate_sites
+from .surface import Coloring, Triangulation, surface_id, validate
+from .surface import _coloring, _swap_edges, _swapped
 
 
 # -- stock triangulations ------------------------------------------------------
@@ -147,13 +151,12 @@ def _form_automorphisms(gens, labels: dict[int, int]) -> list[dict[int, int]]:
     return [{labels[x]: labels[y] for x, y in g.items()} for g in gens]
 
 
-def _children(
-    cur: Triangulation, ccol: Coloring, gens, kinds, max_vertices: int, undo=()
-):
-    """(site, code, labels, child automorphisms) per child within the cap,
-    applying only the first site of each orbit of cur's automorphisms gens.
-    An orbit holding a site of undo (site -> the code it returns to) is not
-    applied: it yields (site, code, None, None)."""
+def _children(cur: Triangulation, gens, kinds, max_vertices: int, undo=()):
+    """(site, code, labels, child automorphisms, undo site on cur) per child
+    within the cap, applying only the first site of each orbit of cur's
+    automorphisms gens.  An orbit holding a site of undo (site -> the code
+    it returns to) is not applied: it yields (site, code, None, None, None)."""
+    deg = {v: len(link) for v, link in cur._links.items()}
     sites = enumerate_sites(cur, kinds)
     listed = set(sites) if gens else ()
     covered: set[FlipSite] = set()
@@ -169,10 +172,25 @@ def _children(
                     orbit.append(image)
         parent = next((undo[s] for s in orbit if s in undo), None)
         if parent is not None:
-            yield site, parent, None, None
+            yield site, parent, None, None, None
             continue
-        code, labels, _, child_gens = _canonical(*apply_flip(cur, site, ccol), _MODE)
-        yield site, code, labels, child_gens
+        yield site, *_child(cur, deg, site)
+
+
+def _child(cur: Triangulation, deg: dict[int, int], site: FlipSite):
+    """(code, labels, automorphisms, undo site on cur) of site's child, from
+    only what canon reads: faces, edges and cur's degrees deg, each patched.
+    No link is walked (that waits for _decode) and no Triangulation built."""
+    rem, _, add, _, undo = _exchange(cur, site)
+    add = sorted(add)
+    edge_faces, deg = dict(cur._edge_faces), Counter(deg)
+    _swap_edges(edge_faces, rem, add)
+    deg.update(chain.from_iterable(add))
+    deg.subtract(chain.from_iterable(rem))
+    deg = +deg  # drops the vertices left without faces
+    faces = _swapped(cur, rem, add, len(deg), edge_faces)
+    code, labels, _, gens = _canonical_parts(faces, edge_faces, deg, None, _MODE)
+    return code, labels, gens, tuple.__new__(FlipSite, (site.kind.inverse, undo))
 
 
 def bfs(
@@ -189,8 +207,7 @@ def bfs(
     known ones, and sets the truncated flag.
     """
     kinds = _norm_kinds(kinds)
-    col = find_coloring(t)
-    start, labels, _, gens = _canonical(t, col, _MODE)
+    start, labels, _, gens = _canonical(t, None, _MODE)
     states = {start: start}  # each code to itself, in discovery order
     # per state not yet expanded, on its form: automorphisms, and undo sites
     # recorded by expanded parents (site -> parent code)
@@ -202,9 +219,9 @@ def bfs(
     while frontier:
         nxt: list[CanonicalCode] = []
         for code in sorted(frontier):
-            cur, ccol = _decode(code)
-            for site, ccode, labels, gens in _children(
-                cur, ccol, auts.pop(code), kinds, max_vertices, pending.pop(code, ())
+            cur = _decode(code)[0]
+            for site, ccode, labels, gens, back in _children(
+                cur, auts.pop(code), kinds, max_vertices, pending.pop(code, ())
             ):
                 if ccode not in states:
                     if len(states) >= max_states:
@@ -215,8 +232,7 @@ def bfs(
                     nxt.append(ccode)
                 ccode = states[ccode]  # the edges share one object per code
                 if ccode in auts and site.kind.inverse in kinds:
-                    back = _map_site(inverse_site(cur, site), labels)
-                    pending.setdefault(ccode, {})[back] = code
+                    pending.setdefault(ccode, {})[_map_site(back, labels)] = code
                 edges.add((code, site.kind, ccode))
         frontier = nxt
     ordered = sorted(edges, key=lambda e: (e[0], e[1].value, e[2]))
@@ -229,10 +245,10 @@ def replay_path(
     t: Triangulation, steps: Sequence[FlipSite]
 ) -> tuple[Triangulation, Coloring]:
     """Apply steps where each one addresses the canonical form so far."""
-    # canonical_form past its gate: the coloring was found or carried by flips
-    cur, ccol = _decode(_canonical(t, find_coloring(t), _MODE)[0])
+    # canonical_form with the suffix forced, so no coloring is walked
+    cur, ccol = _decode(_canonical(t, None, _MODE)[0])
     for site in steps:
-        cur, ccol = _decode(_canonical(*apply_flip(cur, site, ccol), _MODE)[0])
+        cur, ccol = _decode(_canonical(apply_flip(cur, site)[0], None, _MODE)[0])
     return cur, ccol
 
 
@@ -263,7 +279,8 @@ def connect(
     """
     kinds = _norm_kinds(kinds)
     back_kinds = tuple(dict.fromkeys(k.inverse for k in kinds))
-    col1, col2 = find_coloring(t1), find_coloring(t2)
+    # canonicalizing both inputs first raises NotBalanced before SurfaceMismatch
+    starts = [_canonical(t, None, _MODE) for t in (t1, t2)]
     if surface_id(t1) != surface_id(t2):
         raise SurfaceMismatch(
             "no flip changes the underlying surface, the inputs lie on two"
@@ -271,14 +288,10 @@ def connect(
 
     # side 0 entry: (parent code, site on the parent form reaching here)
     # side 1 entry: (parent code, site on THIS form stepping toward t2)
-    sides: list[dict[CanonicalCode, tuple]] = [{}, {}]
-    frontiers: list[list[CanonicalCode]] = [[], []]
-    auts = {}  # per state of either side not yet expanded, on its form
-    for idx, (t, col) in enumerate(((t1, col1), (t2, col2))):
-        code, labels, _, gens = _canonical(t, col, _MODE)
-        sides[idx][code] = (None, None)
-        auts[code] = _form_automorphisms(gens, labels)
-        frontiers[idx] = [code]
+    sides: list[dict[CanonicalCode, tuple]] = [{s[0]: (None, None)} for s in starts]
+    frontiers: list[list[CanonicalCode]] = [[s[0]] for s in starts]
+    # per state of either side not yet expanded, on its form
+    auts = {code: _form_automorphisms(gens, labels) for code, labels, _, gens in starts}
 
     def assemble(meet: CanonicalCode) -> list[FlipSite]:
         return _path_to_start(sides[0], meet)[::-1] + _path_to_start(sides[1], meet)
@@ -294,9 +307,9 @@ def connect(
         here, there = sides[idx], sides[1 - idx]
         nxt: list[CanonicalCode] = []
         for code in sorted(frontiers[idx]):
-            cur, ccol = _decode(code)
-            for site, ccode, labels, gens in _children(
-                cur, ccol, auts.pop(code), use_kinds, max_vertices
+            cur = _decode(code)[0]
+            for site, ccode, labels, gens, back in _children(
+                cur, auts.pop(code), use_kinds, max_vertices
             ):
                 if ccode in here:
                     continue
@@ -305,10 +318,10 @@ def connect(
                     continue
                 auts[ccode] = _form_automorphisms(gens, labels)
                 if idx == 1:  # side 1 keeps the undo site, on the child's form
-                    back = inverse_site(cur, site)
                     site = FlipSite(back.kind, tuple(labels[v] for v in back.vertices))
                 here[ccode] = (code, site)
                 if ccode in there:
+                    _decode(ccode)  # a child's code is validated before it is returned
                     return assemble(ccode)
                 nxt.append(ccode)
         frontiers[idx] = nxt

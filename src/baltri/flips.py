@@ -184,9 +184,10 @@ def _need_degree(t: Triangulation, v: int, want: int) -> None:
 # where color sources maps each created vertex id to the existing vertex whose
 # color it copies, and undo is the vertex tuple of the kind.inverse site that
 # takes the move back.
-# The rules are the one checker of a supplied site: apply_flip, inverse_site
-# and site_footprint run them (and rewrites._checked).  enumerate_sites runs
-# none, as its readers list only sites the rules accept.
+# The rules are the one checker of a supplied site: apply_flip and the
+# search's children (through _exchange), inverse_site and site_footprint run
+# them (and rewrites._checked).  enumerate_sites runs none, as its readers
+# list only sites the rules accept.
 
 
 def _fan(w: int, x: int, y: int, z: int) -> tuple[int, int, int, int]:
@@ -334,6 +335,17 @@ _REWRITES = {
 }
 
 
+def _exchange(t: Triangulation, site: FlipSite):
+    """The rule's five parts for site on t, rem as a set, once no face of add
+    repeats another or a face of t that stays."""
+    rem, gone, add, color_src, undo = _REWRITES[site.kind](t, site.vertices)
+    rem = set(rem)
+    for i, f in enumerate(add):  # the precondition checks should rule this out
+        if f in add[:i] or (f not in rem and t.has_face(*f)):
+            raise WouldCreateDuplicateFace(f"face {f} already exists")
+    return rem, gone, add, color_src, undo
+
+
 def apply_flip(
     t: Triangulation,
     site: FlipSite,
@@ -349,14 +361,7 @@ def apply_flip(
     col is carried along unchecked, as moves keep a proper coloring proper;
     NotBalanced means it lacks a vertex the move copies a color from or removes.
     """
-    rem, gone, add, color_src, _ = _REWRITES[site.kind](t, site.vertices)
-    rem = set(rem)
-    new: set[Face] = set()
-    for f in add:
-        # the precondition checks should rule this out
-        if f in new or (f not in rem and t.has_face(*f)):
-            raise WouldCreateDuplicateFace(f"face {f} already exists")
-        new.add(f)
+    rem, gone, add, color_src, _ = _exchange(t, site)
     t2 = _swap_faces(t, rem, add)
     if col is None:
         return t2, None

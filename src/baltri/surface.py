@@ -22,8 +22,9 @@ and max_vertex_id is its last key: validate() builds it in that order, and
 a move only deletes keys or appends ids above max_vertex_id.
 
 Both indexes are written one way, by _index, which swaps some faces for
-others in place: it checks that each touched edge keeps two faces or none,
-and reads each touched link with _walk_link, a walk around the vertex over
+others in place: its edge half, _swap_edges, checks that each touched edge
+keeps two faces or none (the search patches a child's edges with it alone),
+and it reads each touched link with _walk_link, a walk around the vertex over
 _edge_faces rotated once into the link_cycle normal form.  validate() runs
 it on empty indexes with every face, then checks connectivity on the vertex
 graph through the links; _swap_faces runs it on copies of t's indexes.
@@ -197,18 +198,11 @@ def _walk_link(
     return tuple(cycle[i:] + cycle[:i])
 
 
-def _index(
-    edge_faces: dict, links: dict, rem: Collection[Face], add: Sequence[Face]
-) -> None:
-    """Swap the faces rem for the sorted faces add in both indexes, in place.
-
-    The touched edges, those of add and then those only rem has, are checked
-    in insertion order: each must be left on two faces, stored sorted, or on
-    none, and is dropped; else NonManifoldEdge.  Then the link of each vertex
-    of rem or add is walked in ascending order (PinchedVertex), or dropped
-    with its last face.  rem must be faces in edge_faces, and a vertex new to
-    links must exceed its keys, so that they stay ascending.
-    """
+def _swap_edges(edge_faces: dict, rem: Collection[Face], add: Sequence[Face]) -> dict:
+    """The edge half of _index, which returns per vertex of a kept touched
+    edge its other end.  The touched edges, those of add and then those only
+    rem has, are checked in insertion order: each must be left on two faces,
+    stored sorted, or on none, and is dropped; else NonManifoldEdge."""
     around: dict[Edge, list[Face]] = {}
     for f in add:
         a, b, c = f
@@ -232,7 +226,18 @@ def _index(
         u, v = e
         edge_faces[e] = (fs[0], fs[1])
         neighbor[u], neighbor[v] = v, u
+    return neighbor
 
+
+def _index(
+    edge_faces: dict, links: dict, rem: Collection[Face], add: Sequence[Face]
+) -> None:
+    """Swap the faces rem for the sorted faces add in both indexes, in place:
+    _swap_edges patches the edges, then the link of each vertex of rem or add
+    is walked in ascending order (PinchedVertex), or dropped with its last
+    face.  rem must be faces in edge_faces, and a vertex new to links must
+    exceed its keys, so that they stay ascending."""
+    neighbor = _swap_edges(edge_faces, rem, add)
     # Past the edge check, a vertex with faces left has a kept edge to start
     # from: one of add, or one between a face of rem and a face that stays.
     count = Counter(chain.from_iterable(add))
@@ -314,26 +319,33 @@ def _swap_faces(t: Triangulation, rem: set[Face], add: Sequence[Face]) -> Triang
     surface, its connectivity and its orientability carry over from t.  The
     indexes are copied and patched by _index, which checks the touched edges
     in insertion order (NonManifoldEdge) and walks the touched links
-    (PinchedVertex), as validate() does; a changed Euler characteristic
-    raises ImpossibleSurface.  rem must be faces of t, add must not repeat a
-    face of t that stays, and a vertex of add not in t must exceed max_vertex_id.
+    (PinchedVertex), as validate() does; _swapped checks the Euler
+    characteristic.  rem must be faces of t, add must not repeat a face of t
+    that stays, and a vertex of add not in t must exceed max_vertex_id.
     """
     edge_faces, links = dict(t._edge_faces), dict(t._links)
     _index(edge_faces, links, rem, sorted(add))
+    t2 = Triangulation(_swapped(t, rem, add, len(links), edge_faces), edge_faces, links)
+    t2._orientable = t._orientable
+    return t2
+
+
+def _swapped(t: Triangulation, rem: Collection[Face], add: Sequence[Face], nv, edge_faces):
+    """t's sorted faces with rem exchanged for add, as a tuple, once nv
+    vertices and the patched edge_faces keep t's Euler characteristic, else
+    ImpossibleSurface."""
     faces = list(t.faces)
     for f in rem:
         del faces[bisect_left(faces, f)]
     for f in add:
         insort(faces, f)
-    t2 = Triangulation(tuple(faces), edge_faces, links)
-    chi = t.euler_characteristic()
-    if t2.euler_characteristic() != chi:
+    chi, after = t.euler_characteristic(), nv - len(edge_faces) + len(faces)
+    if after != chi:
         raise ImpossibleSurface(
             f"swapping {len(rem)} faces for {len(add)} changes the Euler "
-            f"characteristic from {chi} to {t2.euler_characteristic()}"
+            f"characteristic from {chi} to {after}"
         )
-    t2._orientable = t._orientable
-    return t2
+    return tuple(faces)
 
 
 def _crossings(t: Triangulation) -> Iterator[tuple[Face, int, int, Face]]:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from baltri import (
     NotApplicable,
     PreconditionViolated,
+    RewriteBudgetExceeded,
     RewriteUnsound,
     WrongDegree,
 )
@@ -356,6 +357,26 @@ class TestNormalize:
         monkeypatch.setattr("baltri.bipartite.find_isomorphism", lambda g1, g2: None)
         with pytest.raises(RewriteUnsound):
             normalize_sequence(k33(), CANCELLING)
+
+    def test_a_rewrite_that_never_moves_the_inverse_runs_out_of_budget(
+        self, monkeypatch
+    ):
+        # [f, inv] back unchanged: the graph is kept, but the inverse op
+        # never leaves its place, so the |ops|^2 step budget runs out
+        monkeypatch.setattr(
+            "baltri.bipartite._rewrite_pair", lambda before, f, inv, fresh: [f, inv]
+        )
+        with pytest.raises(RewriteBudgetExceeded, match="exceeded 4 rewriting steps"):
+            normalize_sequence(k33(), CANCELLING)
+
+    def test_a_rewrite_that_stops_applying_is_unsound(self, monkeypatch):
+        # [inv] alone deletes the leaf f was to add, which k33 lacks
+        monkeypatch.setattr(
+            "baltri.bipartite._rewrite_pair", lambda before, f, inv, fresh: [inv]
+        )
+        with pytest.raises(RewriteUnsound, match="stopped applying") as err:
+            normalize_sequence(k33(), CANCELLING)
+        assert isinstance(err.value.__cause__, NotApplicable)
 
     def test_failed_rewrite_check_survives_optimization(self):
         code = (

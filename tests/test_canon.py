@@ -402,7 +402,8 @@ class TestFaceIndex:
         inputs = list(mixed_samples_14) + grown_samples()
         inputs += [grid_torus(n) for n in (3, 6, 12)]
         for t, _ in inputs:
-            flags = [(t.faces[i], u, v) for i, u, v in canon._start_flags(t)]
+            deg = {v: t.degree(v) for v in t.vertices}
+            flags = [(t.faces[i], u, v) for i, u, v in canon._start_flags(t.faces, deg)]
             assert flags == reference_start_flags(t)
 
     def test_edge_index_order_does_not_matter(self, mixed_samples_14):

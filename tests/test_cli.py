@@ -5,11 +5,11 @@ import os
 
 import pytest
 
-from baltri import FlipKind, parse_bip, parse_tri, format_tri, surface_name
+from baltri import FlipKind, parse_bip, parse_tri, format_tri, surface_name, validate
 from baltri.cli import GALLERY, _build_parser, main
 from baltri.explorer import build_octahedron
 
-from conftest import run_python
+from conftest import PROJECTIVE_PLANE, run_python
 from oracles import reference_bfs
 
 
@@ -321,6 +321,26 @@ class TestConnect:
         assert out == ""
         empty = "frontier empty under the vertex cap"
         assert f"2 from the first input ({empty}), 1 from the second ({empty})" in err
+
+
+    def test_unbalanced_inputs_fail_at_the_gate_in_input_order(self, capsys, tmp_path):
+        # each input passes the coloring gate once, the first input first,
+        # so an unbalanced input is named before any surface mismatch
+        odd = tmp_path / "odd.tri"
+        odd.write_text(format_tri(validate(PROJECTIVE_PLANE), None))
+        t, col = build_octahedron()
+        bad = tmp_path / "bad.tri"
+        bad.write_text(format_tri(t, col).replace("k 1 1 2 2 3 3", "k 1 1 1 2 3 3"))
+        forced = "error: coloring contradiction at vertex 4: needs 1, already 0\n"
+        improper = "error: the coloring is not proper: an edge has one color twice\n"
+        for argv, message in [
+            (("connect", odd, bad), forced),
+            (("connect", bad, odd), improper),
+            (("connect", "k333-torus", odd), forced),
+            (("bfs", odd), forced),
+        ]:
+            got = run(capsys, *map(str, argv), *_CAPS)
+            assert got == (1, "", message)
 
 
 class TestBfs:

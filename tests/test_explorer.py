@@ -401,11 +401,12 @@ class TestOrbitPruning:
         assert moved == set(FlipKind)
 
     def test_the_bench_bfs_applies_fewer_sites(self, monkeypatch):
-        # unpruned, this ball applies 11,082 sites for its 4,290 edges
+        # unpruned, this ball applies 11,082 sites for its 4,290 edges; the
+        # search canonicalizes each child it applies on the child path
         calls = []
-        real = explorer.apply_flip
+        real = explorer._child
         monkeypatch.setattr(
-            explorer, "apply_flip", lambda *args: calls.append(args) or real(*args)
+            explorer, "_child", lambda *args: calls.append(args) or real(*args)
         )
         t, col = build_cube_subdivision()
         view = bfs(t, kinds=BENCH_KINDS, max_vertices=16, max_states=400)
@@ -416,9 +417,9 @@ class TestOrbitPruning:
         # applying every orbit, this ball applies 6,352 sites, and 3,176 of
         # them lead back to a state already expanded: the recorded undos
         calls = []
-        real = explorer.apply_flip
+        real = explorer._child
         monkeypatch.setattr(
-            explorer, "apply_flip", lambda *args: calls.append(args) or real(*args)
+            explorer, "_child", lambda *args: calls.append(args) or real(*args)
         )
         t, col = build_cube_subdivision()
         view = bfs(t, kinds=BENCH_KINDS, max_vertices=16, max_states=400)
