@@ -28,11 +28,11 @@ labeled L by this one.  As in nauty (McKay 1981; McKay & Piperno 2014), each
 start flag is joined with its image under it in a union-find, and a flag is
 skipped once an earlier flag of its class was swept.  A class shares one
 stream and suffix, so the first flag reaching the least is never skipped:
-code, label map and color renaming are unchanged, and symmetric inputs sweep
-a few flags per orbit, not |Aut| of them.  The union-find is built at the
-first tie, so inputs without automorphisms run the plain loop.  _canonical
-also returns these automorphisms, one per tie, and the flip-graph search
-uses them to apply one flip site per orbit (see explorer).
+code and label map are unchanged, and symmetric inputs sweep a few flags per
+orbit, not |Aut| of them.  The union-find is built at the first tie, so
+inputs without automorphisms run the plain loop.  _canonical also returns
+these automorphisms, one per tie, and the flip-graph search uses them to
+apply one flip site per orbit (see explorer).
 
 Color handling appends one byte per relabeled vertex after the face stream;
 the stream length is fixed by (V, F), so byte-wise comparison stays
@@ -182,17 +182,6 @@ def _forced_suffix(triples) -> bytes:
     return bytes(color)
 
 
-def _color_suffix(label: dict[int, int], col: Coloring, mode: ColorMode):
-    """Colors in label order and their renaming, for a proper coloring."""
-    if mode is ColorMode.IGNORE:
-        return b"", None
-    colors = [col[v] for v in label]
-    perm = {0: 0, 1: 1, 2: 2}
-    if mode is not ColorMode.FIXED:
-        perm = {c: i for i, c in enumerate(dict.fromkeys(colors))}
-    return bytes(map(perm.__getitem__, colors)), perm
-
-
 def canonical_code(
     t: Triangulation,
     col: Coloring | None = None,
@@ -215,7 +204,7 @@ def canonical_form(
     representatives, which makes the form usable as a search-state key that
     can still be flipped further.  Raises NotBalanced as canonical_code does.
     """
-    code, labels, _, _ = _checked(t, col, mode)
+    code, labels, _ = _checked(t, col, mode)
     return (*_decode(code), labels)
 
 
@@ -253,10 +242,10 @@ def _canonical(t, col, mode):
 
 
 def _canonical_parts(faces, edge_faces, deg, col, mode):
-    """(code, label map, color renaming or None, automorphisms: one map per
-    tie, keeping colors up to one permutation) of the sorted faces, each
-    edge's two faces and the degrees.  Only FIXED mode needs col; Disconnected
-    if the winning sweep misses a face, NotBalanced from a forced suffix."""
+    """(code, label map, automorphisms: one map per tie, keeping colors up
+    to one permutation) of the sorted faces, each edge's two faces and the
+    degrees.  Only FIXED mode needs col; Disconnected if the winning sweep
+    misses a face, NotBalanced from a forced suffix."""
     best = parent = None
     gens: list[dict[int, int]] = []
     ix, flags = _face_index(faces, edge_faces), _start_flags(faces, deg)
@@ -273,7 +262,7 @@ def _canonical_parts(faces, edge_faces, deg, col, mode):
         # up to permutation the suffix is a function of the stream, so only
         # a fixed coloring can break the tie
         if mode is ColorMode.FIXED:
-            suffix, least = (_color_suffix(s[0], col, mode)[0] for s in (sweep, best))
+            suffix, least = (bytes(col[v] for v in s[0]) for s in (sweep, best))
             if suffix != least:
                 if suffix < least:
                     best = sweep
@@ -291,14 +280,14 @@ def _canonical_parts(faces, edge_faces, deg, col, mode):
     _advance(ix, best, None, nf)  # only the winner runs to the end
     if len(best[1]) != nf:
         raise Disconnected(f"a sweep from one face reaches {len(best[1])} of {nf}")
+    suffix = b""
     if mode is ColorMode.UP_TO_PERMUTATION:
         suffix = _forced_suffix(best[1])
-        perm = None if col is None else {col[v]: i for v, i in zip(best[0], range(3))}
-    else:
-        suffix, perm = _color_suffix(best[0], col, mode)
+    elif mode is ColorMode.FIXED:
+        suffix = bytes(col[v] for v in best[0])
     width = "H" if nf < 65536 else "I"
     body = struct.pack(f">{2 + 3 * nf}{width}", nv, nf, *chain.from_iterable(best[1]))
-    return CanonicalCode(mode.value, body + suffix), best[0], perm, gens
+    return CanonicalCode(mode.value, body + suffix), best[0], gens
 
 
 def _find(parent: list[int], i: int) -> int:

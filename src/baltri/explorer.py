@@ -31,13 +31,13 @@ the same code and kind.  In enumerate_sites order, each site not yet covered
 is applied and covers its listed images, so the first site reaching each
 child, and with it every edge, state, truncation and path, is unchanged.
 
-Moves come in inverse pairs (bts/btw, bes/bew, ps/pc), so a bfs edge P->C
-also proves C->P: if the inverse kind is searched and C is not yet expanded,
-bfs records the undo site on C's form with P's code.  Expanding C, an orbit
-holding a recorded site yields its edge to P unapplied.  The site's child is
-isomorphic to P, and so is each listed image's; P is already a state, so no
-state, state order or truncation (set only by a new code) changes.  The cap
-test comes first, so a record above the cap yields nothing.
+Moves come in inverse pairs (bts/btw, bes/bew, ps/pc), so a search edge
+P->C also proves C->P: if the inverse kind is searched and C is not yet
+expanded, _level records the undo site on C's form with P's code, for bfs
+and connect alike.  Expanding C, an orbit holding a recorded site yields P
+unapplied.  The site's child is isomorphic to P, and so is each listed
+image's; P is already a state, so no state, state order, truncation or path
+changes.  The cap test comes first, so a record above the cap yields nothing.
 """
 
 from __future__ import annotations
@@ -151,32 +151,6 @@ def _form_automorphisms(gens, labels: dict[int, int]) -> list[dict[int, int]]:
     return [{labels[x]: labels[y] for x, y in g.items()} for g in gens]
 
 
-def _children(cur: Triangulation, gens, kinds, max_vertices: int, undo=()):
-    """(site, code, labels, child automorphisms, undo site on cur) per child
-    within the cap, applying only the first site of each orbit of cur's
-    automorphisms gens.  An orbit holding a site of undo (site -> the code
-    it returns to) is not applied: it yields (site, code, None, None, None)."""
-    deg = {v: len(link) for v, link in cur._links.items()}
-    sites = enumerate_sites(cur, kinds)
-    listed = set(sites) if gens else ()
-    covered: set[FlipSite] = set()
-    for site in sites:
-        if cur.vertex_count + site.kind.delta > max_vertices or site in covered:
-            continue
-        orbit = [site]
-        for s in orbit:  # grows as it is read; an unlisted image starts its own
-            for g in gens:
-                image = _map_site(s, g)
-                if image in listed and image not in covered:
-                    covered.add(image)
-                    orbit.append(image)
-        parent = next((undo[s] for s in orbit if s in undo), None)
-        if parent is not None:
-            yield site, parent, None, None, None
-            continue
-        yield site, *_child(cur, deg, site)
-
-
 def _child(cur: Triangulation, deg: dict[int, int], site: FlipSite):
     """(code, labels, automorphisms, undo site on cur) of site's child, from
     only what canon reads: faces, edges and cur's degrees deg, each patched.
@@ -189,8 +163,42 @@ def _child(cur: Triangulation, deg: dict[int, int], site: FlipSite):
     deg.subtract(chain.from_iterable(rem))
     deg = +deg  # drops the vertices left without faces
     faces = _swapped(cur, rem, add, len(deg), edge_faces)
-    code, labels, _, gens = _canonical_parts(faces, edge_faces, deg, None, _MODE)
+    code, labels, gens = _canonical_parts(faces, edge_faces, deg, None, _MODE)
     return code, labels, gens, tuple.__new__(FlipSite, (site.kind.inverse, undo))
+
+
+def _level(frontier, auts, undo, kinds, max_vertices: int):
+    """Expand frontier's codes in sorted order, popping their automorphisms
+    from auts and undo records (site -> code) from undo.  Per orbit, yields
+    (code, site, child code, child automorphisms, undo site), the last two
+    on the child's form; an orbit holding a record yields its code, None,
+    None unapplied.  A child the caller left in auts gets its undo recorded."""
+    for code in sorted(frontier):
+        cur = _decode(code)[0]
+        gens, back_to = auts.pop(code), undo.pop(code, {})
+        deg = {v: len(link) for v, link in cur._links.items()}
+        sites = enumerate_sites(cur, kinds)
+        listed = set(sites) if gens else ()
+        covered: set[FlipSite] = set()
+        for site in sites:
+            if cur.vertex_count + site.kind.delta > max_vertices or site in covered:
+                continue
+            orbit = [site]
+            for s in orbit:  # grows as it is read; an unlisted image starts its own
+                for g in gens:
+                    image = _map_site(s, g)
+                    if image in listed and image not in covered:
+                        covered.add(image)
+                        orbit.append(image)
+            parent = next((back_to[s] for s in orbit if s in back_to), None)
+            if parent is not None:
+                yield code, site, parent, None, None
+                continue
+            ccode, labels, cgens, back = _child(cur, deg, site)
+            mapped = tuple.__new__(FlipSite, (back.kind, tuple(labels[v] for v in back.vertices)))
+            yield code, site, ccode, _form_automorphisms(cgens, labels), mapped
+            if ccode in auts and back.kind in kinds:
+                undo.setdefault(ccode, {})[_map_site(back, labels)] = code
 
 
 def bfs(
@@ -207,33 +215,24 @@ def bfs(
     known ones, and sets the truncated flag.
     """
     kinds = _norm_kinds(kinds)
-    start, labels, _, gens = _canonical(t, None, _MODE)
+    start, labels, gens = _canonical(t, None, _MODE)
     states = {start: start}  # each code to itself, in discovery order
-    # per state not yet expanded, on its form: automorphisms, and undo sites
-    # recorded by expanded parents (site -> parent code)
-    auts = {start: _form_automorphisms(gens, labels)}
-    pending: dict[CanonicalCode, dict[FlipSite, CanonicalCode]] = {}
+    auts = {start: _form_automorphisms(gens, labels)}  # per state not yet expanded
+    undo: dict[CanonicalCode, dict[FlipSite, CanonicalCode]] = {}
     edges: set[tuple[CanonicalCode, FlipKind, CanonicalCode]] = set()
     frontier = [start]
     truncated = False
     while frontier:
         nxt: list[CanonicalCode] = []
-        for code in sorted(frontier):
-            cur = _decode(code)[0]
-            for site, ccode, labels, gens, back in _children(
-                cur, auts.pop(code), kinds, max_vertices, pending.pop(code, ())
-            ):
-                if ccode not in states:
-                    if len(states) >= max_states:
-                        truncated = True
-                        continue
-                    states[ccode] = ccode
-                    auts[ccode] = _form_automorphisms(gens, labels)
-                    nxt.append(ccode)
-                ccode = states[ccode]  # the edges share one object per code
-                if ccode in auts and site.kind.inverse in kinds:
-                    pending.setdefault(ccode, {})[_map_site(back, labels)] = code
-                edges.add((code, site.kind, ccode))
+        for code, site, ccode, cauts, _ in _level(frontier, auts, undo, kinds, max_vertices):
+            if ccode not in states:
+                if len(states) >= max_states:
+                    truncated = True
+                    continue
+                states[ccode] = ccode
+                auts[ccode] = cauts
+                nxt.append(ccode)
+            edges.add((code, site.kind, states[ccode]))  # one object per code
         frontier = nxt
     ordered = sorted(edges, key=lambda e: (e[0], e[1].value, e[2]))
     return FlipGraphView(start, _Forms(states), tuple(ordered), truncated)
@@ -291,7 +290,8 @@ def connect(
     sides: list[dict[CanonicalCode, tuple]] = [{s[0]: (None, None)} for s in starts]
     frontiers: list[list[CanonicalCode]] = [[s[0]] for s in starts]
     # per state of either side not yet expanded, on its form
-    auts = {code: _form_automorphisms(gens, labels) for code, labels, _, gens in starts}
+    auts = {code: _form_automorphisms(gens, labels) for code, labels, gens in starts}
+    undo: dict[CanonicalCode, dict[FlipSite, CanonicalCode]] = {}
 
     def assemble(meet: CanonicalCode) -> list[FlipSite]:
         return _path_to_start(sides[0], meet)[::-1] + _path_to_start(sides[1], meet)
@@ -306,24 +306,20 @@ def connect(
         use_kinds = kinds if idx == 0 else back_kinds
         here, there = sides[idx], sides[1 - idx]
         nxt: list[CanonicalCode] = []
-        for code in sorted(frontiers[idx]):
-            cur = _decode(code)[0]
-            for site, ccode, labels, gens, back in _children(
-                cur, auts.pop(code), use_kinds, max_vertices
-            ):
-                if ccode in here:
-                    continue
-                # a state closing the path is admitted even past the cap
-                if len(here) >= max_states and ccode not in there:
-                    continue
-                auts[ccode] = _form_automorphisms(gens, labels)
-                if idx == 1:  # side 1 keeps the undo site, on the child's form
-                    site = FlipSite(back.kind, tuple(labels[v] for v in back.vertices))
-                here[ccode] = (code, site)
-                if ccode in there:
-                    _decode(ccode)  # a child's code is validated before it is returned
-                    return assemble(ccode)
-                nxt.append(ccode)
+        for code, site, ccode, cauts, back in _level(
+            frontiers[idx], auts, undo, use_kinds, max_vertices
+        ):
+            if ccode in here:
+                continue
+            # a state closing the path is admitted even past the cap
+            if len(here) >= max_states and ccode not in there:
+                continue
+            auts[ccode] = cauts
+            here[ccode] = (code, back if idx else site)  # side 1 keeps the undo site
+            if ccode in there:
+                _decode(ccode)  # a child's code is validated before it is returned
+                return assemble(ccode)
+            nxt.append(ccode)
         frontiers[idx] = nxt
         if len(here) >= max_states:
             stopped[idx] = "state cap reached"

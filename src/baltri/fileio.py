@@ -21,20 +21,25 @@ operation script (.ops)     one op per line:
                             add-corner x y z w  del-leaf w
                             smooth-path u p q v del-corner w
 
-Parsers report malformed text as ParseError with a line number; semantic
-failures (a face list that is no surface, walks that close nothing) keep
-their own exception types.  Writers renumber vertices contiguously in
-sorted order and emit sorted faces and edges.
+Numbers are plain decimal, an optional '-' then ASCII digits.  Parsers
+report malformed text as ParseError with a line number; semantic failures
+(a face list that is no surface, walks that close nothing) keep their own
+exception types.  Writers renumber vertices contiguously in sorted order
+and emit sorted faces and edges.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NoReturn, Sequence
 
 from .bipartite import BipGraph, BipOp, BipOpKind, OP_ARITY
 from .embeddings import EvenEmbedding
 from .errors import ParseError
 from .surface import Coloring, Triangulation, validate
+
+# a character that int() reads in a number and plain decimal refuses
+_NOT_DECIMAL = re.compile(r"[+_]|[^\x00-\x7f\s]")
 
 
 def _significant_lines(text: str) -> list[tuple[int, list[str]]]:
@@ -47,10 +52,14 @@ def _significant_lines(text: str) -> list[tuple[int, list[str]]]:
 
 
 def _int_fields(ln: int, fields: Sequence[str], what: str) -> list[int]:
-    try:
-        return [int(f) for f in fields]
-    except ValueError:
-        raise ParseError(f"line {ln}: {what} must be integers, got {fields!r}")
+    # without '+', '_' and non-ASCII characters int() reads plain decimal only
+    joined = "".join(fields)
+    if joined.isascii() and "+" not in joined and "_" not in joined:
+        try:
+            return [int(f) for f in fields]
+        except ValueError:
+            pass
+    raise ParseError(f"line {ln}: {what} must be integers, got {fields!r}")
 
 
 def _vertex(ln: int, value: int, count: int) -> int:
@@ -77,8 +86,9 @@ def parse_tri(text: str) -> tuple[Triangulation, Coloring | None]:
 
     One pass reads the 'f' lines with int() and the one 'k' line, which may
     follow them, past blank lines and comments; one bounds check covers every
-    face vertex.  A text it rejects goes to _tri_fault to name the bad line.
-    validate checks the surface; properness of the coloring is the caller's.
+    face vertex, and one search every number (_NOT_DECIMAL).  A text it
+    rejects goes to _tri_fault to name the bad line.  validate checks the
+    surface; properness of the coloring is the caller's.
     """
     lines = text.splitlines()
     if "#" in text:
@@ -100,6 +110,7 @@ def parse_tri(text: str) -> tuple[Triangulation, Coloring | None]:
         _tri_fault(text)
     if not (
         (p, tag) == ("p", "tri")
+        and not _NOT_DECIMAL.search("\n".join(lines))
         and len(faces) == nf
         and (colors is None or len(colors) == nv and set(colors) <= {1, 2, 3})
         and (not faces or min(map(min, faces)) >= 0 and max(map(max, faces)) < nv)

@@ -7,7 +7,7 @@ The exceptions are reference_canonical, the slow form of the package's own
 canonical code, which the fast path must match byte for byte;
 eager_canonical, the sweep loop that runs every new least sweep to the end
 over t's edge index, which the suspending one over a face index must match
-in code, label map, color renaming and automorphisms; reference_start_flags,
+in code, label map and automorphisms; reference_start_flags,
 which reads the degree triple of every flag, and which the start flags read
 only off faces with a corner of the least degree must match flag for flag;
 reference_normalize, the replay-from-scratch normalizer, which shares the
@@ -249,20 +249,33 @@ def reference_start_flags(t):
     return flags
 
 
+def color_suffix(label, col, mode):
+    """The colors of col in label order as bytes, and the color renaming
+    they went through: the identity in FIXED mode, first appearance up to
+    permutation; (b"", None) when colors are ignored or col is None."""
+    from baltri.canon import ColorMode
+
+    if mode is ColorMode.IGNORE or col is None:
+        return b"", None
+    colors = [col[v] for v in label]
+    perm = {0: 0, 1: 1, 2: 2}
+    if mode is not ColorMode.FIXED:
+        perm = {c: i for i, c in enumerate(dict.fromkeys(colors))}
+    return bytes(map(perm.__getitem__, colors)), perm
+
+
 def eager_canonical(t, col, mode):
     """_canonical with every sweep that goes below the best run to the end.
 
-    Takes package objects and returns _canonical's (code, label map, color
-    renaming, automorphisms).  Each sweep runs until its first triple larger
-    than the least stream so far, or to the end; the suspending _canonical
-    must match it in all four, label order and generator order included.
+    Takes package objects and returns _canonical's (code, label map,
+    automorphisms).  Each sweep runs until its first triple larger than the
+    least stream so far, or to the end; the suspending _canonical must match
+    it in all three, label order and generator order included.
     """
     import struct
     from itertools import chain
 
-    from baltri.canon import (
-        CanonicalCode, ColorMode, _color_suffix, _find, _join_images,
-    )
+    from baltri.canon import CanonicalCode, _find, _join_images
 
     def sweep(face, u, v, best):
         label, out, visited, queue, head = {}, [], {face}, [(face, u, v)], 0
@@ -285,7 +298,7 @@ def eager_canonical(t, col, mode):
                     queue.append((g, y, x))
         return out, label, tied
 
-    best = best_labels = best_perm = parent = None
+    best = best_labels = parent = None
     best_suffix = b""
     gens = []
     flags = reference_start_flags(t)
@@ -295,12 +308,9 @@ def eager_canonical(t, col, mode):
         stream, labels, tied = sweep(f, u, v, best)
         if stream is None:
             continue
-        suffix, perm = b"", None
-        if mode is not ColorMode.IGNORE:
-            suffix, perm = _color_suffix(labels, col, mode)
+        suffix = color_suffix(labels, col, mode)[0]
         if not tied or suffix < best_suffix:
-            best, best_suffix = stream, suffix
-            best_labels, best_perm = labels, perm
+            best, best_suffix, best_labels = stream, suffix, labels
         elif suffix == best_suffix:
             if parent is None:
                 parent = list(range(len(flags)))
@@ -313,7 +323,7 @@ def eager_canonical(t, col, mode):
     width = "H" if nf < 65536 else "I"
     body = struct.pack(f">{2 + 3 * nf}{width}", nv, nf, *chain.from_iterable(best))
     code = CanonicalCode(mode.value, body + best_suffix)
-    return code, best_labels, best_perm, gens
+    return code, best_labels, gens
 
 
 def _backtrack(order, candidates, adj1, adj2, faces1_set, faces2_set):
@@ -715,12 +725,24 @@ def reference_validate(face_list):
 
 def reference_parse_tri(text):
     """parse_tri as the package once wrote it: every line checked as it is
-    read, through fileio's line helpers."""
+    read, through fileio's line helpers, with its own check that a number
+    is plain decimal: an optional '-', then ASCII digits."""
     from baltri.errors import ParseError
-    from baltri.fileio import _header, _int_fields, _significant_lines, _vertex
+    from baltri.fileio import _significant_lines, _vertex
     from baltri.surface import Coloring, validate
 
-    (nv, nf), rest = _header(_significant_lines(text), "tri", 2)
+    def _int_fields(ln, fields, what):
+        if not all(f[f.startswith("-"):].isdigit() and f.isascii() for f in fields):
+            raise ParseError(f"line {ln}: {what} must be integers, got {fields!r}")
+        return [int(f) for f in fields]
+
+    lines = _significant_lines(text)
+    if not lines:
+        raise ParseError("empty input")
+    ln, fields = lines[0]
+    if len(fields) != 4 or fields[:2] != ["p", "tri"]:
+        raise ParseError(f"line {ln}: expected header 'p tri N N', got {' '.join(fields)!r}")
+    (nv, nf), rest = _int_fields(ln, fields[2:], "header counts"), lines[1:]
     faces: list[tuple[int, int, int]] = []
     colors: list[int] | None = None
     for ln, fields in rest:
@@ -1083,11 +1105,12 @@ def reference_enumerate_sites(t, kinds=None):
     return out
 
 
-def reference_relabel(t, col, labels, perm):
+def reference_relabel(t, col, labels, mode):
     """The form under the label map labels, through validate, and col renamed
-    by perm (None when perm is None)."""
+    as color_suffix renames it in mode (None when that gives no renaming)."""
     from baltri.surface import Coloring, validate
 
+    perm = color_suffix(labels, col, mode)[1]
     faces = [
         tuple(sorted((labels[a], labels[b], labels[c])))
         for a, b, c in t.faces
@@ -1108,8 +1131,8 @@ def reference_bfs(t, col, kinds, *, max_vertices, max_states):
     from baltri.flips import apply_flip, enumerate_sites
 
     mode = ColorMode.UP_TO_PERMUTATION
-    start, labels, perm, _ = _canonical(t, col, mode)
-    states = {start: reference_relabel(t, col, labels, perm)}
+    start, labels, _ = _canonical(t, col, mode)
+    states = {start: reference_relabel(t, col, labels, mode)}
     edges = set()
     frontier = [start]
     truncated = False
@@ -1121,12 +1144,12 @@ def reference_bfs(t, col, kinds, *, max_vertices, max_states):
                 if cur.vertex_count + site.kind.delta > max_vertices:
                     continue
                 child, childcol = apply_flip(cur, site, ccol)
-                ccode, labels, perm, _ = _canonical(child, childcol, mode)
+                ccode, labels, _ = _canonical(child, childcol, mode)
                 if ccode not in states:
                     if len(states) >= max_states:
                         truncated = True
                         continue
-                    states[ccode] = reference_relabel(child, childcol, labels, perm)
+                    states[ccode] = reference_relabel(child, childcol, labels, mode)
                     nxt.append(ccode)
                 edges.add((code, site.kind, ccode))
         frontier = nxt
@@ -1152,8 +1175,8 @@ def reference_connect(t1, t2, col1, col2, kinds, *, max_vertices, max_states):
     sides = [{}, {}]
     frontiers = [[], []]
     for idx, (t, col) in enumerate(((t1, col1), (t2, col2))):
-        code, labels, perm, _ = _canonical(t, col, mode)
-        sides[idx][code] = (reference_relabel(t, col, labels, perm), None, None)
+        code, labels, _ = _canonical(t, col, mode)
+        sides[idx][code] = (reference_relabel(t, col, labels, mode), None, None)
         frontiers[idx] = [code]
 
     def to_start(side, code):
@@ -1179,12 +1202,12 @@ def reference_connect(t1, t2, col1, col2, kinds, *, max_vertices, max_states):
                 if cur.vertex_count + site.kind.delta > max_vertices:
                     continue
                 raw, rawcol = apply_flip(cur, site, ccol)
-                ccode, labels, perm, _ = _canonical(raw, rawcol, mode)
+                ccode, labels, _ = _canonical(raw, rawcol, mode)
                 if ccode in here:
                     continue
                 if len(here) >= max_states and ccode not in there:
                     continue
-                state = reference_relabel(raw, rawcol, labels, perm)
+                state = reference_relabel(raw, rawcol, labels, mode)
                 if idx == 0:
                     here[ccode] = (state, code, site)
                 else:

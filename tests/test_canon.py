@@ -342,8 +342,8 @@ def grown_samples():
 
 def as_data(result):
     """_canonical's result as plain data, label and generator order included."""
-    code, labels, perm, gens = result
-    return code.data, list(labels.items()), perm, [list(g.items()) for g in gens]
+    code, labels, gens = result
+    return code.data, list(labels.items()), [list(g.items()) for g in gens]
 
 
 class TestSuspendedSweeps:
@@ -502,19 +502,18 @@ class TestDecoding:
         for i, code in enumerate(view.states):
             # a relabeled copy of the state, so the oracle has work to do
             raw, rawcol = relabeled(*canon._decode(code), i)
-            got, labels, perm, _ = canon._canonical(
-                raw, rawcol, ColorMode.UP_TO_PERMUTATION
-            )
+            mode = ColorMode.UP_TO_PERMUTATION
+            got, labels, _ = canon._canonical(raw, rawcol, mode)
             assert got == code
-            check_decoding(code, reference_relabel(raw, rawcol, labels, perm))
+            check_decoding(code, reference_relabel(raw, rawcol, labels, mode))
 
     @pytest.mark.parametrize("mode", list(ColorMode))
     def test_canonical_form_in_every_mode(self, mode, sphere_samples_12):
         for t, col in sphere_samples_12:
             form, fcol, labels = canonical_form(t, col, mode)
-            code, want_labels, perm, _ = canon._canonical(t, col, mode)
+            code, want_labels, _ = canon._canonical(t, col, mode)
             assert labels == want_labels
-            want = reference_relabel(t, col, labels, perm)
+            want = reference_relabel(t, col, labels, mode)
             assert (form, fcol) == want and form.vertices == want[0].vertices
             check_decoding(code, want)
 

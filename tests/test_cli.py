@@ -6,11 +6,16 @@ import os
 import pytest
 
 from baltri import FlipKind, parse_bip, parse_tri, format_tri, surface_name, validate
+from baltri import cli
 from baltri.cli import GALLERY, _build_parser, main
 from baltri.explorer import build_octahedron
+from baltri.flips import site_from_str
 
 from conftest import PROJECTIVE_PLANE, run_python
 from oracles import reference_bfs
+
+
+OCTAHEDRON_TEXT = format_tri(*build_octahedron())
 
 
 def run(capsys, *argv):
@@ -112,14 +117,33 @@ class TestValidate:
             ),
             (["apply", "octahedron", "bts 1,3,5"], None, "lacks a ':' separator"),
             (["apply", "octahedron", "bts:1,0,5"], None, "vertex below 1"),
+            # int() reads these numbers, but a number on disk is plain decimal
+            (
+                ["validate", "FILE.tri"],
+                OCTAHEDRON_TEXT.replace("f 1 3 5", "f +1 3 5"),
+                "line 3: face vertices must be integers",
+            ),
+            (
+                ["validate", "FILE.tri"],
+                OCTAHEDRON_TEXT.replace("f 2 4 6", "f 2 4 \u0666"),
+                "line 10: face vertices must be integers",
+            ),
+            (
+                ["bip", "apply", "FILE.bip", "FILE.ops"],
+                "p bip 2 1\nn 0 1\ne 1 +2\n",
+                "line 3: edge endpoints must be integers",
+            ),
         ],
-        ids=["empty-tri", "second-n-line", "no-separator", "vertex-below-1"],
+        ids=[
+            "empty-tri", "second-n-line", "no-separator", "vertex-below-1",
+            "plus-sign", "arabic-indic-digit", "plus-sign-edge",
+        ],
     )
     def test_rare_parse_faults_exit_two(self, capsys, tmp_path, argv, text, message):
         # FILE.tri and FILE.bip hold the text given, FILE.ops a valid script
         paths = {"FILE.tri": text, "FILE.bip": text, "FILE.ops": "add-leaf 1 3\n"}
         for name, body in paths.items():
-            (tmp_path / name).write_text(body or "")
+            (tmp_path / name).write_text(body or "", encoding="utf-8")
         code, out, err = run(
             capsys, *(str(tmp_path / a) if a in paths else a for a in argv)
         )
@@ -282,6 +306,14 @@ class TestExpand:
         assert "error" in err
         assert out == ""
         assert message in err and "internal" not in err
+
+    def test_a_sequence_reaching_the_wrong_state_fails_verification(self, capsys, monkeypatch):
+        # the recipe's first step alone applies, but stops one move short
+        monkeypatch.setitem(
+            cli._EXPANDERS, "bts-pc", lambda tri, site: [site_from_str("bts:1,3,5")]
+        )
+        code, out, err = run(capsys, "expand", "octahedron", "bes:1,3,5,6")
+        assert (code, out, err) == (1, "", "error: expansion failed verification\n")
 
     def test_no_recipe_for_primitive_moves(self, capsys):
         code, _, err = run(capsys, "expand", "octahedron", "bts:1,3,5")
@@ -540,6 +572,15 @@ class TestBip:
             assert code == 2
             assert out == ""
             assert err.startswith("parse error:") and "not UTF-8" in err
+
+    def test_a_script_number_not_plain_decimal_exits_two(self, capsys, tmp_path):
+        # int() reads '1_0' as 10, a script number is plain decimal
+        g, s = str(tmp_path / "g.bip"), str(tmp_path / "s.ops")
+        open(g, "w").write(self.K33_TEXT)
+        open(s, "w").write("add-leaf 1 1_0\n")
+        code, out, err = run(capsys, "bip", "apply", g, s)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: line 1: operation arguments must be integers")
 
     def test_repeated_edge_exits_two(self, capsys, tmp_path):
         g, s = str(tmp_path / "g.bip"), str(tmp_path / "s.ops")

@@ -426,6 +426,28 @@ class TestOrbitPruning:
         assert (view.state_count, view.edge_count) == (297, 4290)
         assert 3000 <= len(calls) <= 3300
 
+    @pytest.mark.parametrize("forward, path", [
+        (True, ["bew:1,2", "btw:1,2,3,5,6,4", "ps:4,2,1,6,9", "ps:6,1,3,8,12"]),
+        (False, ["pc:1,2,3,6,4,7", "pc:2,3,1,4,5,7", "bts:3,5,2", "bes:3,1,2,6"]),
+    ])
+    def test_connect_applies_no_recorded_undo(self, monkeypatch, forward, path):
+        # both sides grow on this query; pruning by orbits alone, without
+        # the undo records, connect applies 321 sites
+        calls = []
+        real = explorer._child
+        monkeypatch.setattr(
+            explorer, "_child", lambda *args: calls.append(args) or real(*args)
+        )
+        cube, c1 = build_cube_subdivision()
+        walk, c2, _ = random_walk(cube, c1, BENCH_KINDS, steps=4, seed=3)
+        (t1, c1), (t2, c2) = [(walk, c2), (cube, c1)][:: 1 if forward else -1]
+        caps = dict(max_vertices=cube.vertex_count + 4, max_states=300)
+        got = connect(t1, t2, kinds=BENCH_KINDS, **caps)
+        want = reference_connect(t1, t2, c1, c2, BENCH_KINDS, **caps)
+        assert [str(s) for s in got] == path
+        assert got == want
+        assert len(calls) < 321
+
 
 def colored_replay(t, col, steps):
     """replay_path as a colored computation: each site on the form so far."""
