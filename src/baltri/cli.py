@@ -3,10 +3,11 @@
 Triangulation arguments accept either a .tri file path or one of the
 gallery names (octahedron, k333-torus, cube-subdivision).  Sites are
 written kind:v1,v2,... with 1-based vertex numbers, matching the numbers
-in .tri files.  Exit status: 0 on success, 1 when a domain rule rejects
-the request or an unexpected internal error occurs, 2 for unreadable or
-malformed input.  Every subcommand passes a file's coloring through
-surface's gate, so an improper 'k' line exits 1.
+in .tri files; they and the counts are plain decimals.  Exit status: 0 on
+success, 1 when a domain rule rejects the request or an unexpected
+internal error occurs, 2 for unreadable or malformed input.  Every
+subcommand passes a file's coloring through surface's gate, so an
+improper 'k' line exits 1.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .explorer import (
     random_walk,
 )
 from .fileio import (
+    _plain_ints,
     _tri_text,
     format_bip,
     format_bip_script,
@@ -82,6 +84,13 @@ def _kind(text: str) -> FlipKind:
 
 def _kinds_arg(text: str) -> list[FlipKind]:
     return [_kind(f) for f in text.split(",") if f]
+
+
+def _count(text: str) -> int:
+    try:
+        return _plain_ints([text])[0]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a plain decimal") from None
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -303,14 +312,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("other")
     p.add_argument("--kinds", "--kind", "--moves", type=_kinds_arg)
-    p.add_argument("--max-vertices", type=int, required=True)
-    p.add_argument("--max-states", type=int, required=True)
+    p.add_argument("--max-vertices", type=_count, required=True)
+    p.add_argument("--max-states", type=_count, required=True)
 
     p = cmd("bfs", _cmd_bfs, "explore the flip graph breadth first")
     p.add_argument("path")
     p.add_argument("--kinds", "--kind", "--moves", type=_kinds_arg)
-    p.add_argument("--max-vertices", type=int, required=True)
-    p.add_argument("--max-states", type=int, required=True)
+    p.add_argument("--max-vertices", type=_count, required=True)
+    p.add_argument("--max-states", type=_count, required=True)
     p.add_argument("--out", help="directory for index.tsv, edges.tsv, states/")
 
     p = cmd("classify", _cmd_classify, "report structural facts")
@@ -318,10 +327,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("sample", _cmd_sample, "take a seeded random flip walk")
     p.add_argument("path")
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=_count, default=10)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--kinds", "--kind", "--moves", type=_kinds_arg)
-    p.add_argument("--max-vertices", type=int)
+    p.add_argument("--max-vertices", type=_count)
     p.add_argument("-o", "--out")
 
     p = cmd("gallery", _cmd_gallery, "list or print the built-in triangulations")

@@ -51,15 +51,20 @@ def _significant_lines(text: str) -> list[tuple[int, list[str]]]:
     return out
 
 
+def _plain_ints(fields: Sequence[str]) -> list[int]:
+    """fields read as plain decimals; ValueError for the rest int() reads:
+    '+', '_', spaces and non-ASCII digits."""
+    digits = "".join(fields).replace("-", "")
+    if digits and not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{fields!r} are not all plain decimals")
+    return list(map(int, fields))
+
+
 def _int_fields(ln: int, fields: Sequence[str], what: str) -> list[int]:
-    # without '+', '_' and non-ASCII characters int() reads plain decimal only
-    joined = "".join(fields)
-    if joined.isascii() and "+" not in joined and "_" not in joined:
-        try:
-            return [int(f) for f in fields]
-        except ValueError:
-            pass
-    raise ParseError(f"line {ln}: {what} must be integers, got {fields!r}")
+    try:
+        return _plain_ints(fields)
+    except ValueError:
+        raise ParseError(f"line {ln}: {what} must be integers, got {fields!r}") from None
 
 
 def _vertex(ln: int, value: int, count: int) -> int:

@@ -32,7 +32,7 @@ New vertices take ids above max_vertex_id in the listed order, so results
 are reproducible and inverse_site() can name them before the move runs.
 
 Site strings (CLI and file interchange) are 1-based: "ps:1,2,3,4,5" names
-in-memory vertices 0..4.
+in-memory vertices 0..4.  Their vertices are plain decimals, as in the files.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .errors import (
     WouldCreateDoubleEdge,
     WouldCreateDuplicateFace,
 )
+from .fileio import _plain_ints
 from .surface import Coloring, Face, Triangulation, _swap_faces, edge_key, face_key
 
 
@@ -129,9 +130,9 @@ def site_from_str(text: str) -> FlipSite:
         raise ParseError(f"unknown move kind {head.strip()!r}") from None
     parts = [p.strip() for p in rest.split(",")] if rest.strip() else []
     try:
-        nums = [int(p) for p in parts]
+        nums = _plain_ints(parts)
     except ValueError:
-        raise ParseError(f"site {text!r} has a non-integer vertex") from None
+        raise ParseError(f"site {text!r} has a vertex that is no plain decimal") from None
     if len(nums) != kind.arity:
         raise ParseError(
             f"{kind.value} site needs {kind.arity} vertices, got {len(nums)}"
@@ -405,33 +406,57 @@ def _footprint(t: Triangulation, site: FlipSite) -> tuple[int, ...]:
 # -- site enumeration ---------------------------------------------------------
 #
 # Each _sites_* reads the sites of its kind off the given faces, edges or
-# vertices of t, one element at a time, in the kind's normal form.  Reading a
-# tuple off t puts most of its rule's faces in place (its comment says which
-# checks hold so), and it checks only the rest, inline, calling no rule.
+# vertices of t, one element at a time, in the kind's normal form; the
+# corners beyond an edge come from thirds, a _Thirds of t, except in pc.
+# Reading a tuple off t puts most of its rule's faces in place (its comment
+# says which checks hold so), and it checks only the rest, inline, calling
+# no rule.  No reader yields a tuple twice: the tuple names its element (its
+# first corners, nflip by v1 v4, p2flip by q p), and an element's tuples
+# differ in link window or in the order of the thirds.
 # tests/oracles.py keeps the scan that runs the rule on every candidate.
 
-def _sites_bts(t: Triangulation, faces):
+class _Thirds(dict):
+    """Edge key -> the thirds of its two faces, sorted, read off t's edge
+    index when first asked for, or for every edge at once when whole."""
+
+    __slots__ = ("edge_faces",)
+
+    def __init__(self, t: Triangulation, whole: bool):
+        self.edge_faces = t._edge_faces
+        for e, (f, g) in self.edge_faces.items() if whole else ():
+            u, v = e
+            a, b = f[0] + f[1] + f[2] - u - v, g[0] + g[1] + g[2] - u - v
+            self[e] = (a, b) if a < b else (b, a)
+
+    def __missing__(self, e):
+        (u, v), (f, g) = e, self.edge_faces[e]
+        a, b = f[0] + f[1] + f[2] - u - v, g[0] + g[1] + g[2] - u - v
+        self[e] = thirds = (a, b) if a < b else (b, a)
+        return thirds
+
+
+def _sites_bts(t: Triangulation, faces, thirds):
     # all hold: a face of t has distinct corners
     yield from faces
 
 
-def _sites_btw(t: Triangulation, faces):
+def _sites_btw(t: Triangulation, faces, thirds):
     # with degree-4 links q r b c, r p c a, q p b a of p, q, r, where a, b, c lie
     # beyond qr, pr, pq: the seven faces and six distinct vertices hold
-    links, edge_faces, third = t._links, t._edge_faces, t.other_face_third
+    links, edge_faces = t._links, t._edge_faces
     for p, q, r in faces:
         if len(links[p]) != 4 or len(links[q]) != 4 or len(links[r]) != 4:
             continue
-        a, b, c = third(q, r, p), third(p, r, q), third(p, q, r)
+        a, b, c = sum(thirds[q, r]) - p, sum(thirds[p, r]) - q, sum(thirds[p, q]) - r
         k = face_key(a, b, c)
         if k not in edge_faces.get(k[:2], ()):
             yield (p, q, r, a, b, c)
 
 
-def _sites_bes(t: Triangulation, edges):
+def _sites_bes(t: Triangulation, edges, thirds):
     # all hold: the two faces on an edge have distinct thirds
-    for a, b in edges:
-        yield (a, b, *t.edge_opposites(a, b))
+    for e in edges:
+        yield e + thirds[e]
 
 
 def _pairs(t: Triangulation, edges):
@@ -448,13 +473,13 @@ def _pairs(t: Triangulation, edges):
             yield p, q, a, b
 
 
-def _sites_bew(t: Triangulation, edges):
+def _sites_bew(t: Triangulation, edges, thirds):
     # the patch and its six faces hold for each of _pairs
     for p, q, _, _ in _pairs(t, edges):
         yield (p, q)
 
 
-def _sites_ps(t: Triangulation, vertices):
+def _sites_ps(t: Triangulation, vertices, thirds):
     # a link window w x y z: the three fan faces hold, and w, x, y, z are
     # distinct in a link of five or more (in a link of four, wz is an edge)
     links, edge_faces = t._links, t._edge_faces
@@ -464,57 +489,67 @@ def _sites_ps(t: Triangulation, vertices):
             continue
         for i in range(len(link)):
             w, z = link[i - 3], link[i]
-            if edge_key(w, z) not in edge_faces:
-                yield (v, *_fan(w, link[i - 2], link[i - 1], z))
+            if w < z:
+                if (w, z) not in edge_faces:
+                    yield (v, w, link[i - 2], link[i - 1], z)
+            elif (z, w) not in edge_faces:
+                yield (v, z, link[i - 1], link[i - 2], w)
 
 
-def _sites_pc(t: Triangulation, vertices):
+def _sites_pc(t: Triangulation, vertices, thirds):
     # a degree-4 link w x y z and v beyond wz: the five faces hold, and the
     # six vertices are distinct once vx and vy are missing (v = x or y would
-    # make one of them a link edge of u)
+    # make one of them a link edge of u); v comes off the edge index, as a
+    # first read of thirds costs more and pc reads each link edge once
     links, edge_faces = t._links, t._edge_faces
     for u in vertices:
         link = links[u]
         if len(link) != 4:
             continue
         for i in range(4):
-            w, x, y, z = _fan(link[i], link[i - 1], link[i - 2], link[i - 3])
-            v = t.other_face_third(w, z, u)
-            if edge_key(v, x) not in edge_faces and edge_key(v, y) not in edge_faces:
+            w, x, y, z = link[i], link[i - 1], link[i - 2], link[i - 3]
+            if w > z:
+                w, x, y, z = z, y, x, w
+            f, g = edge_faces[w, z]
+            v = (g[0] + g[1] + g[2] if u in f else f[0] + f[1] + f[2]) - w - z
+            if (
+                ((v, x) if v < x else (x, v)) not in edge_faces
+                and ((v, y) if v < y else (y, v)) not in edge_faces
+            ):
                 yield (u, w, x, y, z, v)
 
 
-def _sites_nflip(t: Triangulation, edges):
+def _sites_nflip(t: Triangulation, edges, thirds):
     # the faces on v1v4 and beyond v1v3 and v4v6: the four faces hold, and the
     # six vertices are distinct once the chords are missing (v2 = v5, v2 = v6
-    # or v3 = v5 would make v3v5 or v2v5 an edge); from v4 first, the same
-    # strips come rotated by three
+    # or v3 = v5 would make v3v5 or v2v5 an edge); read from v1 < v4, the
+    # strip is already the lesser of its rotations by three
     edge_faces = t._edge_faces
-    for v1, v4 in edges:
-        f, g = edge_faces[v1, v4]
-        a = f[0] + f[1] + f[2] - v1 - v4
-        b = g[0] + g[1] + g[2] - v1 - v4
+    for e in edges:
+        v1, v4 = e
+        a, b = thirds[e]
         for v3, v6 in ((a, b), (b, a)):
-            f, g = edge_faces[(v1, v3) if v1 < v3 else (v3, v1)]
-            v2 = (g[0] + g[1] + g[2] if v4 in f else f[0] + f[1] + f[2]) - v1 - v3
-            f, g = edge_faces[(v4, v6) if v4 < v6 else (v6, v4)]
-            v5 = (g[0] + g[1] + g[2] if v1 in f else f[0] + f[1] + f[2]) - v4 - v6
+            x, y = thirds[(v1, v3) if v1 < v3 else (v3, v1)]
+            v2 = y if x == v4 else x
+            x, y = thirds[(v4, v6) if v4 < v6 else (v6, v4)]
+            v5 = y if x == v1 else x
             if (
                 ((v2, v6) if v2 < v6 else (v6, v2)) not in edge_faces
                 and ((v2, v5) if v2 < v5 else (v5, v2)) not in edge_faces
                 and ((v3, v5) if v3 < v5 else (v5, v3)) not in edge_faces
             ):
-                yield _hexagon((v1, v2, v3, v4, v5, v6))
+                yield (v1, v2, v3, v4, v5, v6)
 
 
-def _sites_p2flip(t: Triangulation, edges):
+def _sites_p2flip(t: Triangulation, edges, thirds):
     # with degree-4 links q v3 v4 v5 of p and p v3 v1 v5 of q: v1 is q's far
     # corner and v4 p's, so the pair's corners hold, and the faces hold
     for e1, e2, a, b in _pairs(t, edges):
-        thirds = t.edge_opposites(e1, e2)
+        c, d = thirds[e1, e2]
         for q, p, v1, v4 in ((e1, e2, b, a), (e2, e1, a, b)):
-            for v3, v5 in (thirds, thirds[::-1]):
-                v2 = t.other_face_third(v1, v3, q)
+            for v3, v5 in ((c, d), (d, c)):
+                x, y = thirds[(v1, v3) if v1 < v3 else (v3, v1)]
+                v2 = y if x == q else x
                 if len({v1, v2, v3, v4, v5, q, p}) == 7:
                     yield (v1, v2, v3, v4, v5, q, p)
 
@@ -532,6 +567,9 @@ _READERS = {
     FlipKind.NFLIP: (_sites_nflip, "edges", 1),
     FlipKind.P2FLIP: (_sites_p2flip, "edges", 2),
 }
+
+
+_RANKS = {kind: kind.rank for kind in FlipKind}
 
 
 # kind -> the normal form its site reader emits a site tuple in
@@ -554,18 +592,27 @@ def _map_site(site: FlipSite, sigma) -> FlipSite:
     return tuple.__new__(FlipSite, (site.kind, _NORMAL_FORMS[site.kind](image)))
 
 
-def _scan(t: Triangulation, kinds, source) -> list[FlipSite]:
-    """The sites read off source, deduplicated and in enumerate_sites' order.
+def _scan(t: Triangulation, kinds, source, whole: bool = False) -> list[FlipSite]:
+    """The sites read off source, in enumerate_sites' order.
 
     source(elements, radius) gives the faces, edges or vertices of t to read
-    each kind's sites off.
+    each kind's sites off, all of them when whole.  The readers share one
+    _Thirds, read whole when bes or nflip will ask for every edge.  As no
+    reader repeats a tuple, a kind's block is only sorted, and the bts and
+    btw blocks read off the sorted t.faces not even that.
     """
-    want = FlipKind if kinds is None else sorted(set(kinds))
+    try:
+        want = FlipKind if kinds is None else sorted(set(kinds), key=_RANKS.__getitem__)
+    except KeyError as exc:
+        raise InvalidSite(f"{exc.args[0]!r} is not a FlipKind") from None
+    thirds = _Thirds(t, whole and (FlipKind.BES in want or FlipKind.NFLIP in want))
     out: list[FlipSite] = []
     for kind in want:
         read, elements, radius = _READERS[kind]
-        found = set(read(t, source(elements, radius)))
-        out.extend([tuple.__new__(FlipSite, (kind, tup)) for tup in sorted(found)])
+        found = source(elements, radius)
+        tups = read(t, found, thirds)
+        tups = tups if found is t.faces else sorted(tups)
+        out += [tuple.__new__(FlipSite, (kind, tup)) for tup in tups]
     return out
 
 
@@ -575,9 +622,10 @@ def enumerate_sites(t: Triangulation, kinds=None) -> list[FlipSite]:
     A site is listed exactly once per distinct rewrite it denotes; symmetric
     orientations of the same rewrite are collapsed to a normal form (least
     fan end for the splitting moves, least rotation for the hexagon move).
+    Raises InvalidSite for a kind that is not a FlipKind.
     """
     index = {"faces": t.faces, "edges": t._edge_faces, "vertices": t._links}
-    return _scan(t, kinds, lambda elements, radius: index[elements])
+    return _scan(t, kinds, lambda elements, radius: index[elements], whole=True)
 
 
 def _around(t: Triangulation, ring, elements: str):

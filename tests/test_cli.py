@@ -275,6 +275,17 @@ class TestApply:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "site", ["bts:+1,3,5", "bts:\u0661,3,5", "bts:1_0,3,5", "bts:1,3,\uff15"]
+    )
+    def test_a_vertex_not_plain_decimal_exits_two(self, capsys, tmp_path, site):
+        # int() reads each of these, as 1, 1, 10 and 5
+        out_file = tmp_path / "out.tri"
+        code, out, err = run(capsys, "apply", "octahedron", site, "-o", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == f"parse error: site {site!r} has a vertex that is no plain decimal\n"
+        assert not out_file.exists()
+
 
 class TestExpand:
     def test_default_recipe(self, capsys):
@@ -477,6 +488,28 @@ class TestSample:
         assert open(a).read() == open(b).read()
         t, col = parse_tri(open(a).read())
         assert t.vertex_count <= 12
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--steps", "+2"), ("--seed", "1_0"), ("--seed", "\u0661"), ("--steps", " 2"),
+         ("--max-vertices", "+12")],
+    )
+    def test_a_count_not_plain_decimal_is_an_argument_error(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "octahedron", option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: {value!r} is not a plain decimal" in err
+
+    @pytest.mark.parametrize("command", ["bfs", "connect"])
+    @pytest.mark.parametrize("option", ["--max-vertices", "--max-states"])
+    def test_search_caps_take_plain_decimals_only(self, capsys, command, option):
+        argv = [command, "octahedron"] + (["octahedron"] if command == "connect" else [])
+        caps = {"--max-vertices": "8", "--max-states": "4"} | {option: "1_0"}
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [arg for pair in caps.items() for arg in pair])
+        assert exc.value.code == 2
+        assert f"argument {option}: '1_0' is not a plain decimal" in capsys.readouterr().err
 
 
 class TestGallery:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from baltri import (
     ColorMode,
+    ExpansionNotFound,
     InvalidSite,
     NonManifoldEdge,
     NotBalanced,
@@ -17,6 +18,7 @@ from baltri import (
     TriangulationError,
     WouldCreateDuplicateFace,
     canonical_code,
+    expand_via_budget,
     is_orientable,
     is_proper,
     random_walk,
@@ -28,7 +30,7 @@ from baltri.explorer import (
     build_k333_torus,
     build_octahedron,
 )
-from baltri import flips
+from baltri import flips, rewrites
 from baltri.flips import (
     FlipKind,
     FlipSite,
@@ -353,6 +355,130 @@ class TestReadersMatchTheReference:
         assert all(accepted.values()), accepted
         unchecked = {FlipKind.BTS, FlipKind.BES}
         assert {k for k in FlipKind if rejected[k]} == set(FlipKind) - unchecked
+
+
+def grown_by_bts(t, target=800):
+    """t with faces picked by random.Random(1) triple-subdivided until
+    V >= target: the shape of the benchmark's large inputs."""
+    rng = random.Random(1)
+    while t.vertex_count < target:
+        t, _ = apply_flip(t, FlipSite(FlipKind.BTS, rng.choice(t.faces)))
+    return t
+
+
+@pytest.fixture(scope="module")
+def reader_starts(genus_two, three_crosscaps):
+    """Starts where the readers meet large links and negative characteristic."""
+    return {
+        "sphere-801": grown_by_bts(build_octahedron()[0]),
+        "torus-801": grown_by_bts(grid_torus(3)[0]),
+        "genus-two": genus_two[0],
+        "three-crosscaps": three_crosscaps[0],
+    }
+
+
+def seeded_walk(t, seed, steps):
+    """t and the states of a walk of uniformly random moves from it."""
+    rng = random.Random(seed)
+    states = [t]
+    for _ in range(steps):
+        t, _ = apply_flip(t, rng.choice(enumerate_sites(t)))
+        states.append(t)
+    return states
+
+
+# a kind pair whose sites lie beyond the touched vertices' stars
+PAIR = [FlipKind.PC, FlipKind.NFLIP]
+
+
+class TestReadersOnLargeAndNegativeSurfaces:
+    @pytest.mark.parametrize(
+        "start", ["sphere-801", "torus-801", "genus-two", "three-crosscaps"]
+    )
+    def test_sites_and_updates_match_along_a_short_walk(self, reader_starts, start):
+        states = seeded_walk(reader_starts[start], 7, 3)
+        assert states[0].vertex_count >= 800 or states[0].euler_characteristic() < 0
+        for t in states:
+            assert_sites_match_the_reference(t)
+        for kinds in (None, PAIR):
+            sites = enumerate_sites(states[0], kinds)
+            for prev, t in zip(states, states[1:]):
+                sites = flips._sites_after(prev, t, sites, kinds)
+                assert sites == enumerate_sites(t, kinds)
+
+
+class TestEachReaderYieldsATupleOnce:
+    # _scan keeps every tuple a reader yields, so a repeat would be listed twice
+
+    @staticmethod
+    def assert_no_repeats(t, source, thirds):
+        for kind, (read, elements, radius) in flips._READERS.items():
+            tups = list(read(t, source(elements, radius), thirds))
+            assert len(tups) == len(set(tups)), kind
+
+    def test_on_whole_surfaces(self, reader_starts):
+        states = [reference_walk(start, seed, 2 * seed)
+                  for start in DIFFERENTIAL_STARTS for seed in range(5)]
+        for t in reader_starts.values():
+            states += seeded_walk(t, 3, 2)
+        for t in states:
+            index = {"faces": t.faces, "edges": t._edge_faces, "vertices": t._links}
+            for whole in (True, False):
+                self.assert_no_repeats(
+                    t, lambda elements, radius: index[elements], flips._Thirds(t, whole)
+                )
+
+    def test_on_the_local_element_sets(self, reader_starts, monkeypatch):
+        # the element sets _sites_after and expand_via_budget hand to _scan
+        calls = []
+
+        def spy(real):
+            def scan(t, kinds, source, whole=False):
+                if not whole:
+                    calls.append((t, source))
+                return real(t, kinds, source, whole)
+            return scan
+
+        monkeypatch.setattr(flips, "_scan", spy(flips._scan))
+        monkeypatch.setattr(rewrites, "_scan", spy(rewrites._scan))
+        small = [reference_walk(start, seed, 2 * seed)
+                 for start in DIFFERENTIAL_STARTS for seed in range(5)]
+        for i, t in enumerate(small + list(reader_starts.values())):
+            rng, sites = random.Random(i), enumerate_sites(t)
+            for _ in range(3):
+                t, prev = apply_flip(t, rng.choice(sites))[0], t
+                sites = flips._sites_after(prev, t, sites, None)
+        after_walks = len(calls)
+        for t in small + [reader_starts["genus-two"], reader_starts["three-crosscaps"]]:
+            for site in enumerate_sites(t, [FlipKind.NFLIP, FlipKind.P2FLIP])[:2]:
+                try:
+                    expand_via_budget(t, site)
+                except ExpansionNotFound:
+                    pass
+        assert after_walks > 50 and len(calls) > after_walks + 20
+        for t, source in calls:
+            self.assert_no_repeats(t, source, flips._Thirds(t, False))
+
+
+class TestKindsMustBeFlipKinds:
+    @pytest.mark.parametrize(
+        "kinds, bad", [(["bts"], "'bts'"), ([FlipKind.BTS, "bes"], "'bes'"), ([None], "None")]
+    )
+    def test_enumerate_sites_names_the_bad_kind(self, kinds, bad):
+        t, _ = build_octahedron()
+        with pytest.raises(InvalidSite, match=f"^{bad} is not a FlipKind$"):
+            enumerate_sites(t, kinds)
+
+    @pytest.mark.parametrize("kinds", [["bts"], [FlipKind.BTS, "bes"]])
+    def test_random_walk_names_the_bad_kind(self, kinds):
+        t, col = build_octahedron()
+        with pytest.raises(InvalidSite, match="is not a FlipKind"):
+            random_walk(t, col, kinds, steps=2)
+
+    def test_a_kind_generator_is_read_once(self):
+        t, _ = build_octahedron()
+        got = enumerate_sites(t, (k for k in [FlipKind.BES, FlipKind.BTS]))
+        assert got == enumerate_sites(t, [FlipKind.BTS, FlipKind.BES])
 
 
 class TestSiteStrings:
