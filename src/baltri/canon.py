@@ -17,10 +17,11 @@ a tie compares to the end, so only the winner is finished.  The sweeps run on
 a face index built once per call from the sorted faces and each edge's two
 faces: each face's corner sum and, per corner, the position of the face
 across the opposite edge.  With the vertex degrees, which pick the start
-flags, that is all a call reads, so the search canonicalizes a child from
-those parts patched, with no Triangulation built (see explorer).  Crossing an edge is then one
-small-int lookup and one byte test, and a face labels only its third corner,
-as the face that queued it labeled the other two.
+flags in one pass reading each face's three degrees once (see _start_flags),
+that is all a call reads, so the search canonicalizes a child from those
+parts patched, with no Triangulation built (see explorer).  Crossing an
+edge is then one small-int lookup and one byte test, and a face labels only
+its third corner, as the face that queued it labeled the other two.
 
 A sweep that ties the least stream (and a FIXED suffix) to the end proves an
 automorphism: the vertex labeled L by the least sweep goes to the one
@@ -151,19 +152,45 @@ def _start_flags(faces, deg: dict[int, int]):
 
     The degree triple (deg u, deg v, deg w) of a flag with entry edge u->v
     and third corner w is isomorphism invariant, so the least code over the
-    flags with the least triple is the least code over all flags.  Only the
-    faces with a corner of the least degree, where that triple starts, count."""
-    low, best_key, flags = min(deg.values()), None, []
+    flags with the least triple is the least code over all flags.  A face
+    with a corner of the least degree, low, offers its sorted degree triple
+    (low, mid, top), its least flag triple; one pass reads each face's
+    degrees once and keeps the faces offering the least triple.  Their flags
+    are those with deg u == low and deg v == mid, by face position, then as
+    (a,b,c) (b,a,c) (a,c,b) (c,a,b) (b,c,a) (c,b,a): a full scan's order."""
+    low, offers = min(deg.values()), []
+    best = (len(deg), 0)  # above every pair a face offers
     for i, (a, b, c) in enumerate(faces):
-        if low != deg[a] and low != deg[b] and low != deg[c]:
+        x, y, z = deg[a], deg[b], deg[c]
+        if x == low:  # the sorted degree triple is (low, *key)
+            key = (y, z) if y < z else (z, y)
+        elif y == low:
+            key = (x, z) if x < z else (z, x)
+        elif z == low:
+            key = (x, y) if x < y else (y, x)
+        else:
             continue
-        for u, v, w in ((a, b, c), (b, a, c), (a, c, b), (c, a, b), (b, c, a), (c, b, a)):
-            if deg[u] == low:
-                key = (deg[v], deg[w])
-                if best_key is None or key < best_key:
-                    best_key, flags = key, [(i, u, v)]
-                elif key == best_key:
-                    flags.append((i, u, v))
+        if key < best:
+            best, offers = key, [i]
+        elif key == best:
+            offers.append(i)
+    mid, flags = best[0], []
+    append = flags.append
+    for i in offers:
+        a, b, c = faces[i]
+        x, y, z = deg[a], deg[b], deg[c]
+        if x == low and y == mid:
+            append((i, a, b))
+        if y == low and x == mid:
+            append((i, b, a))
+        if x == low and z == mid:
+            append((i, a, c))
+        if z == low and x == mid:
+            append((i, c, a))
+        if y == low and z == mid:
+            append((i, b, c))
+        if z == low and y == mid:
+            append((i, c, b))
     return flags
 
 

@@ -3,9 +3,10 @@
 Triangulation arguments accept either a .tri file path or one of the
 gallery names (octahedron, k333-torus, cube-subdivision).  Sites are
 written kind:v1,v2,... with 1-based vertex numbers, matching the numbers
-in .tri files; they and the counts are plain decimals.  Exit status: 0 on
-success, 1 when a domain rule rejects the request or an unexpected
-internal error occurs, 2 for unreadable or malformed input.  Every
+in .tri files; they, the counts and the seed are plain decimals, and no
+count is negative.  Exit status: 0 on success, 1 when a domain rule
+rejects the request or an unexpected internal error occurs, 2 for
+unreadable or malformed input, a negative count included.  Every
 subcommand passes a file's coloring through surface's gate, so an
 improper 'k' line exits 1.
 """
@@ -86,11 +87,18 @@ def _kinds_arg(text: str) -> list[FlipKind]:
     return [_kind(f) for f in text.split(",") if f]
 
 
-def _count(text: str) -> int:
+def _decimal(text: str) -> int:
     try:
         return _plain_ints([text])[0]
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a plain decimal") from None
+
+
+def _count(text: str) -> int:
+    n = _decimal(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return n
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -328,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("sample", _cmd_sample, "take a seeded random flip walk")
     p.add_argument("path")
     p.add_argument("--steps", type=_count, default=10)
-    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--seed", type=_decimal, default=0)
     p.add_argument("--kinds", "--kind", "--moves", type=_kinds_arg)
     p.add_argument("--max-vertices", type=_count)
     p.add_argument("-o", "--out")

@@ -43,7 +43,6 @@ changes.  The cap test comes first, so a record above the cap yields nothing.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -157,11 +156,14 @@ def _child(cur: Triangulation, deg: dict[int, int], site: FlipSite):
     No link is walked (that waits for _decode) and no Triangulation built."""
     rem, _, add, _, undo = _exchange(cur, site)
     add = sorted(add)
-    edge_faces, deg = dict(cur._edge_faces), Counter(deg)
+    edge_faces, deg = dict(cur._edge_faces), dict(deg)
     _swap_edges(edge_faces, rem, add)
-    deg.update(chain.from_iterable(add))
-    deg.subtract(chain.from_iterable(rem))
-    deg = +deg  # drops the vertices left without faces
+    for v in chain.from_iterable(add):
+        deg[v] = deg.get(v, 0) + 1
+    for v in chain.from_iterable(rem):
+        deg[v] -= 1
+        if not deg[v]:  # left without faces
+            del deg[v]
     faces = _swapped(cur, rem, add, len(deg), edge_faces)
     code, labels, gens = _canonical_parts(faces, edge_faces, deg, None, _MODE)
     return code, labels, gens, tuple.__new__(FlipSite, (site.kind.inverse, undo))

@@ -3,10 +3,12 @@
 Three closed-form recipes cover the subdivision moves, and a bounded search
 certifies the two vertex-neutral moves against per-kind move budgets.  Every
 expansion is a list of sites to apply in order; the composite result is
-isomorphic to the direct move's result (equal canonical codes), usually equal
-outright.  verify_expansion() replays a sequence and checks exactly that.
-Each closed-form recipe first runs the rule of the move it expands, so an
-invalid site raises that rule's InvalidSite.
+isomorphic to the direct move's result, usually equal outright.
+verify_expansion() replays a sequence and checks exactly that with the
+search's test, _isomorphic_to: face tuples, then vertex count and degrees,
+then canonical codes only where those cannot tell.  Each closed-form recipe
+first runs the rule of the move it expands, so an invalid site raises that
+rule's InvalidSite.
 """
 
 from __future__ import annotations
@@ -119,6 +121,26 @@ def expand_bew_via_ps_btw(t: Triangulation, site: FlipSite) -> list[FlipSite]:
     ]
 
 
+def _isomorphic_to(direct: Triangulation):
+    """An exact isomorphism test against direct.  Equal face tuples pass and
+    another vertex count or sorted degree sequence fails; only otherwise are
+    canonical codes compared, direct's computed once, when first needed."""
+    degrees, code = sorted(map(len, direct._links.values())), []
+
+    def test(cur: Triangulation) -> bool:
+        if cur.faces == direct.faces:
+            return True
+        if cur.vertex_count != len(degrees):
+            return False
+        if sorted(map(len, cur._links.values())) != degrees:
+            return False
+        if not code:
+            code.append(canonical_code(direct))
+        return canonical_code(cur) == code[0]
+
+    return test
+
+
 _DEFAULT_BUDGETS: dict[FlipKind, dict[FlipKind, int]] = {
     FlipKind.NFLIP: {FlipKind.BES: 3, FlipKind.PC: 4, FlipKind.BEW: 1},
     FlipKind.P2FLIP: {FlipKind.BES: 1, FlipKind.BEW: 1},
@@ -142,8 +164,11 @@ def expand_via_budget(
     in the sequence, which keeps the branching desk-scale; they are read
     off only the elements whose corners all lie there.  A path is cut
     once its face set differs from the direct result's by more faces than
-    its remaining moves can exchange.  A sequence matches by canonical code,
-    so that cut can also drop a path to an isomorph of the direct result.
+    its remaining moves can exchange.  A sequence matches when its result
+    is isomorphic to the direct one (_isomorphic_to: equal face tuples,
+    else equal vertex count and degrees, then equal canonical codes, the
+    direct result's computed at the first such candidate), so the cut can
+    also drop a path to an isomorph of the direct result.
     Returns the first match the search meets: the least in (kind, vertex
     tuple) order, a prefix winning over its extensions, among the sequences
     whose every prefix survives the cut, which is not always the least
@@ -159,21 +184,10 @@ def expand_via_budget(
 
     direct, _ = apply_flip(t, site)
     target_faces = set(direct.faces)
-    target_v = direct.vertex_count
-    target_degrees = sorted(map(len, direct._links.values()))
-    target_code = canonical_code(direct)
+    matches_target = _isomorphic_to(direct)
 
     allowed_base = set(_footprint(t, site))
     original_vertices = set(t.vertices)
-
-    def matches_target(cur: Triangulation) -> bool:
-        if cur.vertex_count != target_v:
-            return False
-        if cur.faces == direct.faces:
-            return True
-        if sorted(map(len, cur._links.values())) != target_degrees:
-            return False
-        return canonical_code(cur) == target_code
 
     def dfs(cur: Triangulation, seq: list[FlipSite]) -> list[FlipSite] | None:
         if seq and matches_target(cur):
@@ -222,10 +236,11 @@ def expand_via_budget(
 def verify_expansion(
     t: Triangulation, site: FlipSite, seq: Sequence[FlipSite]
 ) -> bool:
-    """Replay seq and compare its composite with the direct move by code.
+    """Replay seq and test its composite for isomorphism with the direct
+    move's result (_isomorphic_to: no code is computed on equal faces).
 
-    The codes ignore colors: every move extends the coloring without a
-    choice, so on a balanced t the colored codes agree exactly when these do.
+    Colors are ignored: every move extends the coloring without a choice,
+    so on a balanced t the colored codes agree exactly when these do.
     """
     direct, _ = apply_flip(t, site)
     cur = t
@@ -234,4 +249,4 @@ def verify_expansion(
             cur, _ = apply_flip(cur, s)
     except InvalidSite:
         return False
-    return canonical_code(cur) == canonical_code(direct)
+    return _isomorphic_to(direct)(cur)

@@ -29,6 +29,7 @@ from baltri.explorer import (
     build_k333_torus,
     build_octahedron,
 )
+from baltri.flips import FlipKind, FlipSite, apply_flip
 
 _BUILDERS = {
     "octahedron": build_octahedron,
@@ -167,6 +168,24 @@ def three_crosscaps():
     """The balanced subdivision of KLEIN_BOTTLE # PROJECTIVE_PLANE: chi = -1."""
     faces, col = barycentric(connected_sum(KLEIN_BOTTLE, PROJECTIVE_PLANE))
     return validate(faces), col
+
+
+def grown_by_bts(t, target=800):
+    """t with faces picked by random.Random(1) triple-subdivided until
+    V >= target: the shape of the benchmark's large inputs."""
+    rng = random.Random(1)
+    while t.vertex_count < target:
+        t, _ = apply_flip(t, FlipSite(FlipKind.BTS, rng.choice(t.faces)))
+    return t
+
+
+@pytest.fixture(scope="session")
+def grown_801():
+    """The octahedron and the 3x3 grid torus grown by grown_by_bts."""
+    return {
+        "sphere-801": grown_by_bts(build_octahedron()[0]),
+        "torus-801": grown_by_bts(grid_torus(3)[0]),
+    }
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,8 @@ eager_canonical, the sweep loop that runs every new least sweep to the end
 over t's edge index, which the suspending one over a face index must match
 in code, label map and automorphisms; reference_start_flags,
 which reads the degree triple of every flag, and which the start flags read
-only off faces with a corner of the least degree must match flag for flag;
+off the faces offering the least sorted degree triple must match flag for
+flag;
 reference_normalize, the replay-from-scratch normalizer, which shares the
 package's rewrite case analysis and must match its output op for op; and
 reference_validate, validate as it read links off per-vertex link graphs
@@ -227,21 +228,22 @@ def reference_canonical(faces, col=None, mode="ignore"):
     return header + body + suffix, labels, perm
 
 
-def reference_start_flags(t):
+def reference_start_flags(faces, deg):
     """The start flags (face, u, v) of the least degree-triple class, by
     reading the degree triple of all six flags of every face.
 
-    Takes a package triangulation; the package's scan, which reads only
-    the faces with a corner of the least degree, must match it flag for
-    flag, in order, with each face given by its position in t.faces.
+    Takes sorted faces and a map from each vertex to its degree; the
+    package's scan, which keeps only the faces offering the least sorted
+    degree triple, must match it flag for flag, in order, with each face
+    given by its position in faces.
     """
     best_key, flags = None, []
-    for f in t.faces:
+    for f in faces:
         a, b, c = f
         for u, v, w in (
             (a, b, c), (b, a, c), (a, c, b), (c, a, b), (b, c, a), (c, b, a)
         ):
-            key = (t.degree(u), t.degree(v), t.degree(w))
+            key = (deg[u], deg[v], deg[w])
             if best_key is None or key < best_key:
                 best_key, flags = key, [(f, u, v)]
             elif key == best_key:
@@ -301,7 +303,7 @@ def eager_canonical(t, col, mode):
     best = best_labels = parent = None
     best_suffix = b""
     gens = []
-    flags = reference_start_flags(t)
+    flags = reference_start_flags(t.faces, {v: t.degree(v) for v in t.vertices})
     for i, (f, u, v) in enumerate(flags):
         if parent is not None and _find(parent, i) != i:
             continue

@@ -22,7 +22,7 @@ from baltri import (
     surface_name,
     validate,
 )
-from baltri import canon
+from baltri import canon, explorer
 from baltri.cli import GALLERY
 from baltri.explorer import (
     bfs,
@@ -398,13 +398,29 @@ class TestFaceIndex:
     """The sweep runs over a per-call index of face positions; its results
     must not depend on how t's edge index was built or on the vertex ids."""
 
-    def test_start_flags_match_the_full_scan(self, mixed_samples_14):
-        inputs = list(mixed_samples_14) + grown_samples()
-        inputs += [grid_torus(n) for n in (3, 6, 12)]
-        for t, _ in inputs:
-            deg = {v: t.degree(v) for v in t.vertices}
-            flags = [(t.faces[i], u, v) for i, u, v in canon._start_flags(t.faces, deg)]
-            assert flags == reference_start_flags(t)
+    def test_start_flags_match_the_full_scan(
+        self, monkeypatch, mixed_samples_14, non_orientable_samples, genus_two,
+        three_crosscaps, grown_801,
+    ):
+        inputs = list(mixed_samples_14) + grown_samples() + non_orientable_samples
+        inputs += [grid_torus(n) for n in (3, 6, 12)] + [genus_two, three_crosscaps]
+        triangulations = [t for t, _ in inputs] + list(grown_801.values())
+        parts = [(t.faces, {v: t.degree(v) for v in t.vertices}) for t in triangulations]
+        # what _child hands canon in the bench bfs: the start's 4 children and
+        # theirs (at 5 states the cap admits no more, so the bfs stops there)
+        real = explorer._canonical_parts
+
+        def recording(faces, edge_faces, deg, col, mode):
+            parts.append((faces, dict(deg)))
+            return real(faces, edge_faces, deg, col, mode)
+
+        monkeypatch.setattr(explorer, "_canonical_parts", recording)
+        kinds = [FlipKind(k) for k in ("bts", "btw", "bes", "bew", "ps", "pc")]
+        bfs(build_cube_subdivision()[0], kinds=kinds, max_vertices=16, max_states=5)
+        assert len(parts) - len(triangulations) == 81
+        for faces, deg in parts:
+            flags = [(faces[i], u, v) for i, u, v in canon._start_flags(faces, deg)]
+            assert flags == reference_start_flags(faces, deg)
 
     def test_edge_index_order_does_not_matter(self, mixed_samples_14):
         # a move patches the edge index in another order than validate builds

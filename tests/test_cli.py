@@ -501,6 +501,35 @@ class TestSample:
         err = capsys.readouterr().err
         assert f"argument {option}: {value!r} is not a plain decimal" in err
 
+    @pytest.mark.parametrize(
+        "option, value", [("--steps", "-1"), ("--max-vertices", "-1"), ("--steps", "-0012")]
+    )
+    def test_a_negative_count_is_an_argument_error(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "octahedron", option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}: {value!r} is negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bfs", "connect"])
+    @pytest.mark.parametrize("option", ["--max-vertices", "--max-states"])
+    def test_negative_search_caps_are_argument_errors(self, capsys, command, option):
+        argv = [command, "octahedron"] + (["octahedron"] if command == "connect" else [])
+        caps = {"--max-vertices": "10", "--max-states": "4"} | {option: "-5"}
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [arg for pair in caps.items() for arg in pair])
+        assert exc.value.code == 2
+        assert f"argument {option}: '-5' is negative" in capsys.readouterr().err
+
+    def test_zero_counts_and_a_negative_seed_are_accepted(self, capsys):
+        code, out, _ = run(capsys, "sample", "octahedron", "--steps", "0", "--seed", "-3")
+        assert (code, out) == (0, "")
+        code, out, _ = run(capsys, "sample", "octahedron", "--steps", "2", "--seed", "-3")
+        assert code == 0 and len(out.split()) == 2
+        code, out, _ = run(
+            capsys, "bfs", "octahedron", "--max-vertices", "0", "--max-states", "0"
+        )
+        assert code == 0 and "states 1" in out
+
     @pytest.mark.parametrize("command", ["bfs", "connect"])
     @pytest.mark.parametrize("option", ["--max-vertices", "--max-states"])
     def test_search_caps_take_plain_decimals_only(self, capsys, command, option):

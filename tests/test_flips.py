@@ -357,21 +357,11 @@ class TestReadersMatchTheReference:
         assert {k for k in FlipKind if rejected[k]} == set(FlipKind) - unchecked
 
 
-def grown_by_bts(t, target=800):
-    """t with faces picked by random.Random(1) triple-subdivided until
-    V >= target: the shape of the benchmark's large inputs."""
-    rng = random.Random(1)
-    while t.vertex_count < target:
-        t, _ = apply_flip(t, FlipSite(FlipKind.BTS, rng.choice(t.faces)))
-    return t
-
-
 @pytest.fixture(scope="module")
-def reader_starts(genus_two, three_crosscaps):
+def reader_starts(grown_801, genus_two, three_crosscaps):
     """Starts where the readers meet large links and negative characteristic."""
     return {
-        "sphere-801": grown_by_bts(build_octahedron()[0]),
-        "torus-801": grown_by_bts(grid_torus(3)[0]),
+        **grown_801,
         "genus-two": genus_two[0],
         "three-crosscaps": three_crosscaps[0],
     }

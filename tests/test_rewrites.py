@@ -250,3 +250,127 @@ class TestVerifyExpansion:
         t, col = build_octahedron()
         site = enumerate_sites(t, [FlipKind.BES])[0]
         assert verify_expansion(t, site, [site])
+
+
+def eager_isomorphic_to(direct):
+    """The isomorphism test as it read before the face and degree shortcuts:
+    one code per call for each side."""
+    return lambda cur: canonical_code(cur) == canonical_code(direct)
+
+
+def eager_verify(t, site, seq):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewrites, "_isomorphic_to", eager_isomorphic_to)
+        return verify_expansion(t, site, seq)
+
+
+def eager_expand(t, site):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewrites, "_isomorphic_to", eager_isomorphic_to)
+        return expand_via_budget(t, site)
+
+
+@pytest.fixture()
+def code_calls(monkeypatch):
+    """The triangulations rewrites hands to canonical_code, in call order."""
+    calls = []
+
+    def spy(t, *args):
+        calls.append(t)
+        return canonical_code(t, *args)
+
+    monkeypatch.setattr(rewrites, "canonical_code", spy)
+    return calls
+
+
+def degrees(t):
+    return sorted(map(len, t._links.values()))
+
+
+class TestFewerCodes:
+    """Face tuples, then vertex count and degrees, decide before any code;
+    the verdicts are those of comparing two codes every time."""
+
+    def test_verify_computes_no_code_on_the_direct_faces(self, code_calls, small_samples_50):
+        t, _ = build_octahedron()
+        site = enumerate_sites(t, [FlipKind.BES])[0]
+        assert verify_expansion(t, site, [site])
+        checked = 0
+        for t, _ in small_samples_50[:10]:
+            for site in enumerate_sites(t, [FlipKind.NFLIP, FlipKind.P2FLIP]):
+                seq = expand_via_budget(t, site)
+                direct = apply_flip(t, site)[0]
+                if replay(t, None, seq)[0].faces == direct.faces:
+                    del code_calls[:]
+                    assert verify_expansion(t, site, seq)
+                    checked += 1
+                    assert code_calls == []
+        assert checked > 0
+
+    def test_verify_codes_a_relabeled_replay_once_per_side(self, code_calls):
+        # another edge of the octahedron gives the same result on other ids
+        t, _ = build_octahedron()
+        sites = enumerate_sites(t, [FlipKind.BES])
+        direct, other = (apply_flip(t, s)[0] for s in sites[:2])
+        assert direct.faces != other.faces
+        assert verify_expansion(t, sites[0], [sites[1]])
+        assert [c.faces for c in code_calls] == [direct.faces, other.faces]
+
+    def test_verify_rejects_a_non_isomorph_with_the_same_degrees(
+        self, code_calls, small_samples_50
+    ):
+        found = 0
+        for t, _ in small_samples_50:
+            for kind in (FlipKind.NFLIP, FlipKind.P2FLIP):
+                sites = enumerate_sites(t, [kind])
+                for other in sites[1:]:
+                    direct, cur = (apply_flip(t, s)[0] for s in (sites[0], other))
+                    if degrees(cur) == degrees(direct) and not eager_verify(
+                        t, sites[0], [other]
+                    ):
+                        del code_calls[:]
+                        assert not verify_expansion(t, sites[0], [other])
+                        assert len(code_calls) == 2
+                        found += 1
+        assert found > 0
+
+    def test_search_codes_the_direct_result_only_for_a_candidate(
+        self, monkeypatch, code_calls, small_samples_50
+    ):
+        # every state the search builds, in order; the first is the direct result
+        states = []
+        real = rewrites.apply_flip
+
+        def recording(*args):
+            result = real(*args)
+            states.append(result[0])
+            return result
+
+        monkeypatch.setattr(rewrites, "apply_flip", recording)
+        coded = 0
+        for t, _ in small_samples_50:
+            for site in enumerate_sites(t, [FlipKind.NFLIP, FlipKind.P2FLIP]):
+                del states[:], code_calls[:]
+                expand_via_budget(t, site)
+                direct = states[0]
+                candidates = [
+                    s for s in states[1:]
+                    if s.faces != direct.faces and s.vertex_count == direct.vertex_count
+                    and degrees(s) == degrees(direct)
+                ]
+                assert code_calls == ([direct] + candidates if candidates else [])
+                coded += bool(candidates)
+        assert coded > 0
+
+    def test_verdicts_equal_the_eager_codes(self, small_samples_50):
+        for t, _ in small_samples_50:
+            for kind in (FlipKind.NFLIP, FlipKind.P2FLIP):
+                sites = enumerate_sites(t, [kind])
+                for site in sites:
+                    seq = expand_via_budget(t, site)
+                    assert seq == eager_expand(t, site)
+                    assert verify_expansion(t, site, seq) is eager_verify(t, site, seq) is True
+                    for other in sites[:3]:
+                        assert verify_expansion(t, site, [other]) is eager_verify(
+                            t, site, [other]
+                        )
