@@ -15,11 +15,14 @@ Each rewrite is verified on the spot by finding an isomorphism between the
 graphs the old and the new pair reach; a relabeling other than the identity
 is pushed through the remaining ops.
 
-Ops cost what they change: `apply_bip` patches copies of its input's dicts
-and shares every neighbor frozenset it does not touch.  The normalizer
-applies the script once, which rejects a script that does not apply, and
-caches the graph after each prefix; a rewrite at position i keeps the
-prefixes before i and rebuilds later ones only as rewriting reaches them.
+Ops cost what they change: one routine checks an op and then patches a
+graph's two dicts in place.  `apply_bip` runs it on copies of its input's
+dicts, sharing every neighbor frozenset the op does not touch;
+`apply_sequence` copies once and patches that owned copy for the whole
+script.  A refused op raises NotApplicable naming the op as a script writes
+it.  The normalizer checks the script with `apply_sequence`, then caches
+the graph after each prefix of the rewritten script, built as rewriting
+reaches it; a rewrite at position i keeps the prefixes before i.
 A BipOp is the plain tuple (kind, args) with named fields, equal to it.
 """
 
@@ -190,84 +193,98 @@ def is_removable(g: BipGraph, w: int) -> bool:
     return bool((g.neighbors(x) & g.neighbors(y)) - {w})
 
 
-def _need(cond: bool, msg: str) -> None:
-    if not cond:
-        raise NotApplicable(msg)
+def _apply_into(parts: dict[int, int], adj: dict[int, frozenset[int]], op: BipOp) -> None:
+    """Apply op to the graph on parts and adj by patching both dicts in place.
+
+    Every check runs before the first write, so a refused op leaves the dicts
+    as they were.  The NotApplicable message is built only then: it names op
+    and its vertices as a script writes them, 1-based, like str(op).
+    """
+    k, a = op
+    if k is BipOpKind.ADD_LEAF:
+        v, w = a
+        if v not in parts:
+            raise NotApplicable(f"{op}: no vertex {v + 1}")
+        if w in parts:
+            raise NotApplicable(f"{op}: vertex {w + 1} already exists")
+        parts[w] = 1 - parts[v]
+        adj[v] = adj[v] | {w}
+        adj[w] = frozenset((v,))
+    elif k is BipOpKind.SPLIT_EDGE:
+        u, v, p, q = a
+        if v not in adj.get(u, ()):
+            raise NotApplicable(f"{op}: no edge {{{u + 1},{v + 1}}}")
+        if p in parts or q in parts or p == q:
+            raise NotApplicable(f"{op}: {p + 1}, {q + 1} must be two new vertices")
+        parts[p], parts[q] = parts[v], parts[u]
+        adj[u] = adj[u] - {v} | {p}
+        adj[v] = adj[v] - {u} | {q}
+        adj[p] = frozenset((u, q))
+        adj[q] = frozenset((p, v))
+    elif k is BipOpKind.ADD_CORNER:
+        x, y, z, w = a
+        if x not in parts or y not in parts or z not in parts:
+            raise NotApplicable(f"{op}: vertices {x + 1}, {y + 1}, {z + 1} must exist")
+        if x == y:
+            raise NotApplicable(f"{op}: corner endpoints coincide")
+        if z not in adj[x] or z not in adj[y]:
+            raise NotApplicable(f"{op}: {z + 1} must witness both {x + 1} and {y + 1}")
+        if y in adj[x]:
+            raise NotApplicable(f"{op}: {x + 1} and {y + 1} must be non-adjacent")
+        if w in parts:
+            raise NotApplicable(f"{op}: vertex {w + 1} already exists")
+        parts[w] = 1 - parts[x]
+        adj[x] = adj[x] | {w}
+        adj[y] = adj[y] | {w}
+        adj[w] = frozenset((x, y))
+    elif k is BipOpKind.SMOOTH_PATH:
+        u, p, q, v = a
+        if len({u, p, q, v}) != 4 or not (u in parts and p in parts and q in parts and v in parts):
+            raise NotApplicable(f"{op}: its 4 vertices must be distinct and exist")
+        if p not in adj[u] or q not in adj[p] or v not in adj[q]:
+            raise NotApplicable(f"{op}: no path {u + 1}-{p + 1}-{q + 1}-{v + 1}")
+        if len(adj[p]) != 2 or len(adj[q]) != 2:
+            raise NotApplicable(f"{op}: {p + 1}, {q + 1} must have degree 2")
+        if v in adj[u]:
+            raise NotApplicable(f"{op}: pair {p + 1}, {q + 1} lies on a 4-cycle")
+        del adj[p], adj[q], parts[p], parts[q]
+        adj[u] = adj[u] - {p} | {v}
+        adj[v] = adj[v] - {q} | {u}
+    else:  # DEL_LEAF, DEL_CORNER
+        (w,) = a
+        if w not in parts:
+            raise NotApplicable(f"{op}: no vertex {w + 1}")
+        ns = adj[w]
+        if k is BipOpKind.DEL_LEAF:
+            if len(ns) != 1:
+                raise NotApplicable(f"{op}: vertex {w + 1} has degree {len(ns)}, not a leaf")
+        else:  # DEL_CORNER
+            if len(ns) != 2:
+                raise NotApplicable(f"{op}: vertex {w + 1} has degree {len(ns)}, not 2")
+            x, y = ns
+            if len(adj[x] & adj[y]) < 2:
+                raise NotApplicable(f"{op}: vertex {w + 1} lies on no 4-cycle")
+        for v in ns:
+            adj[v] = adj[v] - {w}
+        del adj[w], parts[w]
 
 
 def apply_bip(g: BipGraph, op: BipOp) -> BipGraph:
-    """Apply one operation, or raise NotApplicable naming the violation."""
-    k, a = op.kind, op.args
-    # the checks below leave a simple bipartite graph: patch g, skip revalidation
-    parts = dict(g.parts)
-    adj = dict(g._adj)
+    """Apply one operation, or raise NotApplicable naming op and the violation.
 
-    def add_edge(u, v):
-        adj[u] = adj.get(u, frozenset()) | {v}
-        adj[v] = adj.get(v, frozenset()) | {u}
-
-    def del_vertex(w):
-        for v in adj.pop(w):
-            adj[v] = adj[v] - {w}
-        del parts[w]
-
-    if k is BipOpKind.ADD_LEAF:
-        v, w = a
-        _need(v in g, f"no vertex {v}")
-        _need(w not in g, f"vertex {w} already exists")
-        parts[w] = 1 - g.part(v)
-        add_edge(v, w)
-    elif k is BipOpKind.SPLIT_EDGE:
-        u, v, p, q = a
-        _need(g.has_edge(u, v), f"no edge {{{u},{v}}}")
-        _need(p not in g and q not in g and p != q, f"{p}, {q} must be two new vertices")
-        adj[u] = adj[u] - {v}
-        adj[v] = adj[v] - {u}
-        parts[p] = g.part(v)
-        parts[q] = g.part(u)
-        add_edge(u, p)
-        add_edge(p, q)
-        add_edge(q, v)
-    elif k is BipOpKind.ADD_CORNER:
-        x, y, z, w = a
-        _need(x in g and y in g and z in g, f"vertices {x}, {y}, {z} must exist")
-        _need(x != y, "corner endpoints coincide")
-        _need(g.has_edge(x, z) and g.has_edge(y, z), f"{z} must witness both {x} and {y}")
-        _need(not g.has_edge(x, y), f"{x} and {y} must be non-adjacent")
-        _need(w not in g, f"vertex {w} already exists")
-        parts[w] = 1 - g.part(x)
-        add_edge(x, w)
-        add_edge(y, w)
-    elif k is BipOpKind.DEL_LEAF:
-        (w,) = a
-        _need(w in g, f"no vertex {w}")
-        _need(g.degree(w) == 1, f"vertex {w} has degree {g.degree(w)}, not a leaf")
-        del_vertex(w)
-    elif k is BipOpKind.SMOOTH_PATH:
-        u, p, q, v = a
-        _need(len(set(a)) == 4 and all(x in g for x in a), f"{a} must be 4 existing vertices")
-        _need(
-            g.has_edge(u, p) and g.has_edge(p, q) and g.has_edge(q, v),
-            f"no path {u}-{p}-{q}-{v}",
-        )
-        _need(g.degree(p) == 2 and g.degree(q) == 2, f"{p}, {q} must have degree 2")
-        _need(is_smoothable(g, p, q), f"pair {p}, {q} lies on a 4-cycle")
-        del_vertex(p)
-        del_vertex(q)
-        add_edge(u, v)
-    else:  # DEL_CORNER
-        (w,) = a
-        _need(w in g, f"no vertex {w}")
-        _need(g.degree(w) == 2, f"vertex {w} has degree {g.degree(w)}, not 2")
-        _need(is_removable(g, w), f"vertex {w} lies on no 4-cycle")
-        del_vertex(w)
+    The result shares every neighbor set op does not touch; g is unchanged.
+    """
+    parts, adj = dict(g.parts), dict(g._adj)
+    _apply_into(parts, adj, op)
     return BipGraph._trusted(parts, adj)
 
 
 def apply_sequence(g: BipGraph, ops: Sequence[BipOp]) -> BipGraph:
+    """Apply ops in order on one copy of g, patched in place; g is unchanged."""
+    parts, adj = dict(g.parts), dict(g._adj)
     for op in ops:
-        g = apply_bip(g, op)
-    return g
+        _apply_into(parts, adj, op)
+    return BipGraph._trusted(parts, adj)
 
 
 # -- isomorphism --------------------------------------------------------------
@@ -292,9 +309,10 @@ def find_isomorphism(g1: BipGraph, g2: BipGraph) -> dict[int, int] | None:
         out.add_nodes_from(g.vertices)
         out.add_edges_from(sorted(g.edges))
     matcher = GraphMatcher(nx1, nx2)
-    if matcher.is_isomorphic():
-        return dict(matcher.mapping)
-    return None
+    try:  # the matcher raises the recursion limit to 1.5 V and leaves it there
+        return dict(matcher.mapping) if matcher.is_isomorphic() else None
+    finally:
+        matcher.reset_recursion_limit()
 
 
 def bip_isomorphic(g1: BipGraph, g2: BipGraph) -> bool:
@@ -304,35 +322,29 @@ def bip_isomorphic(g1: BipGraph, g2: BipGraph) -> bool:
 
 # -- sequence normalization ----------------------------------------------------
 
-def _freshen(g: BipGraph, ops: Sequence[BipOp]) -> tuple[list[BipOp], list[BipGraph], int]:
-    """Apply ops once, renaming re-created ids so every creation is unique.
+def _freshen(g: BipGraph, ops: Sequence[BipOp]) -> tuple[list[BipOp], int]:
+    """Check that ops apply to g, and rename re-created ids so every creation is unique.
 
     Input sequences may reuse ids (create, delete, re-create); downstream
-    rewriting assumes created ids are unique and collision-free.  Ids that
-    are already unique are kept as-is, and so is a created id that is still
-    live, which apply_bip then rejects just as apply_sequence would.
-    Returns the renamed ops, the prefix graphs (prefix[i] is g after the
-    first i ops) and the largest id in use.
+    rewriting assumes created ids are unique and collision-free.  The check
+    runs on ops as given, so a refusal names the op as the script wrote it.
+    An op that applies creates no live id, so a created id seen before is a
+    re-creation: it gets the next unused id, which later ops then use.
+    Returns the renamed ops and the largest id in use.
     """
-    used = set(g.parts)
-    for op in ops:
-        used.update(op.args)
-    counter = max(used, default=-1)
+    apply_sequence(g, ops)
     seen = set(g.parts)
+    counter = max(seen.union(*(op.args for op in ops)), default=-1)
     rename: dict[int, int] = {}
     out: list[BipOp] = []
-    prefix = [g]
     for op in ops:
-        op = op.relabeled(rename)
         for c in op.created():
-            if c in seen and c not in prefix[-1]:
+            if c in seen:
                 counter += 1
                 rename[c] = counter
-            seen.add(rename.get(c, c))
-        op = op.relabeled(rename)
-        out.append(op)
-        prefix.append(apply_bip(prefix[-1], op))
-    return out, prefix, counter
+            seen.add(c)
+        out.append(op.relabeled(rename))
+    return out, counter
 
 
 def _sound(cond: bool, msg: str) -> None:
@@ -420,7 +432,8 @@ def normalize_sequence(g: BipGraph, ops: Sequence[BipOp]) -> list[BipOp]:
         raise PreconditionViolated(
             f"minimum degree {g.min_degree()} < 3; normalization not defined"
         )
-    seq, prefix, counter = _freshen(g, ops)
+    seq, counter = _freshen(g, ops)
+    prefix = [g]  # prefix[i] is g after seq[:i], built as rewriting reaches it
 
     def fresh() -> int:
         nonlocal counter

@@ -22,10 +22,12 @@ operation script (.ops)     one op per line:
                             smooth-path u p q v del-corner w
 
 Numbers are plain decimal, an optional '-' then ASCII digits.  Parsers
-report malformed text as ParseError with a line number; semantic failures
-(a face list that is no surface, walks that close nothing) keep their own
-exception types.  Writers renumber vertices contiguously in sorted order
-and emit sorted faces and edges.
+report malformed text as ParseError with a line number; parse_tri and
+parse_bip_script read a text in one pass, and go over it line by line only
+to name the first bad line.  Semantic failures (a face list that is no
+surface, walks that close nothing) keep their own exception types.  Writers
+renumber vertices contiguously in sorted order and emit sorted faces and
+edges.
 """
 
 from __future__ import annotations
@@ -255,8 +257,33 @@ _KIND_BY_NAME = {k.value: k for k in BipOpKind}
 
 def parse_bip_script(text: str) -> list[BipOp]:
     """Parse operation lines; vertex numbers are 1-based and unbounded
-    above (new vertices may use any unused number)."""
+    above (new vertices may use any unused number).
+
+    One pass reads each line's kind and numbers with int(), past blank
+    lines and comments, and one search checks every number (_NOT_DECIMAL).
+    A text it rejects goes to _script_fault to name the bad line.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
     ops = []
+    try:
+        for fields in filter(None, map(str.split, lines)):
+            kind = _KIND_BY_NAME[fields[0]]
+            args = tuple([int(f) - 1 for f in fields[1:]])
+            if len(args) != OP_ARITY[kind] or min(args) < 0:
+                _script_fault(text)
+            ops.append(tuple.__new__(BipOp, (kind, args)))
+    except (KeyError, ValueError):
+        _script_fault(text)
+    if _NOT_DECIMAL.search("\n".join(lines)):
+        _script_fault(text)
+    return ops
+
+
+def _script_fault(text: str) -> NoReturn:
+    """Raise the ParseError for a script parse_bip_script's pass rejected:
+    its first bad line."""
     for ln, fields in _significant_lines(text):
         kind = _KIND_BY_NAME.get(fields[0])
         if kind is None:
@@ -267,10 +294,10 @@ def parse_bip_script(text: str) -> list[BipOp]:
                 f"line {ln}: {kind.value} takes {OP_ARITY[kind]} arguments, "
                 f"got {len(vals)}"
             )
-        if any(v < 1 for v in vals):
+        if min(vals) < 1:
             raise ParseError(f"line {ln}: vertex numbers start at 1")
-        ops.append(BipOp(kind, tuple(v - 1 for v in vals)))
-    return ops
+    # every text the pass rejects has a line rejected above
+    raise ParseError("operation script rejected")
 
 
 def format_bip_script(ops: Sequence[BipOp]) -> str:

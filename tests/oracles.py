@@ -18,7 +18,9 @@ and searched the face-adjacency graph, which the link-walking validate must
 match index for index and error class for error class; and
 reference_parse_tri, the .tri parser that checked every line as it read it,
 which the one-pass parser must match in faces and colors, or in error class
-and message; and
+and message; and reference_parse_bip_script, the script parser that checked
+every line as it read it, which the one-pass parser must match op for op, or
+in its ParseError message; and
 reference_find_coloring and reference_is_orientable, the two separate face
 walks the package once ran, which the one shared walk must match in coloring,
 answer and NotBalanced message; and
@@ -773,6 +775,37 @@ def reference_parse_tri(text):
         )
     col = Coloring({v: colors[v] - 1 for v in range(nv)}) if colors else None
     return tri, col
+
+
+def reference_parse_bip_script(text):
+    """parse_bip_script as the package once wrote it: every line checked as
+    it is read, with its own check that a number is plain decimal: an
+    optional '-', then ASCII digits."""
+    from baltri.bipartite import OP_ARITY, BipOp, BipOpKind
+    from baltri.errors import ParseError
+    from baltri.fileio import _significant_lines
+
+    kinds = {k.value: k for k in BipOpKind}
+    ops = []
+    for ln, fields in _significant_lines(text):
+        kind = kinds.get(fields[0])
+        if kind is None:
+            raise ParseError(f"line {ln}: unknown operation {fields[0]!r}")
+        args = fields[1:]
+        if not all(f[f.startswith("-"):].isdigit() and f.isascii() for f in args):
+            raise ParseError(
+                f"line {ln}: operation arguments must be integers, got {args!r}"
+            )
+        vals = [int(f) for f in args]
+        if len(vals) != OP_ARITY[kind]:
+            raise ParseError(
+                f"line {ln}: {kind.value} takes {OP_ARITY[kind]} arguments, "
+                f"got {len(vals)}"
+            )
+        if any(v < 1 for v in vals):
+            raise ParseError(f"line {ln}: vertex numbers start at 1")
+        ops.append(BipOp(kind, tuple(v - 1 for v in vals)))
+    return ops
 
 
 def reference_is_orientable(t):

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +64,7 @@ def corrupted(rng, g, ops):
 
 
 CANCELLING = [BipOp(BipOpKind.ADD_LEAF, (0, 6)), BipOp(BipOpKind.DEL_LEAF, (6,))]
+K = BipOpKind
 
 
 class TestGraph:
@@ -234,6 +236,55 @@ class TestPatchedApply:
             g = h
 
 
+def _snapshot(g):
+    return dict(g.parts), {v: g.neighbors(v) for v in g.vertices}
+
+
+class TestInPlaceSequence:
+    """apply_sequence patches one copy of its input for the whole script; a
+    per-op replay of the definitions must reach the same graph, or refuse
+    the same op with the message apply_bip gives for it alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_matches_a_per_op_reference_replay(self, seed):
+        rng = random.Random(seed)
+        g, ops = random_bip_case(seed % 4000, max_side=6, max_len=32)
+        before = _snapshot(g)
+        states = [(dict(g.parts), g.edges)]
+        for op in ops:
+            states.append(reference_apply_bip(*states[-1], op.kind.value, op.args))
+        assert apply_sequence(g, ops) == BipGraph(*states[-1])
+        # one stray op that fails, anywhere in the script
+        i = rng.randrange(len(ops) + 1)
+        parts, edges = states[i]
+        ids = set(parts).union(*(op.args for op in ops))
+        stray = random_op(rng, ids)
+        while reference_apply_bip(parts, edges, stray.kind.value, stray.args) is not None:
+            stray = random_op(rng, ids)
+        with pytest.raises(NotApplicable) as alone:
+            apply_bip(BipGraph(parts, edges), stray)
+        with pytest.raises(NotApplicable) as err:
+            apply_sequence(g, ops[:i] + [stray] + ops[i:])
+        assert (type(err.value), str(err.value)) == (type(alone.value), str(alone.value))
+        assert str(err.value).startswith(f"{stray}: ")
+        assert _snapshot(g) == before
+
+    def test_refusals_name_the_op_one_based(self):
+        for op, message in (
+            (BipOp(K.DEL_LEAF, (1,)), "del-leaf 2: vertex 2 has degree 3, not a leaf"),
+            (BipOp(K.ADD_LEAF, (8, 9)), "add-leaf 9 10: no vertex 9"),
+            (BipOp(K.ADD_LEAF, (0, 5)), "add-leaf 1 6: vertex 6 already exists"),
+            (BipOp(K.SPLIT_EDGE, (0, 1, 6, 7)), "split-edge 1 2 7 8: no edge {1,2}"),
+            (BipOp(K.SMOOTH_PATH, (0, 3, 0, 4)),
+             "smooth-path 1 4 1 5: its 4 vertices must be distinct and exist"),
+            (BipOp(K.DEL_CORNER, (0,)), "del-corner 1: vertex 1 has degree 3, not 2"),
+        ):
+            with pytest.raises(NotApplicable) as err:
+                apply_sequence(k33(), [op])
+            assert str(err.value) == message
+
+
 class TestPredicates:
     def test_smoothable_wrong_degree(self):
         with pytest.raises(WrongDegree):
@@ -271,11 +322,68 @@ class TestIsomorphism:
         assert phi is not None
         assert oracle_iso(h, h2) is not None
 
+    def test_the_recursion_limit_is_left_as_it_was(self):
+        # VF2 raises the limit to 1.5 V while it searches a 700-cycle
+        n = 700
+        cycle = BipGraph({v: v % 2 for v in range(n)}, [(v, (v + 1) % n) for v in range(n)])
+        moved = BipGraph(
+            {v + n: v % 2 for v in range(n)}, [(v + n, (v + 1) % n + n) for v in range(n)]
+        )
+        limit = sys.getrecursionlimit()
+        assert find_isomorphism(cycle, moved) is not None
+        assert sys.getrecursionlimit() == limit
+
     def test_against_the_oracle(self):
         cases = [apply_sequence(*random_bip_case(s)) for s in range(14)]
         for i, g1 in enumerate(cases):
             for g2 in cases[i:]:
                 assert bip_isomorphic(g1, g2) == (oracle_iso(g1, g2) is not None)
+
+
+class TestRewriteBranches:
+    """Scripts that reach the rewrites random_bip_case scripts miss, pinned
+    op for op and held to the replay reference and to apply_sequence."""
+
+    @pytest.mark.parametrize(
+        "ops, want",
+        [
+            # splitting the pendant edge of w = 6, then deleting w, is
+            # growing the pendant path at w by a fresh leaf
+            (
+                [BipOp(K.ADD_LEAF, (0, 6)), BipOp(K.SPLIT_EDGE, (0, 6, 7, 8)),
+                 BipOp(K.DEL_LEAF, (6,))],
+                [BipOp(K.ADD_LEAF, (0, 6)), BipOp(K.ADD_LEAF, (6, 9))],
+            ),
+            # the leaf 8 makes the old leaf 7 a smoothing endpoint: deleting
+            # 7 instead, which then cancels against its own creation
+            (
+                [BipOp(K.ADD_LEAF, (0, 6)), BipOp(K.ADD_LEAF, (6, 7)),
+                 BipOp(K.ADD_LEAF, (7, 8)), BipOp(K.SMOOTH_PATH, (0, 6, 7, 8))],
+                [BipOp(K.ADD_LEAF, (0, 6))],
+            ),
+            # 6 is re-created: it becomes 7, past every id the script uses
+            (
+                [BipOp(K.ADD_LEAF, (0, 6)), BipOp(K.DEL_LEAF, (6,)),
+                 BipOp(K.ADD_LEAF, (1, 6)), BipOp(K.SPLIT_EDGE, (1, 6, 7, 8))],
+                # the split's 7 and 8 are new and kept; 6's second life is 9
+                [BipOp(K.ADD_LEAF, (1, 9)), BipOp(K.SPLIT_EDGE, (1, 9, 7, 8))],
+            ),
+            # 6 is re-created twice, and the later ops follow its last life
+            (
+                [BipOp(K.ADD_LEAF, (0, 6)), BipOp(K.DEL_LEAF, (6,)),
+                 BipOp(K.ADD_LEAF, (1, 6)), BipOp(K.DEL_LEAF, (6,)),
+                 BipOp(K.ADD_LEAF, (2, 6)), BipOp(K.ADD_LEAF, (6, 7))],
+                [BipOp(K.ADD_LEAF, (2, 9)), BipOp(K.ADD_LEAF, (9, 7))],
+            ),
+        ],
+        ids=["split-then-delete-leaf", "leaf-becomes-smoothing-end", "recreated",
+             "recreated-twice"],
+    )
+    def test_pinned_rewrites(self, ops, want):
+        got = normalize_sequence(k33(), ops)
+        assert got == want
+        assert got == reference_normalize(k33(), ops)
+        assert oracle_iso(apply_sequence(k33(), ops), apply_sequence(k33(), got))
 
 
 class TestNormalize:

@@ -622,6 +622,25 @@ class TestBip:
             assert out == ""
             assert err.startswith("error:") and "internal" not in err
 
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            ("del-leaf 2\n", "del-leaf 2: vertex 2 has degree 3, not a leaf"),
+            ("add-leaf 9 10\n", "add-leaf 9 10: no vertex 9"),
+            # normalize renames the re-created 7 inside; the error does not
+            ("add-leaf 1 7\ndel-leaf 7\nadd-leaf 2 7\ndel-corner 7\n",
+             "del-corner 7: vertex 7 has degree 1, not 2"),
+        ],
+    )
+    def test_a_refused_op_is_named_as_the_script_wrote_it(
+        self, capsys, tmp_path, script, message
+    ):
+        g, s = str(tmp_path / "g.bip"), str(tmp_path / "s.ops")
+        open(g, "w").write(self.K33_TEXT)
+        open(s, "w").write(script)
+        for command in ("apply", "normalize"):
+            assert run(capsys, "bip", command, g, s) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("bad", ["graph", "script"])
     def test_non_utf8_file_exits_two(self, capsys, tmp_path, bad):
         files = {"graph": self.K33_TEXT.encode(), "script": self.SCRIPT.encode()}

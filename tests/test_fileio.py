@@ -30,7 +30,7 @@ from baltri.errors import BaltriError
 from baltri.explorer import build_k333_torus, build_octahedron
 
 from conftest import grid_torus, k33, random_bip_case
-from oracles import reference_parse_tri
+from oracles import reference_parse_bip_script, reference_parse_tri
 
 OCTA_TEXT = """\
 # the six-vertex sphere
@@ -358,4 +358,112 @@ class TestOnePass:
             with monkeypatch.context() as m:
                 m.setattr(cli, "parse_tri", reference_parse_tri)
                 want = cli.main(["validate", str(path)]), capsys.readouterr()
+            assert got == want, text
+
+
+# -- the one-pass script parser against the line-by-line one --------------------
+
+SCRIPT_CASES = 1500
+# a pattern for each ParseError parse_bip_script can raise
+SCRIPT_FAULTS = (
+    "unknown operation", "operation arguments must be integers",
+    r"takes \d arguments, got \d+", "vertex numbers start at 1",
+)
+# ids 0 and -1, numbers int() reads and plain decimal refuses (a sign, an
+# underscore, Arabic-Indic and fullwidth digits), no number, and good ones
+SCRIPT_TOKENS = ("0", "-1", "-0", "+1", "1_0", "\u0663", "\uff11", "x", "-", "07", "2", "99")
+NOT_KINDS = ("grow", "add_leaf", "Add-leaf", "del-leaf2", "p", "e", "\u0663")
+
+
+def _mutated_script(rng, lines):
+    """lines with one edit: an unknown kind, a field dropped or added, a
+    number swapped for a SCRIPT_TOKENS entry, a comment, a blank line, a
+    line dropped, duplicated or swapped, or a doubled space."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    fields = lines[i].split()
+    how = rng.randrange(9)
+    if how == 0 and fields:
+        fields[0] = rng.choice(NOT_KINDS)
+    elif how == 1 and fields:
+        if rng.random() < 0.5:
+            del fields[rng.randrange(len(fields))]
+        else:
+            fields.insert(rng.randrange(1, len(fields) + 1), rng.choice(SCRIPT_TOKENS[-3:]))
+    elif how == 2 and len(fields) > 1:
+        fields[rng.randrange(1, len(fields))] = rng.choice(SCRIPT_TOKENS)
+    elif how == 3:
+        if rng.random() < 0.5:
+            lines.insert(i, rng.choice(("# note", "#", "  # del-leaf 0", "#grow 1")))
+        else:
+            lines[i] += rng.choice(("  # trailing", "#", " #del-leaf 0", "# +1"))
+    elif how == 4:
+        lines.insert(i, rng.choice(("", "   ", "\t", " \t ")))
+    elif how == 5:
+        del lines[i]
+    elif how == 6:
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif how == 7:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines[i] = lines[i].replace(" ", "  ", 1)
+    if how in (0, 1, 2):
+        lines[i] = " ".join(fields)
+    return lines or [""]
+
+
+@pytest.fixture(scope="module")
+def script_texts():
+    """SCRIPT_CASES seeded scripts, mutated from random_bip_case scripts,
+    some with CRLF ends."""
+    bases = [format_bip_script(random_bip_case(s, max_side=5, max_len=12)[1]) for s in range(80)]
+    rng = random.Random(20170503)
+    texts = []
+    for _ in range(SCRIPT_CASES):
+        lines = rng.choice(bases).splitlines()
+        for _ in range(rng.choice((0, 1, 1, 1, 2, 3))):
+            lines = _mutated_script(rng, lines)
+        end = "\r\n" if rng.random() < 0.2 else "\n"
+        texts.append(end.join(lines) + rng.choice((end, "", end + end)))
+    return texts
+
+
+def _parsed_script(parse, text):
+    """The ops parse reads off text, or its ParseError's message."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestOnePassScripts:
+    """parse_bip_script must read every script as the line-by-line
+    reference_parse_bip_script does: the same ops, or the same ParseError."""
+
+    def test_matches_the_reference(self, script_texts):
+        outcomes = []
+        for text in script_texts:
+            want = _parsed_script(reference_parse_bip_script, text)
+            got = _parsed_script(parse_bip_script, text)
+            assert got == want, text
+            assert all(type(op) is BipOp and type(op.args) is tuple for op in got) or (
+                isinstance(got, str)
+            )
+            outcomes.append(want)
+        # every check fires somewhere, and many texts still parse
+        errors = "\n".join(o for o in outcomes if isinstance(o, str))
+        assert all(re.search(m, errors) for m in SCRIPT_FAULTS), errors
+        assert SCRIPT_CASES // 4 < len(errors.splitlines()) < SCRIPT_CASES * 3 // 4
+
+    def test_exit_codes_match(self, script_texts, tmp_path, capsys, monkeypatch):
+        g, s = tmp_path / "g.bip", tmp_path / "s.ops"
+        g.write_text(format_bip(k33()))
+        for text in script_texts[::15]:
+            s.write_bytes(text.encode())
+            args = ["bip", "apply", str(g), str(s)]
+            got = cli.main(args), capsys.readouterr()
+            with monkeypatch.context() as m:
+                m.setattr(cli, "parse_bip_script", reference_parse_bip_script)
+                want = cli.main(args), capsys.readouterr()
             assert got == want, text
