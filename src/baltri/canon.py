@@ -20,20 +20,22 @@ across the opposite edge.  With the vertex degrees, which pick the start
 flags in one pass reading each face's three degrees once (see _start_flags),
 that is all a call reads, so the search canonicalizes a child from those
 parts patched, with no Triangulation built (see explorer).  Crossing an
-edge is then one small-int lookup and one byte test, and a face labels only
-its third corner, as the face that queued it labeled the other two.
+edge is then one small-int lookup and one stamp test (trial sweeps share one
+list of visit stamps until one becomes the least and keeps it), and a face
+labels only its third corner, as the face that queued it labeled the other two.
 
 A sweep that ties the least stream (and a FIXED suffix) to the end proves an
 automorphism: the vertex labeled L by the least sweep goes to the one
-labeled L by this one.  As in nauty (McKay 1981; McKay & Piperno 2014), each
-start flag is joined with its image under it in a union-find, and a flag is
-skipped once an earlier flag of its class was swept.  A class shares one
-stream and suffix, so the first flag reaching the least is never skipped:
-code and label map are unchanged, and symmetric inputs sweep a few flags per
-orbit, not |Aut| of them.  The union-find is built at the first tie, so
-inputs without automorphisms run the plain loop.  _canonical also returns
-these automorphisms, one per tie, and the flip-graph search uses them to
-apply one flip site per orbit (see explorer).
+labeled L by this one.  As in nauty (McKay 1981; McKay & Piperno 2014), a
+start flag is skipped when the automorphisms found so far map it onto a
+flag swept before it, that is when it lies in the orbit set: from the first
+tie on, the swept flags as corner triples (u, v, w), closed under those
+automorphisms (an image is a start flag again, as automorphisms keep
+degrees).  An orbit shares one stream and suffix, so the first flag
+reaching the least is never skipped: code and label map are unchanged, and
+symmetric inputs sweep a few flags per orbit, not |Aut| of them.
+_canonical also returns these automorphisms, one per tie, and the flip-graph
+search uses them to apply one flip site per orbit (see explorer).
 
 Color handling appends one byte per relabeled vertex after the face stream;
 the stream length is fixed by (V, F), so byte-wise comparison stays
@@ -82,25 +84,24 @@ class CanonicalCode(namedtuple("CanonicalCode", "mode data")):
         return self.data.hex()
 
 
-def _emit_from_flag(ix, i: int, u: int, v: int, best):
-    """Start the sweep from flag (face position i, u->v), compare with `best`:
-    (None, False) at a larger triple, (sweep, True) on a tie to the end, else
-    (sweep, False), the new least, suspended after its first smaller triple
-    (after its first one when best is None)."""
-    seen = bytearray(len(ix[0]))
-    seen[i] = 1
-    sweep = ({u: 0, v: 1}, [], seen, [(i, u, v)])
+def _emit_from_flag(ix, i: int, u: int, v: int, best, seen, stamp: int):
+    """Sweep from flag (face position i, u->v), stamping visited faces in seen,
+    and compare with `best`: (None, False) at a larger triple, (sweep, True)
+    on a tie to the end, else (sweep, False), the new least, suspended after
+    its first smaller triple (after its first one when best is None)."""
+    seen[i] = stamp
+    sweep = ({u: 0, v: 1}, [], seen, stamp, [(i, u, v)])
     order = _advance(ix, sweep, best, 1 if best is None else len(seen))
     return (None if order > 0 else sweep), order == 0 and best is not None
 
 
 def _advance(ix, sweep, best, stop: int) -> int:
-    """Resume a sweep (labels, triples, visited bytes, queue) over the face
-    index ix until it has `stop` triples or has visited every face; the queue
-    head is the triple count.  Against a sweep `best`, compare triple by
-    triple, resuming best in doubling chunks as this one catches up.  Returns
-    1 at a larger triple, -1 after a smaller one (stopping there), else 0."""
-    label, out, seen, queue = sweep
+    """Resume a sweep (labels, triples, visit stamps, its stamp, queue) over
+    the face index ix until it has `stop` triples or has visited every face;
+    the queue head is the triple count.  Against a sweep `best`, compare
+    triple by triple, resuming best in doubling chunks as this one catches
+    up.  1 at a larger triple, -1 after a smaller one (stopping there), else 0."""
+    label, out, seen, stamp, queue = sweep
     ref = best[1] if best is not None else None
     sums, across = ix
     setdefault, append = label.setdefault, queue.append
@@ -121,16 +122,16 @@ def _advance(ix, sweep, best, stop: int) -> int:
         out.append(triple)
         nb = across[i]
         g = nb[c]
-        if not seen[g]:
-            seen[g] = 1
+        if seen[g] != stamp:
+            seen[g] = stamp
             append((g, b, a))
         g = nb[a]
-        if not seen[g]:
-            seen[g] = 1
+        if seen[g] != stamp:
+            seen[g] = stamp
             append((g, c, b))
         g = nb[b]
-        if not seen[g]:
-            seen[g] = 1
+        if seen[g] != stamp:
+            seen[g] = stamp
             append((g, a, c))
     return order
 
@@ -273,37 +274,40 @@ def _canonical_parts(faces, edge_faces, deg, col, mode):
     to one permutation) of the sorted faces, each edge's two faces and the
     degrees.  Only FIXED mode needs col; Disconnected if the winning sweep
     misses a face, NotBalanced from a forced suffix."""
-    best = parent = None
+    best = orbits = None
     gens: list[dict[int, int]] = []
     ix, flags = _face_index(faces, edge_faces), _start_flags(faces, deg)
-    for i, (p, u, v) in enumerate(flags):
-        if parent is not None and _find(parent, i) != i:
-            continue  # an earlier flag of its class was swept
-        sweep, tied = _emit_from_flag(ix, p, u, v, best)
+    sums, nf = ix[0], len(faces)
+    seen = [0] * nf  # the trial sweeps' visit stamps, until one becomes best
+    for stamp, (p, u, v) in enumerate(flags, 1):
+        if orbits is not None:
+            flag = (u, v, sums[p] - u - v)
+            if flag in orbits:
+                continue  # the automorphisms found map it onto a flag swept before
+            _close(orbits, [flag], gens)
+        sweep, tied = _emit_from_flag(ix, p, u, v, best, seen, stamp)
         if sweep is None:
-            continue
-        if not tied:
-            best = sweep
             continue
         # a tie ran both sweeps to the end, so both label maps are complete;
         # up to permutation the suffix is a function of the stream, so only
         # a fixed coloring can break the tie
-        if mode is ColorMode.FIXED:
+        if tied and mode is ColorMode.FIXED:
             suffix, least = (bytes(col[v] for v in s[0]) for s in (sweep, best))
-            if suffix != least:
-                if suffix < least:
-                    best = sweep
+            if suffix > least:
                 continue
-        if parent is None:
-            parent = list(range(len(flags)))
-            corners = [(a, b, ix[0][p] - a - b) for p, a, b in flags]
-            index = {c: j for j, c in enumerate(corners)}
+            tied = suffix == least
+        if not tied:  # the new least keeps its visit stamps
+            best, seen = sweep, [0] * nf
+            continue
         # label maps list vertices in label order, so zipping them gives
         # the map sending the best sweep onto this one
         sigma = dict(zip(best[0], sweep[0]))
         gens.append(sigma)
-        _join_images(parent, index, corners, sigma)
-    nv, nf = len(deg), len(faces)
+        if orbits is None:  # the first tie: every flag so far was swept
+            orbits = {(a, b, sums[q] - a - b) for q, a, b in flags[:stamp]}
+        _close(orbits, [(sigma[a], sigma[b], sigma[c]) for a, b, c in orbits], gens)
+        if len(orbits) == len(flags):
+            break  # every flag left lies in the orbit of a swept one
     _advance(ix, best, None, nf)  # only the winner runs to the end
     if len(best[1]) != nf:
         raise Disconnected(f"a sweep from one face reaches {len(best[1])} of {nf}")
@@ -313,24 +317,20 @@ def _canonical_parts(faces, edge_faces, deg, col, mode):
     elif mode is ColorMode.FIXED:
         suffix = bytes(col[v] for v in best[0])
     width = "H" if nf < 65536 else "I"
-    body = struct.pack(f">{2 + 3 * nf}{width}", nv, nf, *chain.from_iterable(best[1]))
+    body = struct.pack(f">{2 + 3 * nf}{width}", len(deg), nf, *chain.from_iterable(best[1]))
     return CanonicalCode(mode.value, body + suffix), best[0], gens
 
 
-def _find(parent: list[int], i: int) -> int:
-    """Root of i's class; a root is the least flag index in its class."""
-    while parent[i] != i:
-        parent[i] = i = parent[parent[i]]
-    return i
-
-
-def _join_images(parent, index, corners, sigma):
-    """Join each flag's class with its image's under the automorphism sigma."""
-    images = [index[sigma[u], sigma[v], sigma[w]] for u, v, w in corners]
-    for j, k in enumerate(images):
-        a, b = _find(parent, j), _find(parent, k)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
+def _close(orbits: set, new, gens) -> None:
+    """Add the flags new (corner triples) to orbits, closed under gens."""
+    todo = [f for f in new if f not in orbits]
+    orbits.update(todo)
+    for u, v, w in todo:  # todo grows as images are found
+        for s in gens:
+            f = (s[u], s[v], s[w])
+            if f not in orbits:
+                orbits.add(f)
+                todo.append(f)
 
 
 def is_isomorphic(

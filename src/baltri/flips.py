@@ -31,8 +31,8 @@ and hashed as it, so site order is tuple order with kinds ordered by rank.
 New vertices take ids above max_vertex_id in the listed order, so results
 are reproducible and inverse_site() can name them before the move runs.
 
-Site strings (CLI and file interchange) are 1-based: "ps:1,2,3,4,5" names
-in-memory vertices 0..4.  Their vertices are plain decimals, as in the files.
+Site strings (CLI, file interchange) and rule messages are 1-based: "ps:1,2,3,4,5"
+names in-memory vertices 0..4.  Their vertices are plain decimals, as in the files.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def site_from_str(text: str) -> FlipSite:
 
 def _need_distinct(verts) -> None:
     if len(set(verts)) != len(verts):
-        raise InvalidSite(f"site vertices {verts} are not distinct")
+        raise InvalidSite(f"site vertices {','.join(str(v + 1) for v in verts)} are not distinct")
 
 
 def _take(t: Triangulation, *faces: tuple[int, int, int]) -> list[Face]:
@@ -155,27 +155,27 @@ def _take(t: Triangulation, *faces: tuple[int, int, int]) -> list[Face]:
     for a, b, c in faces:
         k = face_key(a, b, c)
         if k not in t._edge_faces.get(k[:2], ()):
-            raise InvalidSite(f"missing face {{{a},{b},{c}}}")
+            raise InvalidSite(f"missing face {{{a + 1},{b + 1},{c + 1}}}")
         keys.append(k)
     return keys
 
 
 def _need_no_edge(t: Triangulation, u: int, v: int) -> None:
     if t.has_edge(u, v):
-        raise WouldCreateDoubleEdge(f"edge {{{u},{v}}} already present")
+        raise WouldCreateDoubleEdge(f"edge {{{u + 1},{v + 1}}} already present")
 
 
 def _need_no_face(t: Triangulation, a: int, b: int, c: int) -> None:
     if t.has_face(a, b, c):
-        raise WouldCreateDuplicateFace(f"face {{{a},{b},{c}}} already present")
+        raise WouldCreateDuplicateFace(f"face {{{a + 1},{b + 1},{c + 1}}} already present")
 
 
 def _need_degree(t: Triangulation, v: int, want: int) -> None:
     link = t._links.get(v)
     if link is None:
-        raise InvalidSite(f"no vertex {v}")
+        raise InvalidSite(f"no vertex {v + 1}")
     if len(link) != want:
-        raise InvalidSite(f"vertex {v} has degree {len(link)}, needs {want}")
+        raise InvalidSite(f"vertex {v + 1} has degree {len(link)}, needs {want}")
 
 
 # -- rewrite rules ------------------------------------------------------------
@@ -250,7 +250,7 @@ def bew_patch(t: Triangulation, p: int, q: int) -> tuple[int, int, int, int]:
     _need_degree(t, p, 4)
     _need_degree(t, q, 4)
     if not t.has_edge(p, q):
-        raise InvalidSite(f"vertices {p} and {q} are not adjacent")
+        raise InvalidSite(f"vertices {p + 1} and {q + 1} are not adjacent")
     lp, lq = t._links[p], t._links[q]
     a, b = lq[lq.index(p) - 2], lp[lp.index(q) - 2]
     if a == b:
@@ -343,7 +343,7 @@ def _exchange(t: Triangulation, site: FlipSite):
     rem = set(rem)
     for i, f in enumerate(add):  # the precondition checks should rule this out
         if f in add[:i] or (f not in rem and t.has_face(*f)):
-            raise WouldCreateDuplicateFace(f"face {f} already exists")
+            raise WouldCreateDuplicateFace(f"face {{{','.join(str(v + 1) for v in f)}}} already exists")
     return rem, gone, add, color_src, undo
 
 

@@ -63,7 +63,7 @@ def expand_bes_via_ps(t: Triangulation, site: FlipSite) -> list[FlipSite]:
     found = _two_ps_orientation(t, site)
     if found is None:
         raise NoEligibleOrientation(
-            f"all four orientations of bes site {site.vertices} have the blocking chord"
+            f"all four orientations of {site} have the blocking chord"
         )
     u, x, y, v0, v1 = found
     n1 = t.max_vertex_id + 1  # created by the first split

@@ -6,8 +6,9 @@ bijections instead of canonical codes, site scans directly off the face list.
 The exceptions are reference_canonical, the slow form of the package's own
 canonical code, which the fast path must match byte for byte;
 eager_canonical, the sweep loop that runs every new least sweep to the end
-over t's edge index, which the suspending one over a face index must match
-in code, label map and automorphisms; reference_start_flags,
+over t's edge index and prunes flags by a union-find, which the suspending
+one over a face index and an orbit set of flags must match in code, label
+map and automorphisms; reference_start_flags,
 which reads the degree triple of every flag, and which the start flags read
 off the faces offering the least sorted degree triple must match flag for
 flag;
@@ -268,18 +269,38 @@ def color_suffix(label, col, mode):
     return bytes(map(perm.__getitem__, colors)), perm
 
 
+def _find(parent, i):
+    """Root of i's class; a root is the least flag index in its class."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
+
+
+def _join_images(parent, index, corners, sigma):
+    """Join each flag's class with its image's under the automorphism sigma."""
+    images = [index[sigma[u], sigma[v], sigma[w]] for u, v, w in corners]
+    for j, k in enumerate(images):
+        a, b = _find(parent, j), _find(parent, k)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+
+
 def eager_canonical(t, col, mode):
     """_canonical with every sweep that goes below the best run to the end.
 
     Takes package objects and returns _canonical's (code, label map,
     automorphisms).  Each sweep runs until its first triple larger than the
     least stream so far, or to the end; the suspending _canonical must match
-    it in all three, label order and generator order included.
+    it in all three, label order and generator order included.  Flags are
+    pruned by a union-find over flag indices, built at the first tie: each
+    automorphism joins every flag's class with its image's, and a flag is
+    skipped unless it is the least index of its class, the rule the
+    package's orbit set of flags must reproduce skip for skip.
     """
     import struct
     from itertools import chain
 
-    from baltri.canon import CanonicalCode, _find, _join_images
+    from baltri.canon import CanonicalCode
 
     def sweep(face, u, v, best):
         label, out, visited, queue, head = {}, [], {face}, [(face, u, v)], 0

@@ -1,6 +1,6 @@
 """End-to-end gate: the headline guarantees, checked at desk scale.
 
-Eleven tests, one per guarantee, each fuzzing against the seeded corpora
+Twelve tests, one per guarantee, each fuzzing against the seeded corpora
 from conftest.py and the frozen oracles in oracles.py.  Every test prints
 a single summary line (visible with -s, or in captured output) naming the
 guarantee and the number of cases it covered.
@@ -348,6 +348,32 @@ def test_sampled_small_spheres_connect_under_split_and_contract(sphere_samples_9
             assert canonical_code(end_t, end_c, ColorMode.UP_TO_PERMUTATION) == b
             pairs += 1
     _report(f"{len(codes)} distinct small spheres, all {pairs} pairs connected")
+
+
+def test_the_octahedrons_whole_ball_connects_under_split_and_contract():
+    """Every non-octahedral sphere of the octahedron's ball at 14 vertices,
+    under all kinds, reaches one fixed state through splits and contractions
+    alone, which neither apply to the octahedron.  Caps: the ball at 14
+    vertices, untruncated; each connect at 16 vertices and 4,000 states."""
+    octa, _ = build_octahedron()
+    kinds = (FlipKind.PS, FlipKind.PC)
+    assert enumerate_sites(octa, kinds) == []
+    view = bfs(octa, max_vertices=14, max_states=10**6)
+    assert not view.truncated and view.state_count == 55
+    octa_code = _octa_code()
+    spheres = [code for code in view.states if code != octa_code]
+    assert len(spheres) == 54
+    # the first non-octahedral state the bfs found
+    target, _ = view.states[spheres[0]]
+    longest = 0
+    for code in spheres[1:]:
+        t, _ = view.states[code]
+        path = connect(t, target, kinds=kinds, max_vertices=16, max_states=4000)
+        end_t, end_c = replay_path(t, path)
+        assert canonical_code(end_t, end_c, ColorMode.UP_TO_PERMUTATION) == spheres[0]
+        longest = max(longest, len(path))
+    assert longest == 7
+    _report(f"53 spheres of the octahedron's 55-state ball reach a 54th, paths <= {longest}")
 
 
 def test_color_class_deletion_round_trips_and_counts_track_edges(

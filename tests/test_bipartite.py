@@ -333,6 +333,19 @@ class TestIsomorphism:
         assert find_isomorphism(cycle, moved) is not None
         assert sys.getrecursionlimit() == limit
 
+    def test_vf2_can_find_no_map(self):
+        # same vertex and edge counts, so only the VF2 search tells an
+        # 8-cycle from two disjoint 4-cycles
+        cycle = BipGraph({v: v % 2 for v in range(8)}, [(v, (v + 1) % 8) for v in range(8)])
+        squares = BipGraph(
+            {v: v % 2 for v in range(8)},
+            [(v, v - v % 4 + (v + 1) % 4) for v in range(8)],
+        )
+        assert sorted(cycle.parts) == sorted(squares.parts)
+        assert cycle.edge_count() == squares.edge_count() and cycle != squares
+        assert find_isomorphism(cycle, squares) is None
+        assert oracle_iso(cycle, squares) is None
+
     def test_against_the_oracle(self):
         cases = [apply_sequence(*random_bip_case(s)) for s in range(14)]
         for i, g1 in enumerate(cases):

@@ -284,7 +284,7 @@ def count_calls(monkeypatch, name):
 
 
 class TestAutomorphismPruning:
-    """Ties join start flags into classes, and each class is swept once."""
+    """Ties gather start flags into orbits, and each orbit is swept once."""
 
     @pytest.mark.parametrize("mode", list(ColorMode))
     @pytest.mark.parametrize("n", [12, 24])
@@ -310,17 +310,18 @@ class TestAutomorphismPruning:
             forms.append((form, fcol))
         assert forms[0] == forms[1]
 
-    def test_the_union_find_is_built_only_on_a_tie(
+    def test_the_orbit_set_is_built_only_on_a_tie(
         self, monkeypatch, mixed_samples_14
     ):
-        # uncolored, the first tie comes exactly when |Aut| > 1
-        joins = count_calls(monkeypatch, "_join_images")
+        # uncolored, the first tie comes exactly when |Aut| > 1, and the
+        # orbit set takes flags only once it is built
+        closes = count_calls(monkeypatch, "_close")
         seen = set()
         for t, _ in mixed_samples_14[::5]:
-            before = len(joins)
+            before = len(closes)
             canonical_code(t)
             symmetric = reference_automorphism_count(t.faces) > 1
-            assert (len(joins) > before) == symmetric
+            assert (len(closes) > before) == symmetric
             seen.add(symmetric)
         assert seen == {False, True}
 
@@ -370,6 +371,25 @@ class TestSuspendedSweeps:
                     assert as_data(canon._canonical(s, c, mode)) == as_data(
                         eager_canonical(s, c, mode)
                     )
+
+    def test_negative_euler_characteristic_walks(self, genus_two, three_crosscaps):
+        # chi = -2 (orientable) and chi = -1, three seeded walks from each,
+        # and relabeled copies of all: the eager loop and the full sweep
+        inputs = []
+        for t, col in (genus_two, three_crosscaps):
+            assert t.euler_characteristic() < 0
+            inputs.append((t, col))
+            for seed in range(3):
+                walked = random_walk(
+                    t, col, steps=12, seed=seed, max_vertices=t.vertex_count + 4
+                )
+                inputs.append(walked[:2])
+        for seed, (t, col) in enumerate(inputs):
+            for s, c in ((t, col), relabeled(t, col, seed)):
+                for mode in ColorMode:
+                    got = canon._canonical(s, c, mode)
+                    assert as_data(got) == as_data(eager_canonical(s, c, mode))
+                    assert got[0].data == reference_canonical(s.faces, c, mode.value)[0]
 
     def test_only_the_winner_reaches_the_last_face(self, monkeypatch):
         # without automorphisms nothing ties, so each record (a sweep going

@@ -276,6 +276,25 @@ class TestApply:
         assert "error" in err
 
     @pytest.mark.parametrize(
+        "path, site, message",
+        [
+            ("octahedron", "bts:1,2,3", "missing face {1,2,3}"),
+            ("octahedron", "ps:1,3,5,2,6", "missing face {1,5,2}"),
+            ("octahedron", "bts:1,3,1", "site vertices 1,3,1 are not distinct"),
+            ("octahedron", "bew:1,3", "edge {2,4} already present"),
+            ("octahedron", "bew:1,2", "vertices 1 and 2 are not adjacent"),
+            ("cube-subdivision", "btw:9,2,3,4,5,6", "vertex 2 has degree 6, needs 4"),
+        ],
+    )
+    def test_a_rule_error_names_the_vertices_as_typed(
+        self, capsys, path, site, message
+    ):
+        # the library's ids are 0-based; the rule messages name them 1-based,
+        # as the site and the .tri file do
+        code, out, err = run(capsys, "apply", path, site)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "site", ["bts:+1,3,5", "bts:\u0661,3,5", "bts:1_0,3,5", "bts:1,3,\uff15"]
     )
     def test_a_vertex_not_plain_decimal_exits_two(self, capsys, tmp_path, site):
@@ -298,7 +317,7 @@ class TestExpand:
             capsys, "expand", "octahedron", "bes:1,3,5,6", "--via", "two-ps"
         )
         assert code == 1
-        assert "blocking chord" in err
+        assert err == "error: all four orientations of bes:1,3,5,6 have the blocking chord\n"
 
     @pytest.mark.parametrize(
         "site, via, message",

@@ -43,7 +43,7 @@ from baltri.flips import (
     inverse_site,
 )
 
-from conftest import _BUILDERS, KLEIN_BOTTLE, barycentric, grid_torus
+from conftest import _BUILDERS, KLEIN_BOTTLE, barycentric, connected_sum, grid_torus
 from oracles import reference_bfs, reference_connect
 
 SPLITS = (FlipKind.PS, FlipKind.PC)
@@ -250,6 +250,14 @@ class TestConnect:
         t2 = validate(barycentric(KLEIN_BOTTLE)[0])
         with pytest.raises(SurfaceMismatch):
             connect(t1, t2, max_vertices=60, max_states=5)
+
+    def test_genus_two_and_two_klein_bottles_mismatch(self, genus_two):
+        # both have chi = -2: the sum of two Klein bottles is not orientable
+        t2 = validate(barycentric(connected_sum(KLEIN_BOTTLE, KLEIN_BOTTLE))[0])
+        assert (t2.vertex_count, t2.euler_characteristic()) == (100, -2)
+        assert genus_two[0].euler_characteristic() == -2
+        with pytest.raises(SurfaceMismatch):
+            connect(genus_two[0], t2, max_vertices=110, max_states=5)
 
     def test_caps_too_small(self):
         t1, _ = build_octahedron()
