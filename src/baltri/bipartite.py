@@ -2,7 +2,9 @@
 
 Three operations grow a graph: hanging a new leaf off a vertex, splitting an
 edge into a three-edge path, and adding a new corner vertex across a path of
-length two.  Their three inverses shrink it.  The normalizer rewrites any
+length two.  Their three inverses shrink it.  Each BipOpKind carries its
+arity and the argument slot of its first created vertex, so the forward ops
+are exactly those that create one.  The normalizer rewrites any
 mixed sequence applied to a graph of minimum degree >= 3 into a forward-only
 sequence with an isomorphic result, never longer than the input.
 
@@ -44,7 +46,7 @@ from .errors import (
 class BipGraph:
     """A simple bipartite graph: parts[v] in {0, 1}, edges across parts."""
 
-    __slots__ = ("parts", "_adj", "_edges")
+    __slots__ = ("parts", "_adj")
 
     def __init__(self, parts: Mapping[int, int], edges: Iterable[tuple[int, int]]):
         self.parts: dict[int, int] = dict(parts)
@@ -59,7 +61,6 @@ class BipGraph:
                     f"edge {{{u},{v}}} joins two part-{self.parts[u]} vertices"
                 )
             es.add((u, v) if u < v else (v, u))
-        self._edges: frozenset[tuple[int, int]] | None = frozenset(es)
         for v, p in self.parts.items():
             if p not in (0, 1):
                 raise PreconditionViolated(f"vertex {v} has part {p}, not 0/1")
@@ -73,16 +74,14 @@ class BipGraph:
     def _trusted(cls, parts: dict[int, int], adj: dict[int, frozenset[int]]) -> BipGraph:
         """A graph on dicts the caller vouches for; nothing is checked or copied."""
         g = cls.__new__(cls)
-        g.parts, g._adj, g._edges = parts, adj, None
+        g.parts, g._adj = parts, adj
         return g
 
     # -- queries --------------------------------------------------------
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        if self._edges is None:
-            self._edges = frozenset((u, v) for u, ns in self._adj.items() for v in ns if u < v)
-        return self._edges
+        return frozenset((u, v) for u, ns in self._adj.items() for v in ns if u < v)
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -119,26 +118,23 @@ class BipGraph:
 
 
 class BipOpKind(enum.Enum):
-    ADD_LEAF = "add-leaf"        # (v, w): new leaf w on v
-    SPLIT_EDGE = "split-edge"    # (u, v, p, q): edge uv -> path u-p-q-v
-    ADD_CORNER = "add-corner"    # (x, y, z, w): new w joined to x and y; z witnesses d(x,y)=2
-    DEL_LEAF = "del-leaf"        # (w,): remove pendant w
-    SMOOTH_PATH = "smooth-path"  # (u, p, q, v): path u-p-q-v -> edge uv
-    DEL_CORNER = "del-corner"    # (w,): remove degree-2 w lying on a 4-cycle
+    """An op kind, valued by its script name; each member also carries arity
+    (argument count) and created_slot, the argument slot of its first
+    created vertex, None for the three inverse ops, which create none."""
 
+    ADD_LEAF = "add-leaf", 2, 1           # (v, w): new leaf w on v
+    SPLIT_EDGE = "split-edge", 4, 2       # (u, v, p, q): edge uv -> path u-p-q-v
+    ADD_CORNER = "add-corner", 4, 3       # (x, y, z, w): new w on x, y; z witnesses d(x,y)=2
+    DEL_LEAF = "del-leaf", 1, None        # (w,): remove pendant w
+    SMOOTH_PATH = "smooth-path", 4, None  # (u, p, q, v): path u-p-q-v -> edge uv
+    DEL_CORNER = "del-corner", 1, None    # (w,): remove degree-2 w lying on a 4-cycle
 
-OP_ARITY = {
-    BipOpKind.ADD_LEAF: 2,
-    BipOpKind.SPLIT_EDGE: 4,
-    BipOpKind.ADD_CORNER: 4,
-    BipOpKind.DEL_LEAF: 1,
-    BipOpKind.SMOOTH_PATH: 4,
-    BipOpKind.DEL_CORNER: 1,
-}
-
-FORWARD_KINDS = frozenset(
-    {BipOpKind.ADD_LEAF, BipOpKind.SPLIT_EDGE, BipOpKind.ADD_CORNER}
-)
+    def __new__(cls, value: str, arity: int, created_slot: int | None):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.arity = arity
+        kind.created_slot = created_slot
+        return kind
 
 
 class BipOp(namedtuple("BipOp", "kind args")):
@@ -148,23 +144,19 @@ class BipOp(namedtuple("BipOp", "kind args")):
 
     def __new__(cls, kind: BipOpKind, args: Iterable[int]):
         args = tuple(args)
-        if len(args) != OP_ARITY[kind]:
+        if len(args) != kind.arity:
             raise NotApplicable(
-                f"{kind.value} takes {OP_ARITY[kind]} arguments, got {len(args)}"
+                f"{kind.value} takes {kind.arity} arguments, got {len(args)}"
             )
         return tuple.__new__(cls, (kind, args))
 
     def is_forward(self) -> bool:
-        return self.kind in FORWARD_KINDS
+        """Whether the op grows the graph: it creates a vertex."""
+        return self.kind.created_slot is not None
 
     def created(self) -> tuple[int, ...]:
-        if self.kind is BipOpKind.ADD_LEAF:
-            return self.args[1:]
-        if self.kind is BipOpKind.SPLIT_EDGE:
-            return self.args[2:]
-        if self.kind is BipOpKind.ADD_CORNER:
-            return self.args[3:]
-        return ()
+        slot = self.kind.created_slot
+        return () if slot is None else self.args[slot:]
 
     def relabeled(self, mapping: Mapping[int, int]) -> "BipOp":
         args = tuple([mapping.get(a, a) for a in self.args])

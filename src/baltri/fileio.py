@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from typing import NoReturn, Sequence
 
-from .bipartite import BipGraph, BipOp, BipOpKind, OP_ARITY
+from .bipartite import BipGraph, BipOp, BipOpKind
 from .embeddings import EvenEmbedding
 from .errors import ParseError
 from .surface import Coloring, Triangulation, validate
@@ -271,7 +271,7 @@ def parse_bip_script(text: str) -> list[BipOp]:
         for fields in filter(None, map(str.split, lines)):
             kind = _KIND_BY_NAME[fields[0]]
             args = tuple([int(f) - 1 for f in fields[1:]])
-            if len(args) != OP_ARITY[kind] or min(args) < 0:
+            if len(args) != kind.arity or min(args) < 0:
                 _script_fault(text)
             ops.append(tuple.__new__(BipOp, (kind, args)))
     except (KeyError, ValueError):
@@ -289,9 +289,9 @@ def _script_fault(text: str) -> NoReturn:
         if kind is None:
             raise ParseError(f"line {ln}: unknown operation {fields[0]!r}")
         vals = _int_fields(ln, fields[1:], "operation arguments")
-        if len(vals) != OP_ARITY[kind]:
+        if len(vals) != kind.arity:
             raise ParseError(
-                f"line {ln}: {kind.value} takes {OP_ARITY[kind]} arguments, "
+                f"line {ln}: {kind.value} takes {kind.arity} arguments, "
                 f"got {len(vals)}"
             )
         if min(vals) < 1:

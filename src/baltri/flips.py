@@ -23,8 +23,9 @@ and enumerate_sites() never needs a coloring.
  p2flip  (v1..v5,q,p)              0             slide the degree-4 pair q,p across the
                                                  pentagon v1..v5
 
-FlipKind carries each kind's facts (arity, delta, inverse, rank).  Each
-kind's rewrite rule also names the site of its own undo, in its own roles.
+FlipKind carries each kind's facts: arity, delta, inverse, rank and, privately,
+its rewrite rule, site reader and normal form.  Each kind's rewrite rule also
+names the site of its own undo, in its own roles.
 A FlipSite is the plain tuple (kind, vertices) with named fields, equal to it
 and hashed as it, so site order is tuple order with kinds ordered by rank.
 
@@ -58,7 +59,8 @@ class FlipKind(enum.Enum):
 
     Each member also carries arity (site tuple length), delta (vertex count
     change), inverse (the kind that undoes it) and rank (definition order,
-    which orders site lists).
+    which orders site lists); and privately _rule, _read, _elements, _radius
+    and _form, set after the site readers, where they are described.
     """
 
     BTS = "bts", 3, 3, "btw"
@@ -180,7 +182,7 @@ def _need_degree(t: Triangulation, v: int, want: int) -> None:
 
 # -- rewrite rules ------------------------------------------------------------
 #
-# Each _rw_* validates the site against t and returns
+# Each _rw_*, its kind's _rule, validates the site against t and returns
 #   (faces to remove, vertices removed, faces to add, color sources, undo)
 # where color sources maps each created vertex id to the existing vertex whose
 # color it copies, and undo is the vertex tuple of the kind.inverse site that
@@ -324,22 +326,10 @@ def _rw_p2flip(t: Triangulation, verts):
     ], {q2: v3, p2: v1}, (v1, v5, v4, v3, v2, q2, p2)
 
 
-_REWRITES = {
-    FlipKind.BTS: _rw_bts,
-    FlipKind.BTW: _rw_btw,
-    FlipKind.BES: _rw_bes,
-    FlipKind.BEW: _rw_bew,
-    FlipKind.PS: _rw_ps,
-    FlipKind.PC: _rw_pc,
-    FlipKind.NFLIP: _rw_nflip,
-    FlipKind.P2FLIP: _rw_p2flip,
-}
-
-
 def _exchange(t: Triangulation, site: FlipSite):
     """The rule's five parts for site on t, rem as a set, once no face of add
     repeats another or a face of t that stays."""
-    rem, gone, add, color_src, undo = _REWRITES[site.kind](t, site.vertices)
+    rem, gone, add, color_src, undo = site.kind._rule(t, site.vertices)
     rem = set(rem)
     for i, f in enumerate(add):  # the precondition checks should rule this out
         if f in add[:i] or (f not in rem and t.has_face(*f)):
@@ -382,7 +372,7 @@ def inverse_site(t: Triangulation, site: FlipSite) -> FlipSite:
     triangulation isomorphic to t (identical to t except that moves whose
     undo re-creates vertices use fresh ids for them).
     """
-    undo = _REWRITES[site.kind](t, site.vertices)[4]
+    undo = site.kind._rule(t, site.vertices)[4]
     return tuple.__new__(FlipSite, (site.kind.inverse, undo))
 
 
@@ -392,7 +382,7 @@ def site_footprint(t: Triangulation, site: FlipSite) -> frozenset[int]:
     Covers the site tuple plus, for the double-subdivision inverse, the four
     patch-boundary vertices its two-vertex site leaves implicit.
     """
-    _REWRITES[site.kind](t, site.vertices)
+    site.kind._rule(t, site.vertices)
     return frozenset(_footprint(t, site))
 
 
@@ -405,9 +395,9 @@ def _footprint(t: Triangulation, site: FlipSite) -> tuple[int, ...]:
 
 # -- site enumeration ---------------------------------------------------------
 #
-# Each _sites_* reads the sites of its kind off the given faces, edges or
-# vertices of t, one element at a time, in the kind's normal form; the
-# corners beyond an edge come from thirds, a _Thirds of t, except in pc.
+# Each _sites_*, its kind's _read, reads the sites of its kind off the given
+# faces, edges or vertices of t, one element at a time, in the kind's _form;
+# the corners beyond an edge come from thirds, a _Thirds of t, except in pc.
 # Reading a tuple off t puts most of its rule's faces in place (its comment
 # says which checks hold so), and it checks only the rest, inline, calling
 # no rule.  No reader yields a tuple twice: the tuple names its element (its
@@ -554,42 +544,35 @@ def _sites_p2flip(t: Triangulation, edges, thirds):
                     yield (v1, v2, v3, v4, v5, q, p)
 
 
-# kind -> (site reader, the elements it reads, radius): every vertex of a
-# site's footprint lies within radius edges of a corner of the element its
-# tuple is read off, and those corners are vertices of the footprint.
-_READERS = {
-    FlipKind.BTS: (_sites_bts, "faces", 0),
-    FlipKind.BTW: (_sites_btw, "faces", 1),
-    FlipKind.BES: (_sites_bes, "edges", 1),
-    FlipKind.BEW: (_sites_bew, "edges", 1),
-    FlipKind.PS: (_sites_ps, "vertices", 1),
-    FlipKind.PC: (_sites_pc, "vertices", 2),
-    FlipKind.NFLIP: (_sites_nflip, "edges", 1),
-    FlipKind.P2FLIP: (_sites_p2flip, "edges", 2),
-}
+# Each kind's facts, on the kind: _rule, its rewrite rule; _read, its site
+# reader, with _elements, what it reads, and _radius: every vertex of a
+# site's footprint lies within _radius edges of a corner of the element its
+# tuple is read off, and those corners are vertices of the footprint; and
+# _form, the normal form _read emits a site tuple in.
+for _kind, *_facts in (
+    (FlipKind.BTS, _rw_bts, _sites_bts, "faces", 0, lambda v: face_key(*v)),
+    # interior triple sorted, each partner kept in step with its vertex
+    (FlipKind.BTW, _rw_btw, _sites_btw, "faces", 1,
+     lambda v: sum(zip(*sorted(zip(v[:3], v[3:]))), ())),
+    (FlipKind.BES, _rw_bes, _sites_bes, "edges", 1,
+     lambda v: (*edge_key(v[0], v[1]), *sorted(v[2:]))),
+    (FlipKind.BEW, _rw_bew, _sites_bew, "edges", 1, lambda v: edge_key(*v)),
+    (FlipKind.PS, _rw_ps, _sites_ps, "vertices", 1, lambda v: (v[0], *_fan(*v[1:]))),
+    (FlipKind.PC, _rw_pc, _sites_pc, "vertices", 2,
+     lambda v: (v[0], *_fan(*v[1:5]), v[5])),
+    (FlipKind.NFLIP, _rw_nflip, _sites_nflip, "edges", 1, _hexagon),
+    (FlipKind.P2FLIP, _rw_p2flip, _sites_p2flip, "edges", 2, lambda v: v),
+):
+    _kind._rule, _kind._read, _kind._elements, _kind._radius, _kind._form = _facts
 
 
 _RANKS = {kind: kind.rank for kind in FlipKind}
 
 
-# kind -> the normal form its site reader emits a site tuple in
-_NORMAL_FORMS = {
-    FlipKind.BTS: lambda v: face_key(*v),
-    # interior triple sorted, each partner kept in step with its vertex
-    FlipKind.BTW: lambda v: sum(zip(*sorted(zip(v[:3], v[3:]))), ()),
-    FlipKind.BES: lambda v: (*edge_key(v[0], v[1]), *sorted(v[2:])),
-    FlipKind.BEW: lambda v: edge_key(*v),
-    FlipKind.PS: lambda v: (v[0], *_fan(*v[1:])),
-    FlipKind.PC: lambda v: (v[0], *_fan(*v[1:5]), v[5]),
-    FlipKind.NFLIP: _hexagon,
-    FlipKind.P2FLIP: lambda v: v,
-}
-
-
 def _map_site(site: FlipSite, sigma) -> FlipSite:
     """The image of site under the vertex map sigma, in enumerate_sites' form."""
     image = tuple([sigma[v] for v in site.vertices])
-    return tuple.__new__(FlipSite, (site.kind, _NORMAL_FORMS[site.kind](image)))
+    return tuple.__new__(FlipSite, (site.kind, site.kind._form(image)))
 
 
 def _scan(t: Triangulation, kinds, source, whole: bool = False) -> list[FlipSite]:
@@ -608,9 +591,8 @@ def _scan(t: Triangulation, kinds, source, whole: bool = False) -> list[FlipSite
     thirds = _Thirds(t, whole and (FlipKind.BES in want or FlipKind.NFLIP in want))
     out: list[FlipSite] = []
     for kind in want:
-        read, elements, radius = _READERS[kind]
-        found = source(elements, radius)
-        tups = read(t, found, thirds)
+        found = source(kind._elements, kind._radius)
+        tups = kind._read(t, found, thirds)
         tups = tups if found is t.faces else sorted(tups)
         out += [tuple.__new__(FlipSite, (kind, tup)) for tup in tups]
     return out

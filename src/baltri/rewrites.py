@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 from .canon import canonical_code
 from .errors import ExpansionNotFound, InvalidSite, NoEligibleOrientation
 from .flips import (
-    _REWRITES,
     FlipKind,
     FlipSite,
     _around,
@@ -37,7 +36,7 @@ def _checked(t: Triangulation, site: FlipSite, kind: FlipKind) -> tuple[int, ...
     """
     if site.kind is not kind:
         raise InvalidSite(f"expected a {kind.value} site, got {site.kind.value}")
-    _REWRITES[kind](t, site.vertices)
+    kind._rule(t, site.vertices)
     return site.vertices
 
 

@@ -190,7 +190,7 @@ def _walk_link(
         f = h if g == f else g
         x = f[0] + f[1] + f[2] - v - x
     if len(cycle) != count:
-        raise PinchedVertex(f"link of vertex {v} splits into more than one cycle")
+        raise PinchedVertex(f"link of vertex {v + 1} splits into more than one cycle")
     i = cycle.index(min(cycle))
     if cycle[i - 1] < cycle[i + 1 - len(cycle)]:
         cycle.reverse()
@@ -219,7 +219,7 @@ def _swap_edges(edge_faces: dict, rem: Collection[Face], add: Sequence[Face]) ->
         if len(fs) != 2:
             if fs:
                 raise NonManifoldEdge(
-                    f"edge {{{e[0]},{e[1]}}} lies in {len(fs)} face(s), expected 2"
+                    f"edge {{{e[0] + 1},{e[1] + 1}}} lies in {len(fs)} face(s), expected 2"
                 )
             del edge_faces[e]
             continue
@@ -275,10 +275,10 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
             if not isinstance(x, int) or x < 0:
                 raise DegenerateFace(f"face {t!r} has a non-(non-negative-integer) vertex")
         if a == b or b == c or a == c:
-            raise DegenerateFace(f"face {t!r} repeats a vertex")
+            raise DegenerateFace(f"face {{{a + 1},{b + 1},{c + 1}}} repeats a vertex")
         k = face_key(a, b, c)
         if k in seen:
-            raise DuplicateFace(f"face {{{k[0]},{k[1]},{k[2]}}} appears twice")
+            raise DuplicateFace(f"face {{{k[0] + 1},{k[1] + 1},{k[2] + 1}}} appears twice")
         seen.add(k)
         faces.append(k)
     if not faces:
@@ -491,7 +491,7 @@ def find_coloring(t: Triangulation) -> Coloring:
         forced = 3 - color[x] - color[y]
         if color.setdefault(z, forced) != forced:
             raise NotBalanced(
-                f"coloring contradiction at vertex {z}: "
+                f"coloring contradiction at vertex {z + 1}: "
                 f"needs {forced}, already {color[z]}"
             )
     return Coloring(color)
@@ -509,7 +509,7 @@ def _coloring(t: Triangulation, col: Coloring | None) -> Coloring:
     if is_proper(t, col):
         return col
     bad = [v for v in t.vertices if v not in col or col[v] not in (0, 1, 2)]
-    why = f"vertex {bad[0]} has no color in {{0, 1, 2}}" if bad else (
+    why = f"vertex {bad[0] + 1} has no color in {{0, 1, 2}}" if bad else (
         "an edge has one color twice"
     )
     raise NotBalanced(f"the coloring is not proper: {why}")

@@ -646,7 +646,7 @@ def _link_cycle(v, around):
     # but a short guard keeps failure modes separate.
     for w, nbrs in around.items():
         if len(nbrs) != 2:
-            raise PinchedVertex(f"link of vertex {v} is not 2-regular at {w}")
+            raise PinchedVertex(f"link of vertex {v + 1} is not 2-regular at {w + 1}")
     start = min(around)
     prev, cur = start, min(around[start])
     cycle = [start]
@@ -655,9 +655,9 @@ def _link_cycle(v, around):
         x, y = around[cur]
         prev, cur = cur, (y if x == prev else x)
     if len(cycle) != len(around):
-        raise PinchedVertex(f"link of vertex {v} splits into more than one cycle")
+        raise PinchedVertex(f"link of vertex {v + 1} splits into more than one cycle")
     if len(cycle) < 3:
-        raise PinchedVertex(f"link of vertex {v} is shorter than 3")
+        raise PinchedVertex(f"link of vertex {v + 1} is shorter than 3")
     return tuple(cycle)
 
 
@@ -689,10 +689,10 @@ def reference_validate(face_list):
             if not isinstance(x, int) or x < 0:
                 raise DegenerateFace(f"face {t!r} has a non-(non-negative-integer) vertex")
         if a == b or b == c or a == c:
-            raise DegenerateFace(f"face {t!r} repeats a vertex")
+            raise DegenerateFace(f"face {{{a + 1},{b + 1},{c + 1}}} repeats a vertex")
         k = face_key(a, b, c)
         if k in seen:
-            raise DuplicateFace(f"face {{{k[0]},{k[1]},{k[2]}}} appears twice")
+            raise DuplicateFace(f"face {{{k[0] + 1},{k[1] + 1},{k[2] + 1}}} appears twice")
         seen.add(k)
         faces.append(k)
     if not faces:
@@ -708,7 +708,7 @@ def reference_validate(face_list):
     for e, fs in edge_faces.items():
         if len(fs) != 2:
             raise NonManifoldEdge(
-                f"edge {{{e[0]},{e[1]}}} lies in {len(fs)} face(s), expected 2"
+                f"edge {{{e[0] + 1},{e[1] + 1}}} lies in {len(fs)} face(s), expected 2"
             )
 
     vertices = sorted({v for f in faces for v in f})
@@ -802,7 +802,7 @@ def reference_parse_bip_script(text):
     """parse_bip_script as the package once wrote it: every line checked as
     it is read, with its own check that a number is plain decimal: an
     optional '-', then ASCII digits."""
-    from baltri.bipartite import OP_ARITY, BipOp, BipOpKind
+    from baltri.bipartite import BipOp, BipOpKind
     from baltri.errors import ParseError
     from baltri.fileio import _significant_lines
 
@@ -818,9 +818,9 @@ def reference_parse_bip_script(text):
                 f"line {ln}: operation arguments must be integers, got {args!r}"
             )
         vals = [int(f) for f in args]
-        if len(vals) != OP_ARITY[kind]:
+        if len(vals) != kind.arity:
             raise ParseError(
-                f"line {ln}: {kind.value} takes {OP_ARITY[kind]} arguments, "
+                f"line {ln}: {kind.value} takes {kind.arity} arguments, "
                 f"got {len(vals)}"
             )
         if any(v < 1 for v in vals):
@@ -880,7 +880,7 @@ def reference_find_coloring(t):
             if z in color:
                 if color[z] != forced:
                     raise NotBalanced(
-                        f"coloring contradiction at vertex {z}: "
+                        f"coloring contradiction at vertex {z + 1}: "
                         f"needs {forced}, already {color[z]}"
                     )
             else:
@@ -928,10 +928,9 @@ def reference_apply_flip(t, site, col=None):
     constructor alone.  Takes and returns package objects.
     """
     from baltri.errors import WouldCreateDuplicateFace
-    from baltri.flips import _REWRITES
     from baltri.surface import validate
 
-    rem, gone, add, color_src, _ = _REWRITES[site.kind](t, site.vertices)
+    rem, gone, add, color_src, _ = site.kind._rule(t, site.vertices)
     faces = set(t.faces)
     faces.difference_update(rem)
     for f in add:
@@ -976,10 +975,10 @@ def reference_inverse_site(t, site):
     the site tuple and the ids the move will create.  Takes and returns
     package objects.
     """
-    from baltri.flips import _REWRITES, FlipKind, FlipSite
+    from baltri.flips import FlipKind, FlipSite
     from baltri.surface import face_key
 
-    _REWRITES[site.kind](t, site.vertices)  # validate against t
+    site.kind._rule(t, site.vertices)  # validate against t
     m = t.max_vertex_id
     k, v = site.kind, site.vertices
     if k is FlipKind.BTS:
@@ -1128,10 +1127,9 @@ def reference_verdicts(t, kind):
     Takes package objects.
     """
     from baltri.errors import InvalidSite
-    from baltri.flips import _REWRITES
 
     candidates, elements = _CANDIDATES[kind.value]
-    rewrite = _REWRITES[kind]
+    rewrite = kind._rule
     verdicts = {}
     for tup in candidates(t, getattr(t, elements)):
         if tup in verdicts:

@@ -1,6 +1,6 @@
 """End-to-end gate: the headline guarantees, checked at desk scale.
 
-Twelve tests, one per guarantee, each fuzzing against the seeded corpora
+Thirteen tests, one per guarantee, each fuzzing against the seeded corpora
 from conftest.py and the frozen oracles in oracles.py.  Every test prints
 a single summary line (visible with -s, or in captured output) naming the
 guarantee and the number of cases it covered.
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from baltri.bipartite import FORWARD_KINDS, apply_bip, normalize_sequence
+from baltri.bipartite import BipOpKind, apply_bip, normalize_sequence
 from baltri.canon import CanonicalCode, ColorMode, canonical_code, is_isomorphic
 from baltri.embeddings import (
     Verdict,
@@ -59,6 +59,11 @@ from baltri.surface import (
 
 from conftest import walk_sample
 from oracles import brute_bip_isomorphism
+
+
+# the three op kinds that grow a graph, written out here rather than read
+# off the code
+GROWING_KINDS = frozenset({BipOpKind.ADD_LEAF, BipOpKind.SPLIT_EDGE, BipOpKind.ADD_CORNER})
 
 
 def _report(line):
@@ -254,7 +259,7 @@ def test_operation_scripts_normalize_to_faithful_forward_form(bip_cases_1000):
     grew = returned = 0
     for base, seq in bip_cases_1000:
         out = normalize_sequence(base, seq)
-        assert all(op.kind in FORWARD_KINDS for op in out)
+        assert all(op.kind in GROWING_KINDS for op in out)
         raw = run(base, seq)
         norm = run(base, out)
         assert (
@@ -374,6 +379,29 @@ def test_the_octahedrons_whole_ball_connects_under_split_and_contract():
         longest = max(longest, len(path))
     assert longest == 7
     _report(f"53 spheres of the octahedron's 55-state ball reach a 54th, paths <= {longest}")
+
+
+def test_the_k333_toruss_whole_ball_connects_back_to_it():
+    """Every state of the k333 torus's ball at 13 vertices, under all kinds,
+    reaches the torus itself through splits, contractions and edge
+    subdivisions and welds.  Caps: the ball at 13 vertices, untruncated, 33
+    states; each connect at 15 vertices and 4,000 states.  A cap miss would
+    fail the test without being a counterexample to the theorem."""
+    torus, col = build_k333_torus()
+    view = bfs(torus, max_vertices=13, max_states=10**6)
+    assert not view.truncated and view.state_count == 33
+    start = canonical_code(torus, col, ColorMode.UP_TO_PERMUTATION)
+    assert start in view.states
+    kinds = (FlipKind.PC, FlipKind.PS, FlipKind.BES, FlipKind.BEW)
+    longest = 0
+    for code in view.states:
+        t, _ = view.states[code]
+        path = connect(t, torus, kinds=kinds, max_vertices=15, max_states=4000)
+        end_t, end_c = replay_path(t, path)
+        assert canonical_code(end_t, end_c, ColorMode.UP_TO_PERMUTATION) == start
+        longest = max(longest, len(path))
+    assert longest == 6
+    _report(f"all 33 states of the k333 torus's ball reach it, paths <= {longest}")
 
 
 def test_color_class_deletion_round_trips_and_counts_track_edges(

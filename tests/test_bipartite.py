@@ -16,8 +16,6 @@ from baltri import (
     WrongDegree,
 )
 from baltri.bipartite import (
-    FORWARD_KINDS,
-    OP_ARITY,
     BipGraph,
     BipOp,
     BipOpKind,
@@ -34,6 +32,19 @@ from conftest import k33, random_bip_case, run_python
 from oracles import brute_bip_isomorphism, reference_apply_bip, reference_normalize
 
 
+# Each op kind's facts, written out here rather than read off the code:
+# kind -> (arity, argument slot of its first created vertex)
+OP_FACTS = {
+    BipOpKind.ADD_LEAF: (2, 1),
+    BipOpKind.SPLIT_EDGE: (4, 2),
+    BipOpKind.ADD_CORNER: (4, 3),
+    BipOpKind.DEL_LEAF: (1, None),
+    BipOpKind.SMOOTH_PATH: (4, None),
+    BipOpKind.DEL_CORNER: (1, None),
+}
+GROWING_KINDS = frozenset({BipOpKind.ADD_LEAF, BipOpKind.SPLIT_EDGE, BipOpKind.ADD_CORNER})
+
+
 def oracle_iso(g1, g2):
     return brute_bip_isomorphism(
         dict(g1.parts), g1.edges, dict(g2.parts), g2.edges
@@ -48,7 +59,7 @@ def random_op(rng, ids):
     """An op of a random kind on ids drawn from ids and two unused ones."""
     pool = sorted(ids) + [max(ids) + 1, max(ids) + 2]
     kind = rng.choice(list(BipOpKind))
-    return BipOp(kind, tuple(rng.choice(pool) for _ in range(OP_ARITY[kind])))
+    return BipOp(kind, tuple(rng.choice(pool) for _ in range(OP_FACTS[kind][0])))
 
 
 def corrupted(rng, g, ops):
@@ -97,7 +108,7 @@ class TestGraph:
 
 class TestOps:
     def test_arity_is_enforced(self):
-        for kind, arity in OP_ARITY.items():
+        for kind, (arity, _) in OP_FACTS.items():
             BipOp(kind, tuple(range(arity)))
             with pytest.raises(NotApplicable):
                 BipOp(kind, tuple(range(arity + 1)))
@@ -112,7 +123,7 @@ class TestOps:
         assert repr(op) == f"BipOp(kind={BipOpKind.DEL_LEAF!r}, args=(3,))"
 
     def test_pickle_copy_and_relabel_keep_the_type(self):
-        ops = [BipOp(kind, tuple(range(arity))) for kind, arity in OP_ARITY.items()]
+        ops = [BipOp(kind, tuple(range(arity))) for kind, (arity, _) in OP_FACTS.items()]
         copies = [copy.copy(ops), copy.deepcopy(ops)]
         copies += [pickle.loads(pickle.dumps(ops, p)) for p in range(6)]
         copies.append([op.relabeled({0: 7}) for op in ops])
@@ -128,6 +139,18 @@ class TestOps:
         assert BipOp(BipOpKind.SPLIT_EDGE, (0, 3, 9, 10)).created() == (9, 10)
         assert BipOp(BipOpKind.ADD_CORNER, (0, 1, 3, 9)).created() == (9,)
         assert BipOp(BipOpKind.DEL_LEAF, (9,)).created() == ()
+        assert BipOp(BipOpKind.SMOOTH_PATH, (0, 9, 10, 3)).created() == ()
+        assert BipOp(BipOpKind.DEL_CORNER, (9,)).created() == ()
+
+    def test_each_kind_carries_its_facts(self):
+        assert {k: (k.arity, k.created_slot) for k in BipOpKind} == OP_FACTS
+        assert list(BipOpKind) == list(OP_FACTS)
+
+    def test_the_forward_ops_are_the_growing_ones(self):
+        for kind, (arity, _) in OP_FACTS.items():
+            op = BipOp(kind, tuple(range(10, 10 + arity)))
+            assert op.is_forward() is (kind in GROWING_KINDS)
+            assert bool(op.created()) is (kind in GROWING_KINDS)
 
     def test_str_is_one_based(self):
         assert str(BipOp(BipOpKind.ADD_LEAF, (0, 8))) == "add-leaf 1 9"
@@ -429,7 +452,7 @@ class TestNormalize:
     def test_normalized_output_is_forward_and_faithful(self, seed):
         g, ops = random_bip_case(seed % 4000)
         normal = normalize_sequence(g, ops)
-        assert all(op.kind in FORWARD_KINDS for op in normal)
+        assert all(op.kind in GROWING_KINDS for op in normal)
         want = apply_sequence(g, ops)
         got = apply_sequence(g, normal)
         assert oracle_iso(want, got) is not None

@@ -121,7 +121,7 @@ class TestModes:
     def test_a_vertex_without_a_color_is_not_balanced(self, mode):
         t, _ = build_octahedron()
         col = Coloring({0: 0, 1: 0, 2: 1, 3: 1, 4: 2})
-        with pytest.raises(NotBalanced, match="vertex 5"):
+        with pytest.raises(NotBalanced, match="vertex 6 has no color"):
             canonical_code(t, col, mode)
 
     @pytest.mark.parametrize(
@@ -130,7 +130,7 @@ class TestModes:
     def test_a_color_outside_0_1_2_is_not_balanced(self, mode):
         t, _ = build_octahedron()
         col = Coloring({0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 7})
-        with pytest.raises(NotBalanced, match="vertex 5"):
+        with pytest.raises(NotBalanced, match="vertex 6 has no color"):
             canonical_code(t, col, mode)
 
     @pytest.mark.parametrize("entry", [canonical_code, canonical_form])

@@ -9,7 +9,7 @@ reached by a fake rule that breaks it.
 
 import pytest
 
-from baltri import canon, explorer, flips
+from baltri import canon, explorer
 from baltri.canon import ColorMode, _canonical
 from baltri.errors import (
     Disconnected,
@@ -195,7 +195,7 @@ def torus_and_sphere():
 
 class TestFakeRules:
     def test_a_handle_is_refused_by_apply_flip_and_the_child_path(self, monkeypatch):
-        monkeypatch.setitem(flips._REWRITES, FlipKind.BTS, handle_rule)
+        monkeypatch.setattr(FlipKind.BTS, "_rule", handle_rule)
         t, col = build_cube_subdivision()
         site = enumerate_sites(t, [FlipKind.BTS])[0]
         with pytest.raises(ImpossibleSurface):
@@ -206,14 +206,14 @@ class TestFakeRules:
             bfs(t, kinds=[FlipKind.BTS], max_vertices=40, max_states=10)
 
     def test_two_components_fail_the_sweeps_reach(self, monkeypatch):
-        monkeypatch.setitem(flips._REWRITES, FlipKind.BTS, replacing_rule(torus_and_sphere(), FlipKind.BTS))
+        monkeypatch.setattr(FlipKind.BTS, "_rule", replacing_rule(torus_and_sphere(), FlipKind.BTS))
         t, _ = build_octahedron()
         with pytest.raises(Disconnected):
             bfs(t, kinds=[FlipKind.BTS], max_vertices=40, max_states=10)
 
     def test_a_pinched_state_is_refused_before_it_is_expanded(self, monkeypatch):
         rule = replacing_rule(pinched_sphere(), FlipKind.BTS)
-        monkeypatch.setitem(flips._REWRITES, FlipKind.BTS, rule)
+        monkeypatch.setattr(FlipKind.BTS, "_rule", rule)
         t, _ = barycentric(PROJECTIVE_PLANE)
         t = validate(t)
         site = enumerate_sites(t, [FlipKind.BTS])[0]
@@ -231,7 +231,7 @@ class TestFakeRules:
         t1 = validate(t)
         t2, _ = apply_flip(t1, enumerate_sites(t1, [FlipKind.BTS])[0])
         for kind in (FlipKind.BTS, FlipKind.BTW):
-            monkeypatch.setitem(flips._REWRITES, kind, replacing_rule(pinched_sphere(), kind))
+            monkeypatch.setattr(kind, "_rule", replacing_rule(pinched_sphere(), kind))
         # side 0 reaches the pinched state by bts, side 1 meets it by btw
         with pytest.raises(PinchedVertex):
             connect(t1, t2, kinds=[FlipKind.BTS], max_vertices=100, max_states=10)

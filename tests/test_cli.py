@@ -90,6 +90,14 @@ class TestValidate:
         assert code == 2
         assert "io error" in err
 
+    def test_an_open_edge_is_named_as_the_file_numbers_it(self, capsys, tmp_path):
+        # with f 2 4 6 moved to f 2 5 6, edge 4-6 lies only on f 1 4 6
+        assert "f 2 4 6\n" in OCTAHEDRON_TEXT
+        p = tmp_path / "open.tri"
+        p.write_text(OCTAHEDRON_TEXT.replace("f 2 4 6\n", "f 2 5 6\n"))
+        got = run(capsys, "validate", str(p))
+        assert got == (1, "", "error: edge {4,6} lies in 1 face(s), expected 2\n")
+
     def test_improper_coloring_is_a_domain_error(self, capsys, tmp_path):
         t, col = build_octahedron()
         bad = format_tri(t, col).replace("k 1 1 2 2 3 3", "k 1 1 1 2 3 3")
@@ -393,7 +401,7 @@ class TestConnect:
         t, col = build_octahedron()
         bad = tmp_path / "bad.tri"
         bad.write_text(format_tri(t, col).replace("k 1 1 2 2 3 3", "k 1 1 1 2 3 3"))
-        forced = "error: coloring contradiction at vertex 4: needs 1, already 0\n"
+        forced = "error: coloring contradiction at vertex 5: needs 1, already 0\n"
         improper = "error: the coloring is not proper: an edge has one color twice\n"
         for argv, message in [
             (("connect", odd, bad), forced),

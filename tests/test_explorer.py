@@ -389,7 +389,7 @@ class TestOrbitPruning:
     def test_every_image_of_a_listed_site_is_listed(
         self, sphere_samples_12, mixed_samples_14
     ):
-        # _NORMAL_FORMS must write an image as its kind's candidate reader
+        # each kind's _form must write an image as its kind's candidate reader
         # does; an image left in another form is only pruned less, which no
         # search result shows
         inputs = [build() for build in _BUILDERS.values()]

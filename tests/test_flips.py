@@ -90,6 +90,36 @@ class TestTables:
         assert [k.rank for k in FlipKind] == list(range(len(FlipKind)))
         assert FlipKind("bts") is FlipKind.BTS and FlipKind.BTS.value == "bts"
 
+    def test_each_kind_carries_its_facts(self):
+        # written out here rather than read off the code, in rank order:
+        # kind -> (arity, delta, inverse, elements its reader reads, radius)
+        want = {
+            "bts": (3, 3, "btw", "faces", 0),
+            "btw": (6, -3, "bts", "faces", 1),
+            "bes": (4, 2, "bew", "edges", 1),
+            "bew": (2, -2, "bes", "edges", 1),
+            "ps": (5, 1, "pc", "vertices", 1),
+            "pc": (6, -1, "ps", "vertices", 2),
+            "nflip": (6, 0, "nflip", "edges", 1),
+            "p2flip": (7, 0, "p2flip", "edges", 2),
+        }
+        got = {
+            k.value: (k.arity, k.delta, k.inverse.value, k._elements, k._radius)
+            for k in FlipKind
+        }
+        assert list(got.items()) == list(want.items())
+        for k in FlipKind:
+            assert k._rule is getattr(flips, f"_rw_{k.value}")
+            assert k._read is getattr(flips, f"_sites_{k.value}")
+
+    def test_each_listed_site_is_in_its_kinds_normal_form(self, mixed_samples_14):
+        seen = set()
+        for t, _ in mixed_samples_14[:20]:
+            for site in enumerate_sites(t):
+                assert site.kind._form(site.vertices) == site.vertices
+                seen.add(site.kind)
+        assert seen == set(FlipKind)
+
 
 class TestOctahedronInventory:
     def test_site_counts(self):
@@ -132,9 +162,9 @@ class TestApply:
         # the precondition checks rule this out, so fake a faulty rewrite
         # that adds a face the triangulation already has
         t, col = build_octahedron()
-        monkeypatch.setitem(
-            flips._REWRITES,
+        monkeypatch.setattr(
             FlipKind.BTS,
+            "_rule",
             lambda t, v: ((), (), [t.faces[1]], {}, ()),
         )
         with pytest.raises(WouldCreateDuplicateFace):
@@ -402,8 +432,8 @@ class TestEachReaderYieldsATupleOnce:
 
     @staticmethod
     def assert_no_repeats(t, source, thirds):
-        for kind, (read, elements, radius) in flips._READERS.items():
-            tups = list(read(t, source(elements, radius), thirds))
+        for kind in FlipKind:
+            tups = list(kind._read(t, source(kind._elements, kind._radius), thirds))
             assert len(tups) == len(set(tups)), kind
 
     def test_on_whole_surfaces(self, reader_starts):
@@ -676,11 +706,11 @@ class TestPatchSoundness:
         refused = 0
         for t, col in sphere_samples_12[:10]:
             for site in enumerate_sites(t):
-                real = flips._REWRITES[site.kind]
+                real = site.kind._rule
                 added = len(real(t, site.vertices)[2])
                 for index in range(added):
-                    monkeypatch.setitem(
-                        flips._REWRITES, site.kind, _dropping_one_face(real, index)
+                    monkeypatch.setattr(
+                        site.kind, "_rule", _dropping_one_face(real, index)
                     )
                     # the rebuilt face list names the fault validate finds
                     with pytest.raises(TriangulationError) as want:
@@ -688,20 +718,20 @@ class TestPatchSoundness:
                     with pytest.raises(TriangulationError) as got:
                         apply_flip(t, site, col)
                     assert got.type is want.type
-                    monkeypatch.setitem(flips._REWRITES, site.kind, real)
+                    monkeypatch.setattr(site.kind, "_rule", real)
                     refused += 1
         assert refused > 500
 
     def test_an_overfull_patch_is_refused(self, monkeypatch):
         # the rule puts back the face it takes out: apply_flip's duplicate
         # check lets it through, and each of its edges ends on three faces
-        real = flips._REWRITES[FlipKind.BTS]
+        real = FlipKind.BTS._rule
 
         def overfull(t, verts):
             rem, gone, add, color_src, undo = real(t, verts)
             return rem, gone, add + rem, color_src, undo
 
-        monkeypatch.setitem(flips._REWRITES, FlipKind.BTS, overfull)
+        monkeypatch.setattr(FlipKind.BTS, "_rule", overfull)
         t, col = build_cube_subdivision()
         sites = enumerate_sites(t, [FlipKind.BTS])
         for site in sites:
@@ -730,14 +760,13 @@ class TestPatchSoundness:
 
     def test_a_holed_patch_is_refused_under_optimization(self):
         done = run_python(
-            "from baltri import flips\n"
             "from baltri.explorer import build_octahedron\n"
             "from baltri.flips import FlipKind, FlipSite, apply_flip\n"
-            "real = flips._REWRITES[FlipKind.BES]\n"
+            "real = FlipKind.BES._rule\n"
             "def broken(t, v):\n"
             "    rem, gone, add, color_src, undo = real(t, v)\n"
             "    return rem, gone, add[1:], color_src, undo\n"
-            "flips._REWRITES[FlipKind.BES] = broken\n"
+            "FlipKind.BES._rule = broken\n"
             "t, col = build_octahedron()\n"
             "a, b = t.edges[0]\n"
             "c, d = t.edge_opposites(a, b)\n"

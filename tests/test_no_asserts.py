@@ -9,7 +9,9 @@ import baltri
 
 from conftest import start_optimized_run
 
-OPTIMIZED_MODULES = ("test_flips.py", "test_acceptance.py", "test_surface.py")
+OPTIMIZED_MODULES = (
+    "test_flips.py", "test_acceptance.py", "test_surface.py", "test_child_path.py"
+)
 
 
 def test_package_source_has_no_assert_statements():

@@ -365,7 +365,7 @@ class TestColoring:
     @pytest.mark.parametrize(
         "change, why",
         [
-            ({0: 5}, "vertex 0 has no color in {0, 1, 2}"),
+            ({0: 5}, "vertex 1 has no color in {0, 1, 2}"),
             ({2: 0}, "an edge has one color twice"),
         ],
     )
