@@ -360,7 +360,7 @@ def apply_flip(
         added = {v: col[src] for v, src in color_src.items()}
         return t2, col.updated(added, removed=gone)
     except KeyError as exc:
-        raise NotBalanced(f"vertex {exc.args[0]} has no color") from None
+        raise NotBalanced(f"vertex {exc.args[0] + 1} has no color") from None
 
 
 def inverse_site(t: Triangulation, site: FlipSite) -> FlipSite:

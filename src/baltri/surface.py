@@ -21,13 +21,14 @@ _links is keyed in ascending vertex order, so vertices comes out sorted
 and max_vertex_id is its last key: validate() builds it in that order, and
 a move only deletes keys or appends ids above max_vertex_id.
 
-Both indexes are written one way, by _index, which swaps some faces for
-others in place: its edge half, _swap_edges, checks that each touched edge
-keeps two faces or none (the search patches a child's edges with it alone),
-and it reads each touched link with _walk_link, a walk around the vertex over
-_edge_faces rotated once into the link_cycle normal form.  validate() runs
-it on empty indexes with every face, then checks connectivity on the vertex
-graph through the links; _swap_faces runs it on copies of t's indexes.
+validate() indexes the sorted faces in one pass, _build, whose link walks
+start in normal form.  A move patches copies of t's indexes with _index,
+which swaps some faces for others in place: its edge half, _swap_edges,
+checks that each touched edge keeps two faces or none (the search patches a
+child's edges with it alone), and it reads each touched link with
+_walk_link, a walk around the vertex over _edge_faces rotated once into the
+link_cycle normal form.  Only to name a fault _build found does validate()
+run _index, on empty indexes with every face.
 
 The two global facts, the 3-coloring and the orientability, are each forced
 once one face is fixed, so both are read off one face walk, _crossings,
@@ -252,13 +253,58 @@ def _index(
             del links[v]
 
 
+def _build(faces: list[Face]) -> Triangulation | None:
+    """The Triangulation on the sorted, distinct face keys faces, or None
+    when an edge does not lie on two faces or a link is not one cycle.
+
+    Each edge takes its faces in order, so a pair is stored sorted, and with
+    at most two per edge 2E = 3F says none has one.  The first edge at v in
+    that order leads to v's least neighbor m, so the walk from m toward the
+    lesser third of vm is in normal form; the links meet all 3F corners
+    only if no vertex is pinched.
+    """
+    ef: dict = {}
+    for f in faces:
+        a, b, c = f
+        for e in ((a, b), (a, c), (b, c)):
+            g = ef.setdefault(e, f)
+            if g is not f:
+                if len(g) == 2:
+                    return None
+                ef[e] = (g, f)
+    if 2 * len(ef) != 3 * len(faces):
+        return None
+    low: dict[int, int] = {}
+    for u, w in ef:
+        low.setdefault(u, w)
+        low.setdefault(w, u)
+    links: dict[int, tuple[int, ...]] = {}
+    for v in sorted(low):
+        m = low[v]
+        f, g = ef[(v, m) if v < m else (m, v)]
+        x, y = f[0] + f[1] + f[2] - v - m, g[0] + g[1] + g[2] - v - m
+        if y < x:
+            x, f = y, g
+        cycle = [m]
+        while x != m:
+            cycle.append(x)
+            g, h = ef[(v, x) if v < x else (x, v)]
+            f = h if g is f else g
+            x = f[0] + f[1] + f[2] - v - x
+        links[v] = tuple(cycle)
+    if sum(map(len, links.values())) != 3 * len(faces):
+        return None
+    return Triangulation(tuple(faces), ef, links)
+
+
 def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
     """Check that a face list describes a closed surface and index it.
 
-    Every edge must lie on two faces, checked by _index in the order the
-    edges first occur in the sorted faces, and the walk around each vertex
-    must meet all its faces.  With every link one cycle, the surface is
-    connected iff its vertex graph is, so that is checked through the links.
+    Every edge must lie on two faces and the walk around each vertex must
+    meet all its faces; on a fault, _index names the first bad edge in the
+    order the edges first occur, else the least pinched vertex.  With every
+    link one cycle, the surface is connected iff its vertex graph is, so
+    that is checked through the links.
 
     Raises DegenerateFace, DuplicateFace, NonManifoldEdge, PinchedVertex,
     Disconnected or ImpossibleSurface; on success returns the Triangulation
@@ -284,8 +330,10 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
     if not faces:
         raise DegenerateFace("empty face list")
     faces.sort()
-    t = Triangulation(tuple(faces), {}, {})
-    _index(t._edge_faces, t._links, (), faces)
+    t = _build(faces)
+    if t is None:  # some check fails: name the fault as _index meets it
+        t = Triangulation(tuple(faces), {}, {})
+        _index(t._edge_faces, t._links, (), faces)
 
     # The vertex graph must be connected (one surface at a time).
     links = t._links
@@ -470,10 +518,11 @@ class Coloring:
 
 def is_proper(t: Triangulation, col: Coloring) -> bool:
     """Whether col assigns distinct colors in {0,1,2} across every edge."""
+    color = col._color
     for v in t._links:
-        if v not in col or col[v] not in (0, 1, 2):
+        if color.get(v) not in (0, 1, 2):
             return False
-    return all(col[u] != col[v] for u, v in t._edge_faces)
+    return all(color[u] != color[v] for u, v in t._edge_faces)
 
 
 def find_coloring(t: Triangulation) -> Coloring:

@@ -1,6 +1,6 @@
 """End-to-end gate: the headline guarantees, checked at desk scale.
 
-Thirteen tests, one per guarantee, each fuzzing against the seeded corpora
+Fifteen tests, one per guarantee, each fuzzing against the seeded corpora
 from conftest.py and the frozen oracles in oracles.py.  Every test prints
 a single summary line (visible with -s, or in captured output) naming the
 guarantee and the number of cases it covered.
@@ -40,6 +40,7 @@ from baltri.flips import (
     apply_flip,
     enumerate_sites,
     inverse_site,
+    site_from_str,
 )
 from baltri.rewrites import (
     expand_bes_via_bts_pc,
@@ -57,7 +58,7 @@ from baltri.surface import (
     validate,
 )
 
-from conftest import walk_sample
+from conftest import KLEIN_BOTTLE, PROJECTIVE_PLANE, barycentric, walk_sample
 from oracles import brute_bip_isomorphism
 
 
@@ -381,27 +382,88 @@ def test_the_octahedrons_whole_ball_connects_under_split_and_contract():
     _report(f"53 spheres of the octahedron's 55-state ball reach a 54th, paths <= {longest}")
 
 
-def test_the_k333_toruss_whole_ball_connects_back_to_it():
-    """Every state of the k333 torus's ball at 13 vertices, under all kinds,
-    reaches the torus itself through splits, contractions and edge
-    subdivisions and welds.  Caps: the ball at 13 vertices, untruncated, 33
+def _longest_path_back(start, col, state_count):
+    """The longest path by which each state of start's ball at 13 vertices,
+    under all kinds, reaches start through splits, contractions and edge
+    subdivisions and welds.  Caps: the ball untruncated, with state_count
     states; each connect at 15 vertices and 4,000 states.  A cap miss would
     fail the test without being a counterexample to the theorem."""
-    torus, col = build_k333_torus()
-    view = bfs(torus, max_vertices=13, max_states=10**6)
-    assert not view.truncated and view.state_count == 33
-    start = canonical_code(torus, col, ColorMode.UP_TO_PERMUTATION)
-    assert start in view.states
+    view = bfs(start, max_vertices=13, max_states=10**6)
+    assert not view.truncated and view.state_count == state_count
+    code = canonical_code(start, col, ColorMode.UP_TO_PERMUTATION)
+    assert code in view.states
     kinds = (FlipKind.PC, FlipKind.PS, FlipKind.BES, FlipKind.BEW)
     longest = 0
-    for code in view.states:
-        t, _ = view.states[code]
-        path = connect(t, torus, kinds=kinds, max_vertices=15, max_states=4000)
+    for t, _ in view.states.values():
+        path = connect(t, start, kinds=kinds, max_vertices=15, max_states=4000)
         end_t, end_c = replay_path(t, path)
-        assert canonical_code(end_t, end_c, ColorMode.UP_TO_PERMUTATION) == start
+        assert canonical_code(end_t, end_c, ColorMode.UP_TO_PERMUTATION) == code
         longest = max(longest, len(path))
+    return longest
+
+
+def _reduced(faces, moves):
+    """The barycentric subdivision of faces, with its coloring, after moves."""
+    subdivided, col = barycentric(faces)
+    t = validate(subdivided)
+    for move in moves:
+        t, col = apply_flip(t, site_from_str(move), col)
+    return t, col
+
+
+def test_the_k333_toruss_whole_ball_connects_back_to_it():
+    """Every state of the k333 torus's ball reaches it.  Caps: the ball at 13
+    vertices, untruncated, 33 states; each connect at 15 vertices and 4,000
+    states."""
+    longest = _longest_path_back(*build_k333_torus(), 33)
     assert longest == 6
     _report(f"all 33 states of the k333 torus's ball reach it, paths <= {longest}")
+
+
+# welds and contractions from barycentric(KLEIN_BOTTLE), V=54, down to V=11:
+# at each step the first btw, bew or pc site enumerate_sites lists
+KLEIN_BOTTLE_DOWN = [
+    "pc:10,1,37,2,38,17", "bew:24,38", "pc:11,1,39,3,40,15", "bew:28,40",
+    "pc:12,1,39,4,41,13", "bew:31,41", "pc:14,1,37,6,42,13", "bew:33,42",
+    "pc:16,1,43,8,44,17", "bew:36,44", "pc:18,2,45,3,46,23", "bew:29,46",
+    "pc:19,2,47,4,48,21", "bew:32,48", "pc:20,2,45,5,47,21",
+    "pc:22,2,49,7,50,17", "bew:35,50", "bew:9,30", "pc:25,3,39,4,51,27",
+    "pc:26,3,45,5,52,27", "pc:34,7,49,8,43,15", "bew:7,53",
+    "pc:43,1,15,8,17,37", "pc:1,13,37,15,39,4", "pc:39,3,15,4,27,45",
+    "pc:47,4,13,5,21,51", "pc:52,5,13,6,27,45", "pc:5,21,51,13,45,2",
+    "pc:21,2,51,6,37,17", "pc:27,4,51,6,45,15", "pc:4,13,37,15,51,2",
+    "pc:13,2,37,6,45,23", "pc:45,3,15,6,23,54",
+]
+
+# the same rule from barycentric(PROJECTIVE_PLANE), V=31, down to V=9
+PROJECTIVE_PLANE_DOWN = [
+    "pc:7,1,22,2,23,11", "bew:15,23", "pc:8,1,22,3,24,9", "bew:16,24",
+    "pc:10,1,25,5,26,11", "bew:21,26", "pc:1,9,22,11,25,4", "bew:19,25",
+    "pc:9,3,22,4,30,18", "bew:20,30", "pc:6,11,29,18,31,5", "bew:17,31",
+    "bew:3,12", "bew:14,27",
+]
+
+
+def test_a_klein_bottles_whole_ball_connects_back_to_it():
+    """Every state of the ball of an 11-vertex balanced Klein bottle reaches
+    it.  Caps: the ball at 13 vertices, untruncated, 42 states; each connect
+    at 15 vertices and 4,000 states."""
+    bottle, col = _reduced(KLEIN_BOTTLE, KLEIN_BOTTLE_DOWN)
+    assert bottle.vertex_count == 11 and surface_id(bottle) == (False, 2)
+    longest = _longest_path_back(bottle, col, 42)
+    assert longest == 4
+    _report(f"all 42 states of a Klein bottle's ball reach it, paths <= {longest}")
+
+
+def test_a_projective_planes_whole_ball_connects_back_to_it():
+    """Every state of the ball of a 9-vertex balanced projective plane
+    reaches it.  Caps: the ball at 13 vertices, untruncated, 37 states; each
+    connect at 15 vertices and 4,000 states."""
+    plane, col = _reduced(PROJECTIVE_PLANE, PROJECTIVE_PLANE_DOWN)
+    assert plane.vertex_count == 9 and surface_id(plane) == (False, 1)
+    longest = _longest_path_back(plane, col, 37)
+    assert longest == 3
+    _report(f"all 37 states of a projective plane's ball reach it, paths <= {longest}")
 
 
 def test_color_class_deletion_round_trips_and_counts_track_edges(

@@ -202,7 +202,7 @@ class TestApply:
     def test_a_coloring_without_a_source_vertex_is_not_balanced(self):
         t, col = build_octahedron()
         site = enumerate_sites(t, [FlipKind.BES])[0]
-        with pytest.raises(NotBalanced, match="vertex 0 has no color"):
+        with pytest.raises(NotBalanced, match="vertex 1 has no color"):
             apply_flip(t, site, col.updated({}, removed=[0]))
 
     def test_a_coloring_without_a_removed_vertex_is_not_balanced(self):
@@ -210,7 +210,7 @@ class TestApply:
         t2, col2 = apply_flip(t, enumerate_sites(t, [FlipKind.BES])[0], col)
         weld = enumerate_sites(t2, [FlipKind.BEW])[0]
         p = weld.vertices[0]
-        with pytest.raises(NotBalanced, match=f"vertex {p} has no color"):
+        with pytest.raises(NotBalanced, match=f"vertex {p + 1} has no color"):
             apply_flip(t2, weld, col2.updated({}, removed=[p]))
 
 

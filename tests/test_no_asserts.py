@@ -10,7 +10,11 @@ import baltri
 from conftest import start_optimized_run
 
 OPTIMIZED_MODULES = (
-    "test_flips.py", "test_acceptance.py", "test_surface.py", "test_child_path.py"
+    "test_flips.py",
+    "test_acceptance.py",
+    "test_surface.py",
+    "test_child_path.py",
+    "test_fileio.py",
 )
 
 
@@ -28,9 +32,9 @@ def test_package_source_has_no_assert_statements():
 
 @pytest.mark.parametrize("module", OPTIMIZED_MODULES)
 def test_flip_tests_pass_under_optimization(module, pytestconfig):
-    # validate's and the move layer's soundness checks, and the headline
-    # guarantees built on them, must hold without asserts; conftest starts
-    # each selected run at collection, so the runs overlap the whole session
+    # validate's, the parsers' and the move layer's soundness checks, and the
+    # headline guarantees built on them, must hold without asserts; conftest
+    # starts each selected run at collection, so the runs overlap the session
     proc = start_optimized_run(pytestconfig, module)
     out, _ = proc.communicate(timeout=120)
     print(out[-3000:])

@@ -23,15 +23,17 @@ from baltri import (
     surface_name,
     validate,
 )
+from baltri import surface
 from baltri.cli import GALLERY
 from baltri.explorer import build_cube_subdivision, build_k333_torus, build_octahedron
-from baltri.surface import _coloring
+from baltri.surface import _coloring, _index
 
 from conftest import (
     KLEIN_BOTTLE,
     PROJECTIVE_PLANE,
     barycentric,
     grid_torus,
+    grown_by_bts,
     sparse_relabeled,
     walk_sample,
 )
@@ -118,6 +120,55 @@ def assert_validates_as_the_reference(faces):
     return want
 
 
+def _told(check, faces):
+    """_outcome, with the error's message beside its class."""
+    try:
+        t = check(list(faces))
+    except TriangulationError as exc:
+        return type(exc), str(exc)
+    return t.faces, list(t._edge_faces.items()), list(t._links.items())
+
+
+def _indexed(faces):
+    """validate without the one-pass build: _index indexes every face."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "_build", lambda keys: None)
+        return validate(faces)
+
+
+def assert_builds_as_indexed(faces):
+    """validate's result, the indexes in key order or the error's class and
+    message, is the same with _build as with _index alone, and _build gives
+    None on exactly the face keys on which _index raises."""
+    build, verdicts = surface._build, []
+
+    def checked_build(keys):
+        built = build(keys)
+        try:
+            _index({}, {}, (), keys)
+        except TriangulationError:
+            verdicts.append(built is None)
+        else:
+            verdicts.append(built is not None)
+        return built
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "_build", checked_build)
+        got = _told(validate, faces)
+    assert got == _told(_indexed, faces)
+    assert verdicts in ([], [True])  # [] when the face pass raised
+    return got
+
+
+def _scrambled(faces, rng):
+    """faces on sparse shuffled ids, each with its corners permuted, shuffled."""
+    vertices = sorted({v for f in faces for v in f})
+    label = dict(zip(vertices, rng.sample(range(10 * len(vertices)), len(vertices))))
+    out = [tuple(rng.sample([label[v] for v in f], 3)) for f in faces]
+    rng.shuffle(out)
+    return out
+
+
 # TestValidate's bad inputs and the empty list, with the error each must raise
 BAD_INPUTS = [
     ([(0, 0, 1), (0, 1, 2)], DegenerateFace),
@@ -174,6 +225,7 @@ class TestAgainstTheReference:
     @pytest.mark.parametrize("faces, error", BAD_INPUTS)
     def test_bad_inputs(self, faces, error):
         assert assert_validates_as_the_reference(faces) is error
+        assert assert_builds_as_indexed(faces)[0] is error
 
     def test_the_impossible_surface(self, monkeypatch):
         monkeypatch.setattr("baltri.surface.is_orientable", lambda t: True)
@@ -182,12 +234,10 @@ class TestAgainstTheReference:
     def test_samples_shuffled_and_relabeled(self, mixed_samples_14):
         rng = random.Random(0)
         for t, _ in mixed_samples_14[::4]:
-            names = rng.sample(range(10 * t.vertex_count), t.vertex_count)
-            label = dict(zip(t.vertices, names))
-            faces = [tuple(rng.sample([label[v] for v in f], 3)) for f in t.faces]
-            rng.shuffle(faces)
+            faces = _scrambled(t.faces, rng)
             # still a surface, so the indexes are compared, not an error
             assert isinstance(assert_validates_as_the_reference(faces), tuple)
+            assert_builds_as_indexed(faces)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -206,6 +256,28 @@ class TestAgainstTheReference:
             faces = _mutated(faces, kind, rng)
         rng.shuffle(faces)
         assert_validates_as_the_reference(faces)
+        assert_builds_as_indexed(faces)
+
+    def test_surfaces_of_each_kind_as_given_and_scrambled(
+        self, grown_801, genus_two, three_crosscaps
+    ):
+        # the one-pass build, the fault-naming path and the reference agree on
+        # closed surfaces of each kind, up to V=801
+        surfaces = {**SURFACES, "klein-bottle": KLEIN_BOTTLE}
+        surfaces.update({k: t.faces for k, t in grown_801.items()})
+        for target in (40, 200):
+            surfaces[f"sphere-{target}"] = grown_by_bts(build_octahedron()[0], target).faces
+            surfaces[f"torus-{target}"] = grown_by_bts(grid_torus(3)[0], target).faces
+        for n in (3, 6, 12):
+            surfaces[f"grid-torus-{n}"] = grid_torus(n)[0].faces
+        surfaces["genus-two"] = genus_two[0].faces
+        surfaces["three-crosscaps"] = three_crosscaps[0].faces
+        rng = random.Random(3)
+        for name, faces in surfaces.items():
+            for copy in (list(faces), _scrambled(faces, rng)):
+                got = assert_builds_as_indexed(copy)
+                assert isinstance(got[0], tuple), name
+                assert _outcome(reference_validate, copy) == got, name
 
 
 class TestAccessors:
