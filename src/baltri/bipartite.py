@@ -53,17 +53,17 @@ class BipGraph:
         es = set()
         for u, v in edges:
             if u == v:
-                raise PreconditionViolated(f"loop at vertex {u}")
+                raise PreconditionViolated(f"loop at vertex {u + 1}")
             if u not in self.parts or v not in self.parts:
-                raise PreconditionViolated(f"edge {{{u},{v}}} uses an unknown vertex")
+                raise PreconditionViolated(f"edge {{{u + 1},{v + 1}}} uses an unknown vertex")
             if self.parts[u] == self.parts[v]:
                 raise PreconditionViolated(
-                    f"edge {{{u},{v}}} joins two part-{self.parts[u]} vertices"
+                    f"edge {{{u + 1},{v + 1}}} joins two part-{self.parts[u]} vertices"
                 )
             es.add((u, v) if u < v else (v, u))
         for v, p in self.parts.items():
             if p not in (0, 1):
-                raise PreconditionViolated(f"vertex {v} has part {p}, not 0/1")
+                raise PreconditionViolated(f"vertex {v + 1} has part {p}, not 0/1")
         adj: dict[int, set[int]] = {v: set() for v in self.parts}
         for u, v in es:
             adj[u].add(v)
@@ -169,9 +169,9 @@ class BipOp(namedtuple("BipOp", "kind args")):
 def is_smoothable(g: BipGraph, p: int, q: int) -> bool:
     """Whether the adjacent degree-2 pair p, q lies on no 4-cycle."""
     if g.degree(p) != 2 or g.degree(q) != 2:
-        raise WrongDegree(f"vertices {p}, {q} must both have degree 2")
+        raise WrongDegree(f"vertices {p + 1}, {q + 1} must both have degree 2")
     if not g.has_edge(p, q):
-        raise NotApplicable(f"vertices {p} and {q} are not adjacent")
+        raise NotApplicable(f"vertices {p + 1} and {q + 1} are not adjacent")
     (u,) = g.neighbors(p) - {q}
     (v,) = g.neighbors(q) - {p}  # u and v lie in opposite parts
     return not g.has_edge(u, v)
@@ -180,7 +180,7 @@ def is_smoothable(g: BipGraph, p: int, q: int) -> bool:
 def is_removable(g: BipGraph, w: int) -> bool:
     """Whether the degree-2 vertex w lies on some 4-cycle."""
     if g.degree(w) != 2:
-        raise WrongDegree(f"vertex {w} must have degree 2, has {g.degree(w)}")
+        raise WrongDegree(f"vertex {w + 1} must have degree 2, has {g.degree(w)}")
     x, y = g.neighbors(w)
     return bool((g.neighbors(x) & g.neighbors(y)) - {w})
 

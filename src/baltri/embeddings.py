@@ -50,13 +50,14 @@ class EvenEmbedding:
                 )
             for a, b in zip(walk, walk[1:] + walk[:1]):
                 if not (a in graph and b in graph and graph.has_edge(a, b)):
-                    raise InvalidEmbedding(f"walk step {a}-{b} is not an edge")
+                    raise InvalidEmbedding(f"walk step {a + 1}-{b + 1} is not an edge")
                 key = (a, b) if a < b else (b, a)
                 slots[key] = slots.get(key, 0) + 1
         for e in graph.edges:
             if slots.get(e, 0) != 2:
                 raise InvalidEmbedding(
-                    f"edge {e} lies on {slots.get(e, 0)} walk slots, need 2"
+                    f"edge {{{e[0] + 1},{e[1] + 1}}} lies on {slots.get(e, 0)} walk "
+                    "slots, need 2"
                 )
         if not graph.parts:
             raise InvalidEmbedding("empty graph")

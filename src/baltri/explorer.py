@@ -52,7 +52,7 @@ from .canon import CanonicalCode, ColorMode, is_isomorphic
 from .canon import _canonical, _canonical_parts, _decode
 from .embeddings import cube_embedding, face_subdivision
 from .errors import NotConnectedWithinCaps, SurfaceMismatch
-from .flips import FlipKind, FlipSite, _exchange, _map_site, _sites_after
+from .flips import FlipKind, FlipSite, _exchange, _kinds, _map_site, _sites_after
 from .flips import apply_flip, enumerate_sites
 from .surface import Coloring, Triangulation, surface_id, validate
 from .surface import _coloring, _swap_edges, _swapped
@@ -141,10 +141,6 @@ class FlipGraphView:
         return len(self.edges)
 
 
-def _norm_kinds(kinds: Iterable[FlipKind] | None) -> tuple[FlipKind, ...]:
-    return tuple(FlipKind) if kinds is None else tuple(dict.fromkeys(kinds))
-
-
 def _form_automorphisms(gens, labels: dict[int, int]) -> list[dict[int, int]]:
     """Automorphisms in raw ids, rewritten on the form's ids."""
     return [{labels[x]: labels[y] for x, y in g.items()} for g in gens]
@@ -216,7 +212,7 @@ def bfs(
     state cap stops discovery of new states but still records edges among
     known ones, and sets the truncated flag.
     """
-    kinds = _norm_kinds(kinds)
+    kinds = _kinds(kinds)
     start, labels, gens = _canonical(t, None, _MODE)
     states = {start: start}  # each code to itself, in discovery order
     auts = {start: _form_automorphisms(gens, labels)}  # per state not yet expanded
@@ -278,8 +274,8 @@ def connect(
     SurfaceMismatch and NotConnectedWithinCaps report the two failure
     modes; the latter never proves disconnection.
     """
-    kinds = _norm_kinds(kinds)
-    back_kinds = tuple(dict.fromkeys(k.inverse for k in kinds))
+    kinds = _kinds(kinds)
+    back_kinds = _kinds(k.inverse for k in kinds)
     # canonicalizing both inputs first raises NotBalanced before SurfaceMismatch
     starts = [_canonical(t, None, _MODE) for t in (t1, t2)]
     if surface_id(t1) != surface_id(t2):
@@ -348,7 +344,7 @@ def random_walk(
     no canonicalization happens between steps.  col is found when None and
     raises NotBalanced when it is not a proper coloring of t.
     """
-    kinds = _norm_kinds(kinds)
+    kinds = _kinds(kinds)
     col = _coloring(t, col)
     rng = random.Random(seed)
     taken: list[FlipSite] = []

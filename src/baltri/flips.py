@@ -569,6 +569,15 @@ for _kind, *_facts in (
 _RANKS = {kind: kind.rank for kind in FlipKind}
 
 
+def _kinds(kinds):
+    """kinds, each once in rank order, or every kind for None; InvalidSite
+    when one is not a FlipKind.  Every call taking kinds checks them here."""
+    try:
+        return FlipKind if kinds is None else sorted(set(kinds), key=_RANKS.__getitem__)
+    except KeyError as exc:
+        raise InvalidSite(f"{exc.args[0]!r} is not a FlipKind") from None
+
+
 def _map_site(site: FlipSite, sigma) -> FlipSite:
     """The image of site under the vertex map sigma, in enumerate_sites' form."""
     image = tuple([sigma[v] for v in site.vertices])
@@ -584,10 +593,7 @@ def _scan(t: Triangulation, kinds, source, whole: bool = False) -> list[FlipSite
     reader repeats a tuple, a kind's block is only sorted, and the bts and
     btw blocks read off the sorted t.faces not even that.
     """
-    try:
-        want = FlipKind if kinds is None else sorted(set(kinds), key=_RANKS.__getitem__)
-    except KeyError as exc:
-        raise InvalidSite(f"{exc.args[0]!r} is not a FlipKind") from None
+    want = _kinds(kinds)
     thirds = _Thirds(t, whole and (FlipKind.BES in want or FlipKind.NFLIP in want))
     out: list[FlipSite] = []
     for kind in want:

@@ -22,6 +22,7 @@ from .flips import (
     FlipSite,
     _around,
     _footprint,
+    _kinds,
     _scan,
     apply_flip,
     bew_patch,
@@ -171,7 +172,8 @@ def expand_via_budget(
     Returns the first match the search meets: the least in (kind, vertex
     tuple) order, a prefix winning over its extensions, among the sequences
     whose every prefix survives the cut, which is not always the least
-    valid sequence.  Raises ExpansionNotFound when it meets none.
+    valid sequence.  Raises ExpansionNotFound when it meets none, and
+    InvalidSite for a budget key that is not a FlipKind.
     """
     if budget is None:
         budget = _DEFAULT_BUDGETS.get(site.kind)
@@ -179,7 +181,8 @@ def expand_via_budget(
             raise ExpansionNotFound(
                 f"no default budget for {site.kind.value}; pass one explicitly"
             )
-    remaining = {k: int(n) for k, n in dict(budget).items() if int(n) > 0}
+    budget = dict(budget)
+    remaining = {k: n for k in _kinds(budget) if (n := int(budget[k])) > 0}
 
     direct, _ = apply_flip(t, site)
     target_faces = set(direct.faces)

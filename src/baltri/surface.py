@@ -15,20 +15,21 @@ closed surface, and validate() stays the reference the patch is tested
 against.
 
 A Triangulation keeps one index per fact: faces (the sorted face tuple),
-_edge_faces (each edge's two faces) and _links (each vertex's link cycle).
-Vertices, edges, degrees, neighbors and face membership are read off those.
-_links is keyed in ascending vertex order, so vertices comes out sorted
-and max_vertex_id is its last key: validate() builds it in that order, and
-a move only deletes keys or appends ids above max_vertex_id.
+_edge_faces (each edge's two faces) and _links (each vertex's link cycle as
+its walk met it, from any start in either direction; link_cycle() alone
+rotates it into normal form, on read).  Vertices, edges, degrees, neighbors
+and face membership are read off those.  _links is keyed in ascending
+vertex order, so vertices comes out sorted and max_vertex_id is its last
+key: validate() builds it in that order, and a move only deletes keys or
+appends ids above max_vertex_id.
 
-validate() indexes the sorted faces in one pass, _build, whose link walks
-start in normal form.  A move patches copies of t's indexes with _index,
-which swaps some faces for others in place: its edge half, _swap_edges,
-checks that each touched edge keeps two faces or none (the search patches a
-child's edges with it alone), and it reads each touched link with
-_walk_link, a walk around the vertex over _edge_faces rotated once into the
-link_cycle normal form.  Only to name a fault _build found does validate()
-run _index, on empty indexes with every face.
+One walker, _walk_link, reads every link by going around the vertex over
+_edge_faces.  validate() indexes the sorted faces in one pass, _build.  A
+move patches copies of t's indexes with _index, which swaps some faces for
+others in place: its edge half, _swap_edges, checks that each touched edge
+keeps two faces or none (the search patches a child's edges with it alone),
+and each touched link is walked.  Only to name a fault _build found does
+validate() run _index, on empty indexes with every face.
 
 The two global facts, the 3-coloring and the orientability, are each forced
 once one face is fixed, so both are read off one face walk, _crossings,
@@ -77,7 +78,7 @@ def face_key(a: int, b: int, c: int) -> Face:
 
 
 class Triangulation:
-    """A triangulation of a closed surface, immutable after construction."""
+    """A closed-surface triangulation, immutable, its links kept as walked."""
 
     __slots__ = ("faces", "_edge_faces", "_links", "_hash", "_orientable")
 
@@ -164,23 +165,27 @@ class Triangulation:
         """Neighbors of v in cyclic order, canonically rotated.
 
         Starts at the smallest neighbor and proceeds toward the smaller of
-        its two link-neighbors, so equal links compare equal.
+        its two link-neighbors, so equal links compare equal.  _links keeps
+        each cycle as its walk met it; this is the one place that rotates.
         """
-        return self._links[v]
+        cycle = self._links[v]
+        i = cycle.index(min(cycle))
+        if cycle[i - 1] < cycle[i + 1 - len(cycle)]:
+            cycle, i = cycle[::-1], len(cycle) - 1 - i
+        return cycle[i:] + cycle[:i]
 
     def euler_characteristic(self) -> int:
         return len(self._links) - len(self._edge_faces) + len(self.faces)
 
 
-def _walk_link(
-    v: int, w: int, count: int, edge_faces: Mapping[Edge, Sequence[Face]]
-) -> tuple[int, ...]:
-    """The link of v as Triangulation.link_cycle gives it, or PinchedVertex.
+def _walk_link(v: int, w: int, edge_faces: Mapping[Edge, Sequence[Face]]) -> tuple[int, ...]:
+    """The link of v as walked from its neighbor w, unrotated.
 
-    Walks around v from its neighbor w, each step crossing the edge to the
-    next face in edge_faces, which must hold two faces on every edge at v.
-    count is the number of faces at v: a walk that closes before it has met
-    them all leaves the link in more than one cycle.
+    Each step crosses the edge to the next face in edge_faces, which must
+    hold two faces on every edge at v.  Faces are compared with ==: an is
+    test would never close the walk on a face held as two equal tuples.
+    The walk closes on the one cycle through w: the callers compare its
+    length with v's face count, as a shorter one leaves v pinched.
     """
     cycle = [w]
     f = edge_faces[edge_key(v, w)][0]
@@ -190,13 +195,7 @@ def _walk_link(
         g, h = edge_faces[(v, x) if v < x else (x, v)]
         f = h if g == f else g
         x = f[0] + f[1] + f[2] - v - x
-    if len(cycle) != count:
-        raise PinchedVertex(f"link of vertex {v + 1} splits into more than one cycle")
-    i = cycle.index(min(cycle))
-    if cycle[i - 1] < cycle[i + 1 - len(cycle)]:
-        cycle.reverse()
-        i = len(cycle) - 1 - i
-    return tuple(cycle[i:] + cycle[:i])
+    return tuple(cycle)
 
 
 def _swap_edges(edge_faces: dict, rem: Collection[Face], add: Sequence[Face]) -> dict:
@@ -235,7 +234,8 @@ def _index(
 ) -> None:
     """Swap the faces rem for the sorted faces add in both indexes, in place:
     _swap_edges patches the edges, then the link of each vertex of rem or add
-    is walked in ascending order (PinchedVertex), or dropped with its last
+    is walked in ascending order with _walk_link, PinchedVertex naming the
+    first that does not meet all the vertex's faces, or dropped with its last
     face.  rem must be faces in edge_faces, and a vertex new to links must
     exceed its keys, so that they stay ascending."""
     neighbor = _swap_edges(edge_faces, rem, add)
@@ -248,7 +248,11 @@ def _index(
         if v in links:
             n += len(links[v])
         if n:
-            links[v] = _walk_link(v, neighbor[v], n, edge_faces)
+            links[v] = link = _walk_link(v, neighbor[v], edge_faces)
+            if len(link) != n:
+                raise PinchedVertex(
+                    f"link of vertex {v + 1} splits into more than one cycle"
+                )
         else:
             del links[v]
 
@@ -258,9 +262,8 @@ def _build(faces: list[Face]) -> Triangulation | None:
     when an edge does not lie on two faces or a link is not one cycle.
 
     Each edge takes its faces in order, so a pair is stored sorted, and with
-    at most two per edge 2E = 3F says none has one.  The first edge at v in
-    that order leads to v's least neighbor m, so the walk from m toward the
-    lesser third of vm is in normal form; the links meet all 3F corners
+    at most two per edge 2E = 3F says none has one.  Each link is walked
+    once with _walk_link, from any neighbor; the links meet all 3F corners
     only if no vertex is pinched.
     """
     ef: dict = {}
@@ -274,24 +277,10 @@ def _build(faces: list[Face]) -> Triangulation | None:
                 ef[e] = (g, f)
     if 2 * len(ef) != 3 * len(faces):
         return None
-    low: dict[int, int] = {}
+    start: dict[int, int] = {}
     for u, w in ef:
-        low.setdefault(u, w)
-        low.setdefault(w, u)
-    links: dict[int, tuple[int, ...]] = {}
-    for v in sorted(low):
-        m = low[v]
-        f, g = ef[(v, m) if v < m else (m, v)]
-        x, y = f[0] + f[1] + f[2] - v - m, g[0] + g[1] + g[2] - v - m
-        if y < x:
-            x, f = y, g
-        cycle = [m]
-        while x != m:
-            cycle.append(x)
-            g, h = ef[(v, x) if v < x else (x, v)]
-            f = h if g is f else g
-            x = f[0] + f[1] + f[2] - v - x
-        links[v] = tuple(cycle)
+        start[u], start[w] = w, u
+    links = {v: _walk_link(v, start[v], ef) for v in sorted(start)}
     if sum(map(len, links.values())) != 3 * len(faces):
         return None
     return Triangulation(tuple(faces), ef, links)

@@ -93,6 +93,25 @@ def grid_torus(n):
     return validate(faces), col
 
 
+def link_cycles(t):
+    """Each vertex with its link_cycle, in the key order of t's link index."""
+    return [(v, t.link_cycle(v)) for v in t._links]
+
+
+def assert_links_as_walked(t):
+    """Each stored link is one cycle around its vertex, as a walk meets it:
+    distinct neighbors, each consecutive pair a face with the vertex, as
+    many as the vertex has faces; keyed in ascending vertex order."""
+    count = {}
+    for f in t.faces:
+        for v in f:
+            count[v] = count.get(v, 0) + 1
+    assert list(t._links) == sorted(count)
+    for v, link in t._links.items():
+        assert len(link) == len(set(link)) == count[v] == t.degree(v)
+        assert all(t.has_face(v, link[i - 1], link[i]) for i in range(len(link)))
+
+
 def sparse_relabeled(t, col, seed):
     """t and col on shuffled ids from 65,536 up, with gaps between them."""
     rng = random.Random(seed)

@@ -59,7 +59,7 @@ from baltri.surface import (
 )
 
 from conftest import KLEIN_BOTTLE, PROJECTIVE_PLANE, barycentric, walk_sample
-from oracles import brute_bip_isomorphism
+from oracles import brute_bip_isomorphism, reference_bfs
 
 
 # the three op kinds that grow a graph, written out here rather than read
@@ -361,11 +361,14 @@ def test_the_octahedrons_whole_ball_connects_under_split_and_contract():
     under all kinds, reaches one fixed state through splits and contractions
     alone, which neither apply to the octahedron.  Caps: the ball at 14
     vertices, untruncated; each connect at 16 vertices and 4,000 states."""
-    octa, _ = build_octahedron()
+    octa, col = build_octahedron()
     kinds = (FlipKind.PS, FlipKind.PC)
     assert enumerate_sites(octa, kinds) == []
-    view = bfs(octa, max_vertices=14, max_states=10**6)
+    caps = dict(max_vertices=14, max_states=10**6)
+    view = bfs(octa, **caps)
     assert not view.truncated and view.state_count == 55
+    # every child of every state, against the search that prunes no orbit
+    assert view.edges == reference_bfs(octa, col, None, **caps)[2]
     octa_code = _octa_code()
     spheres = [code for code in view.states if code != octa_code]
     assert len(spheres) == 54
@@ -385,11 +388,15 @@ def test_the_octahedrons_whole_ball_connects_under_split_and_contract():
 def _longest_path_back(start, col, state_count):
     """The longest path by which each state of start's ball at 13 vertices,
     under all kinds, reaches start through splits, contractions and edge
-    subdivisions and welds.  Caps: the ball untruncated, with state_count
-    states; each connect at 15 vertices and 4,000 states.  A cap miss would
+    subdivisions and welds, after checking the ball's edges against
+    reference_bfs.  Caps: the ball untruncated, with state_count states;
+    each connect at 15 vertices and 4,000 states.  A cap miss would
     fail the test without being a counterexample to the theorem."""
-    view = bfs(start, max_vertices=13, max_states=10**6)
+    caps = dict(max_vertices=13, max_states=10**6)
+    view = bfs(start, **caps)
     assert not view.truncated and view.state_count == state_count
+    # every child of every state, against the search that prunes no orbit
+    assert view.edges == reference_bfs(start, col, None, **caps)[2]
     code = canonical_code(start, col, ColorMode.UP_TO_PERMUTATION)
     assert code in view.states
     kinds = (FlipKind.PC, FlipKind.PS, FlipKind.BES, FlipKind.BEW)

@@ -79,20 +79,25 @@ K = BipOpKind
 
 
 class TestGraph:
+    # each message names its vertices 1-based, as the file formats do
     def test_loop_rejected(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="^loop at vertex 1$"):
             BipGraph({0: 0}, [(0, 0)])
 
     def test_unknown_endpoint_rejected(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(
+            PreconditionViolated, match=r"^edge \{1,3\} uses an unknown vertex$"
+        ):
             BipGraph({0: 0, 1: 1}, [(0, 2)])
 
     def test_same_part_edge_rejected(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(
+            PreconditionViolated, match=r"^edge \{1,2\} joins two part-0 vertices$"
+        ):
             BipGraph({0: 0, 1: 0}, [(0, 1)])
 
     def test_bad_part_value_rejected(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="^vertex 2 has part 2, not 0/1$"):
             BipGraph({0: 0, 1: 2}, [(0, 1)])
 
     def test_accessors(self):
@@ -310,7 +315,7 @@ class TestInPlaceSequence:
 
 class TestPredicates:
     def test_smoothable_wrong_degree(self):
-        with pytest.raises(WrongDegree):
+        with pytest.raises(WrongDegree, match="^vertices 1, 4 must both have degree 2$"):
             is_smoothable(k33(), 0, 3)
 
     def test_smoothable_requires_adjacency(self):
@@ -319,11 +324,11 @@ class TestPredicates:
             [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
         )
         assert is_smoothable(g, 1, 2)
-        with pytest.raises(NotApplicable):
+        with pytest.raises(NotApplicable, match="^vertices 2 and 4 are not adjacent$"):
             is_smoothable(g, 1, 3)
 
     def test_removable_wrong_degree(self):
-        with pytest.raises(WrongDegree):
+        with pytest.raises(WrongDegree, match="^vertex 1 must have degree 2, has 3$"):
             is_removable(k33(), 0)
 
 

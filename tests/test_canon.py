@@ -33,7 +33,7 @@ from baltri.explorer import (
 )
 from baltri.flips import FlipKind, FlipSite, apply_flip, enumerate_sites
 
-from conftest import grid_torus, sparse_relabeled
+from conftest import assert_links_as_walked, grid_torus, sparse_relabeled
 from oracles import (
     brute_isomorphism,
     color_permutations,
@@ -520,6 +520,7 @@ def check_decoding(code, want):
     """Both decoding levels of code against the oracle form and coloring."""
     form, fcol = canon._decode(code)
     assert form.faces == want[0].faces and form.vertices == want[0].vertices
+    assert_links_as_walked(form)
     assert fcol == want[1]
     nv, nf, faces, colors = canon._unpack(code.data)
     assert (nv, nf, faces) == (form.vertex_count, form.face_count, list(form.faces))

@@ -668,6 +668,23 @@ class TestBip:
         for command in ("apply", "normalize"):
             assert run(capsys, "bip", command, g, s) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ("p bip 3 1\nn 0 1 1\ne 2 3\n", "edge {2,3} joins two part-1 vertices"),
+            ("p bip 3 1\nn 0 0 1\ne 2 1\n", "edge {2,1} joins two part-0 vertices"),
+            ("p bip 3 1\nn 0 1 1\ne 2 2\n", "loop at vertex 2"),
+        ],
+    )
+    def test_a_graph_fault_names_its_vertices_one_based(
+        self, capsys, tmp_path, graph, message
+    ):
+        g, s = str(tmp_path / "g.bip"), str(tmp_path / "s.ops")
+        open(g, "w").write(graph)
+        open(s, "w").write("")
+        for command in ("apply", "normalize"):
+            assert run(capsys, "bip", command, g, s) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("bad", ["graph", "script"])
     def test_non_utf8_file_exits_two(self, capsys, tmp_path, bad):
         files = {"graph": self.K33_TEXT.encode(), "script": self.SCRIPT.encode()}

@@ -56,12 +56,14 @@ class TestConstruction:
 
     def test_non_edge_step_rejected(self):
         g = square()
-        with pytest.raises(InvalidEmbedding, match="not an edge"):
+        with pytest.raises(InvalidEmbedding, match="^walk step 1-3 is not an edge$"):
             EvenEmbedding(g, [(0, 1, 2, 3), (0, 2, 1, 3)])
 
     def test_edge_coverage_must_be_exactly_two(self):
         g = BipGraph({0: 0, 1: 1}, [(0, 1)])
-        with pytest.raises(InvalidEmbedding, match="4 walk slots"):
+        with pytest.raises(
+            InvalidEmbedding, match=r"^edge \{1,2\} lies on 4 walk slots, need 2$"
+        ):
             EvenEmbedding(g, [(0, 1, 0, 1)])
 
     def test_empty_graph_rejected(self):

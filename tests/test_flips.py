@@ -17,7 +17,9 @@ from baltri import (
     PinchedVertex,
     TriangulationError,
     WouldCreateDuplicateFace,
+    bfs,
     canonical_code,
+    connect,
     expand_via_budget,
     is_orientable,
     is_proper,
@@ -45,7 +47,14 @@ from baltri.flips import (
 
 from baltri.surface import _swap_faces, face_key
 
-from conftest import PROJECTIVE_PLANE, grid_torus, run_python, walk_sample
+from conftest import (
+    PROJECTIVE_PLANE,
+    assert_links_as_walked,
+    grid_torus,
+    link_cycles,
+    run_python,
+    walk_sample,
+)
 from oracles import (
     naive_ps_sites,
     reference_apply_flip,
@@ -495,6 +504,23 @@ class TestKindsMustBeFlipKinds:
         with pytest.raises(InvalidSite, match="is not a FlipKind"):
             random_walk(t, col, kinds, steps=2)
 
+    @pytest.mark.parametrize("kinds", [["bts"], [FlipKind.BTS, "bes"]])
+    def test_the_searches_name_the_bad_kind(self, kinds):
+        t, _ = build_octahedron()
+        with pytest.raises(InvalidSite, match="is not a FlipKind"):
+            bfs(t, kinds=kinds, max_vertices=8, max_states=10)
+        with pytest.raises(InvalidSite, match="is not a FlipKind"):
+            connect(t, t, kinds=kinds, max_vertices=8, max_states=10)
+
+    @pytest.mark.parametrize(
+        "budget", [{"bes": 1}, {FlipKind.PS: 2, "pc": 1}, {"ps": 0}]
+    )
+    def test_expand_via_budget_names_a_bad_budget_key(self, budget):
+        t, _ = build_octahedron()
+        site = enumerate_sites(t, [FlipKind.BES])[0]
+        with pytest.raises(InvalidSite, match="is not a FlipKind"):
+            expand_via_budget(t, site, budget=budget)
+
     def test_a_kind_generator_is_read_once(self):
         t, _ = build_octahedron()
         got = enumerate_sites(t, (k for k in [FlipKind.BES, FlipKind.BTS]))
@@ -630,8 +656,10 @@ def assert_same_triangulation(got, want):
     assert got.vertices == want.vertices
     assert got.edges == want.edges
     assert got._edge_faces == want._edge_faces
-    # the vertex index also keeps validate's (ascending) key order
-    assert list(got._links.items()) == list(want._links.items())
+    # the vertex index also keeps validate's (ascending) key order, and
+    # each link, however it was walked, reads the same through link_cycle
+    assert link_cycles(got) == link_cycles(want)
+    assert_links_as_walked(got)
     for v in want.vertices:
         assert got.degree(v) == want.degree(v)
         assert got.neighbors(v) == want.neighbors(v)
@@ -689,6 +717,27 @@ class TestPatchedApply:
             assert_same_triangulation(got, want)
             assert surface_id(got) == (False, 1)
             t = got
+
+
+class TestLinksAsWalkedAfterMoves:
+    def test_after_every_listed_move(self, mixed_samples_14):
+        for t, col in mixed_samples_14[::3]:
+            for site in enumerate_sites(t):
+                assert_links_as_walked(apply_flip(t, site, col)[0])
+
+    @pytest.mark.parametrize(
+        "build", [build_octahedron, build_k333_torus, build_cube_subdivision]
+    )
+    def test_after_random_walk_steps(self, build):
+        t, col = build()
+        for steps in (1, 4, 12, 30):
+            got, _, sites = random_walk(t, col, steps=steps, seed=steps, max_vertices=30)
+            assert_links_as_walked(got)
+            cur = t
+            for site in sites:
+                cur, _ = apply_flip(cur, site)
+                assert_links_as_walked(cur)
+            assert cur == got
 
 
 def _dropping_one_face(rule, index):

@@ -1,4 +1,6 @@
-"""Soundness checks must survive python -O, so the package holds no assert."""
+"""Soundness checks must survive python -O, so the package holds no assert
+and reads no __debug__: the -O re-runs below hold only if no code branches
+on the optimization level."""
 
 import ast
 import pathlib
@@ -18,6 +20,14 @@ OPTIMIZED_MODULES = (
 )
 
 
+def _optimized_away(node) -> bool:
+    """An assert, which python -O strips, or a read of __debug__, which it
+    makes False."""
+    return isinstance(node, ast.Assert) or (
+        isinstance(node, ast.Name) and node.id == "__debug__"
+    )
+
+
 def test_package_source_has_no_assert_statements():
     sources = sorted(pathlib.Path(baltri.__file__).parent.glob("*.py"))
     assert sources
@@ -25,9 +35,14 @@ def test_package_source_has_no_assert_statements():
         f"{path.name}:{node.lineno}"
         for path in sources
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        if _optimized_away(node)
     ]
     assert found == []
+
+
+def test_a_read_of_debug_is_caught():
+    tree = ast.parse("if __debug__:\n    check()\nx = not __debug__\n")
+    assert sum(map(_optimized_away, ast.walk(tree))) == 2
 
 
 @pytest.mark.parametrize("module", OPTIMIZED_MODULES)

@@ -31,9 +31,11 @@ from baltri.surface import _coloring, _index
 from conftest import (
     KLEIN_BOTTLE,
     PROJECTIVE_PLANE,
+    assert_links_as_walked,
     barycentric,
     grid_torus,
     grown_by_bts,
+    link_cycles,
     sparse_relabeled,
     walk_sample,
 )
@@ -106,12 +108,12 @@ class TestValidate:
 
 def _outcome(check, faces):
     """What check makes of faces: the error class, or the kept indexes with
-    their key order."""
+    their key order, each link read through link_cycle."""
     try:
         t = check(list(faces))
     except TriangulationError as exc:
         return type(exc)
-    return t.faces, list(t._edge_faces.items()), list(t._links.items())
+    return t.faces, list(t._edge_faces.items()), link_cycles(t)
 
 
 def assert_validates_as_the_reference(faces):
@@ -126,7 +128,7 @@ def _told(check, faces):
         t = check(list(faces))
     except TriangulationError as exc:
         return type(exc), str(exc)
-    return t.faces, list(t._edge_faces.items()), list(t._links.items())
+    return t.faces, list(t._edge_faces.items()), link_cycles(t)
 
 
 def _indexed(faces):
@@ -278,6 +280,31 @@ class TestAgainstTheReference:
                 got = assert_builds_as_indexed(copy)
                 assert isinstance(got[0], tuple), name
                 assert _outcome(reference_validate, copy) == got, name
+
+
+def _least_rotation(cycle):
+    """The least of cycle's rotations and reflections: with distinct entries,
+    the one starting at its least entry toward the lesser of its two
+    cycle-neighbors."""
+    return min(c[i:] + c[:i] for c in (cycle, cycle[::-1]) for i in range(len(cycle)))
+
+
+class TestLinksAsWalked:
+    """_links keeps each cycle as its walk met it; link_cycle alone rotates."""
+
+    def test_each_stored_link_is_one_cycle_and_reads_in_normal_form(
+        self, genus_two, three_crosscaps
+    ):
+        surfaces = [*SURFACES.values(), KLEIN_BOTTLE, genus_two[0].faces]
+        surfaces.append(three_crosscaps[0].faces)
+        rng = random.Random(5)
+        for faces in surfaces:
+            for copy in (list(faces), _scrambled(faces, rng)):
+                # the one-pass build and the fault-naming path alike
+                for t in (validate(copy), _indexed(copy)):
+                    assert_links_as_walked(t)
+                    for v, link in t._links.items():
+                        assert t.link_cycle(v) == _least_rotation(link)
 
 
 class TestAccessors:
