@@ -15,14 +15,15 @@ triple, and at the first smaller one it is suspended, not finished, as the new
 least.  Later sweeps resume it in doubling chunks as far as they compare, and
 a tie compares to the end, so only the winner is finished.  The sweeps run on
 a face index built once per call from the sorted faces and each edge's two
-faces: each face's corner sum and, per corner, the position of the face
-across the opposite edge.  With the vertex degrees, which pick the start
-flags in one pass reading each face's three degrees once (see _start_flags),
-that is all a call reads, so the search canonicalizes a child from those
-parts patched, with no Triangulation built (see explorer).  Crossing an
-edge is then one small-int lookup and one stamp test (trial sweeps share one
-list of visit stamps until one becomes the least and keeps it), and a face
-labels only its third corner, as the face that queued it labeled the other two.
+thirds, which name its two faces by their sorted keys: each face's corner
+sum and, per corner, the position of the face across the opposite edge.
+With the vertex degrees, which pick the start flags in one pass reading
+each face's three degrees once (see _start_flags), that is all a call reads,
+so the search canonicalizes a child from those parts patched, with no
+Triangulation built (see explorer).  Crossing an edge is then one small-int
+lookup and one stamp test (trial sweeps share one list of visit stamps until
+one becomes the least and keeps it), and a face labels only its third
+corner, as the face that queued it labeled the other two.
 
 A sweep that ties the least stream (and a FIXED suffix) to the end proves an
 automorphism: the vertex labeled L by the least sweep goes to the one
@@ -136,15 +137,17 @@ def _advance(ix, sweep, best, stop: int) -> int:
     return order
 
 
-def _face_index(faces, edge_faces):
-    """Per face of faces: its corner sum, and corner -> the face across, read
-    off edge_faces, each edge's two faces."""
+def _face_index(faces, thirds):
+    """Per face of faces: its corner sum, and corner -> the face across: the
+    two faces on edge xy, at the positions of their sorted keys, are across
+    it from each other's third."""
     pos = {f: i for i, f in enumerate(faces)}
     across: list[dict[int, int]] = [{} for _ in pos]
-    for (x, y), (f, g) in edge_faces.items():
-        i, j = pos[f], pos[g]
-        across[i][f[0] + f[1] + f[2] - x - y] = j
-        across[j][g[0] + g[1] + g[2] - x - y] = i
+    for (x, y), (z, w) in thirds.items():
+        i = pos[(z, x, y) if z < x else (x, z, y) if z < y else (x, y, z)]
+        j = pos[(w, x, y) if w < x else (x, w, y) if w < y else (x, y, w)]
+        across[i][z] = j
+        across[j][w] = i
     return [a + b + c for a, b, c in faces], across
 
 
@@ -266,17 +269,17 @@ def _decode(code: CanonicalCode) -> tuple[Triangulation, Coloring | None]:
 def _canonical(t, col, mode):
     """_canonical_parts on a validated t."""
     deg = {v: len(link) for v, link in t._links.items()}
-    return _canonical_parts(t.faces, t._edge_faces, deg, col, mode)
+    return _canonical_parts(t.faces, t._thirds, deg, col, mode)
 
 
-def _canonical_parts(faces, edge_faces, deg, col, mode):
+def _canonical_parts(faces, thirds, deg, col, mode):
     """(code, label map, automorphisms: one map per tie, keeping colors up
-    to one permutation) of the sorted faces, each edge's two faces and the
+    to one permutation) of the sorted faces, each edge's thirds and the
     degrees.  Only FIXED mode needs col; Disconnected if the winning sweep
     misses a face, NotBalanced from a forced suffix."""
     best = orbits = None
     gens: list[dict[int, int]] = []
-    ix, flags = _face_index(faces, edge_faces), _start_flags(faces, deg)
+    ix, flags = _face_index(faces, thirds), _start_flags(faces, deg)
     sums, nf = ix[0], len(faces)
     seen = [0] * nf  # the trial sweeps' visit stamps, until one becomes best
     for stamp, (p, u, v) in enumerate(flags, 1):

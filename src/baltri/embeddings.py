@@ -46,7 +46,8 @@ class EvenEmbedding:
         for walk in self.walks:
             if len(walk) < 4 or len(walk) % 2:
                 raise InvalidEmbedding(
-                    f"walk {walk} has length {len(walk)}, need even and >= 4"
+                    f"walk {'-'.join(str(v + 1) for v in walk)} has length "
+                    f"{len(walk)}, need even and >= 4"
                 )
             for a, b in zip(walk, walk[1:] + walk[:1]):
                 if not (a in graph and b in graph and graph.has_edge(a, b)):

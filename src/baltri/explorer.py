@@ -18,7 +18,7 @@ coloring along, checked by surface's gate.
 
 Children are certified by code.  _child runs the move's rule once and builds
 only what canon reads, each patched from the parent: the sorted faces, the
-edge index (_swap_edges, which checks the touched edges) and the degrees.
+edge thirds (_swap_edges, which checks the touched edges) and the degrees.
 No link is walked and no Triangulation or Coloring built.  A child whose
 code equals a known state's is that state's face set, as the code rebuilds
 the face set; a new code is validated by _decode before it is expanded, and
@@ -152,16 +152,16 @@ def _child(cur: Triangulation, deg: dict[int, int], site: FlipSite):
     No link is walked (that waits for _decode) and no Triangulation built."""
     rem, _, add, _, undo = _exchange(cur, site)
     add = sorted(add)
-    edge_faces, deg = dict(cur._edge_faces), dict(deg)
-    _swap_edges(edge_faces, rem, add)
+    thirds, deg = dict(cur._thirds), dict(deg)
+    _swap_edges(thirds, rem, add)
     for v in chain.from_iterable(add):
         deg[v] = deg.get(v, 0) + 1
     for v in chain.from_iterable(rem):
         deg[v] -= 1
         if not deg[v]:  # left without faces
             del deg[v]
-    faces = _swapped(cur, rem, add, len(deg), edge_faces)
-    code, labels, gens = _canonical_parts(faces, edge_faces, deg, None, _MODE)
+    faces = _swapped(cur, rem, add, len(deg), thirds)
+    code, labels, gens = _canonical_parts(faces, thirds, deg, None, _MODE)
     return code, labels, gens, tuple.__new__(FlipSite, (site.kind.inverse, undo))
 
 

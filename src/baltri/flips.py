@@ -156,7 +156,7 @@ def _take(t: Triangulation, *faces: tuple[int, int, int]) -> list[Face]:
     keys = []
     for a, b, c in faces:
         k = face_key(a, b, c)
-        if k not in t._edge_faces.get(k[:2], ()):
+        if k[2] not in t._thirds.get(k[:2], ()):
             raise InvalidSite(f"missing face {{{a + 1},{b + 1},{c + 1}}}")
         keys.append(k)
     return keys
@@ -397,7 +397,7 @@ def _footprint(t: Triangulation, site: FlipSite) -> tuple[int, ...]:
 #
 # Each _sites_*, its kind's _read, reads the sites of its kind off the given
 # faces, edges or vertices of t, one element at a time, in the kind's _form;
-# the corners beyond an edge come from thirds, a _Thirds of t, except in pc.
+# the corners beyond an edge are its thirds, read off t._thirds.
 # Reading a tuple off t puts most of its rule's faces in place (its comment
 # says which checks hold so), and it checks only the rest, inline, calling
 # no rule.  No reader yields a tuple twice: the tuple names its element (its
@@ -405,46 +405,27 @@ def _footprint(t: Triangulation, site: FlipSite) -> tuple[int, ...]:
 # differ in link window or in the order of the thirds.
 # tests/oracles.py keeps the scan that runs the rule on every candidate.
 
-class _Thirds(dict):
-    """Edge key -> the thirds of its two faces, sorted, read off t's edge
-    index when first asked for, or for every edge at once when whole."""
-
-    __slots__ = ("edge_faces",)
-
-    def __init__(self, t: Triangulation, whole: bool):
-        self.edge_faces = t._edge_faces
-        for e, (f, g) in self.edge_faces.items() if whole else ():
-            u, v = e
-            a, b = f[0] + f[1] + f[2] - u - v, g[0] + g[1] + g[2] - u - v
-            self[e] = (a, b) if a < b else (b, a)
-
-    def __missing__(self, e):
-        (u, v), (f, g) = e, self.edge_faces[e]
-        a, b = f[0] + f[1] + f[2] - u - v, g[0] + g[1] + g[2] - u - v
-        self[e] = thirds = (a, b) if a < b else (b, a)
-        return thirds
-
-
-def _sites_bts(t: Triangulation, faces, thirds):
+def _sites_bts(t: Triangulation, faces):
     # all hold: a face of t has distinct corners
     yield from faces
 
 
-def _sites_btw(t: Triangulation, faces, thirds):
+def _sites_btw(t: Triangulation, faces):
     # with degree-4 links q r b c, r p c a, q p b a of p, q, r, where a, b, c lie
     # beyond qr, pr, pq: the seven faces and six distinct vertices hold
-    links, edge_faces = t._links, t._edge_faces
+    links, thirds = t._links, t._thirds
     for p, q, r in faces:
         if len(links[p]) != 4 or len(links[q]) != 4 or len(links[r]) != 4:
             continue
         a, b, c = sum(thirds[q, r]) - p, sum(thirds[p, r]) - q, sum(thirds[p, q]) - r
-        k = face_key(a, b, c)
-        if k not in edge_faces.get(k[:2], ()):
+        x, y, z = face_key(a, b, c)
+        if z not in thirds.get((x, y), ()):
             yield (p, q, r, a, b, c)
 
 
-def _sites_bes(t: Triangulation, edges, thirds):
+def _sites_bes(t: Triangulation, edges):
     # all hold: the two faces on an edge have distinct thirds
+    thirds = t._thirds
     for e in edges:
         yield e + thirds[e]
 
@@ -453,26 +434,26 @@ def _pairs(t: Triangulation, edges):
     # (p, q, a, b) for each edge pq with degree-4 links q c b d of p and
     # p c a d of q (c, d the thirds of pq) whose far corners a and b differ
     # and are not adjacent: the bew sites, and the edges p2flip builds on
-    links, edge_faces = t._links, t._edge_faces
+    links, thirds = t._links, t._thirds
     for p, q in edges:
         lp, lq = links[p], links[q]
         if len(lp) != 4 or len(lq) != 4:
             continue
         a, b = lq[lq.index(p) - 2], lp[lp.index(q) - 2]
-        if a != b and edge_key(a, b) not in edge_faces:
+        if a != b and edge_key(a, b) not in thirds:
             yield p, q, a, b
 
 
-def _sites_bew(t: Triangulation, edges, thirds):
+def _sites_bew(t: Triangulation, edges):
     # the patch and its six faces hold for each of _pairs
     for p, q, _, _ in _pairs(t, edges):
         yield (p, q)
 
 
-def _sites_ps(t: Triangulation, vertices, thirds):
+def _sites_ps(t: Triangulation, vertices):
     # a link window w x y z: the three fan faces hold, and w, x, y, z are
     # distinct in a link of five or more (in a link of four, wz is an edge)
-    links, edge_faces = t._links, t._edge_faces
+    links, thirds = t._links, t._thirds
     for v in vertices:
         link = links[v]
         if len(link) < 5:
@@ -480,18 +461,17 @@ def _sites_ps(t: Triangulation, vertices, thirds):
         for i in range(len(link)):
             w, z = link[i - 3], link[i]
             if w < z:
-                if (w, z) not in edge_faces:
+                if (w, z) not in thirds:
                     yield (v, w, link[i - 2], link[i - 1], z)
-            elif (z, w) not in edge_faces:
+            elif (z, w) not in thirds:
                 yield (v, z, link[i - 1], link[i - 2], w)
 
 
-def _sites_pc(t: Triangulation, vertices, thirds):
-    # a degree-4 link w x y z and v beyond wz: the five faces hold, and the
-    # six vertices are distinct once vx and vy are missing (v = x or y would
-    # make one of them a link edge of u); v comes off the edge index, as a
-    # first read of thirds costs more and pc reads each link edge once
-    links, edge_faces = t._links, t._edge_faces
+def _sites_pc(t: Triangulation, vertices):
+    # a degree-4 link w x y z and v, the other third of wz: the five faces
+    # hold, and the six vertices are distinct once vx and vy are missing
+    # (v = x or y would make one of them a link edge of u)
+    links, thirds = t._links, t._thirds
     for u in vertices:
         link = links[u]
         if len(link) != 4:
@@ -500,21 +480,22 @@ def _sites_pc(t: Triangulation, vertices, thirds):
             w, x, y, z = link[i], link[i - 1], link[i - 2], link[i - 3]
             if w > z:
                 w, x, y, z = z, y, x, w
-            f, g = edge_faces[w, z]
-            v = (g[0] + g[1] + g[2] if u in f else f[0] + f[1] + f[2]) - w - z
+            a, v = thirds[w, z]
+            if v == u:
+                v = a
             if (
-                ((v, x) if v < x else (x, v)) not in edge_faces
-                and ((v, y) if v < y else (y, v)) not in edge_faces
+                ((v, x) if v < x else (x, v)) not in thirds
+                and ((v, y) if v < y else (y, v)) not in thirds
             ):
                 yield (u, w, x, y, z, v)
 
 
-def _sites_nflip(t: Triangulation, edges, thirds):
+def _sites_nflip(t: Triangulation, edges):
     # the faces on v1v4 and beyond v1v3 and v4v6: the four faces hold, and the
     # six vertices are distinct once the chords are missing (v2 = v5, v2 = v6
     # or v3 = v5 would make v3v5 or v2v5 an edge); read from v1 < v4, the
     # strip is already the lesser of its rotations by three
-    edge_faces = t._edge_faces
+    thirds = t._thirds
     for e in edges:
         v1, v4 = e
         a, b = thirds[e]
@@ -524,16 +505,17 @@ def _sites_nflip(t: Triangulation, edges, thirds):
             x, y = thirds[(v4, v6) if v4 < v6 else (v6, v4)]
             v5 = y if x == v1 else x
             if (
-                ((v2, v6) if v2 < v6 else (v6, v2)) not in edge_faces
-                and ((v2, v5) if v2 < v5 else (v5, v2)) not in edge_faces
-                and ((v3, v5) if v3 < v5 else (v5, v3)) not in edge_faces
+                ((v2, v6) if v2 < v6 else (v6, v2)) not in thirds
+                and ((v2, v5) if v2 < v5 else (v5, v2)) not in thirds
+                and ((v3, v5) if v3 < v5 else (v5, v3)) not in thirds
             ):
                 yield (v1, v2, v3, v4, v5, v6)
 
 
-def _sites_p2flip(t: Triangulation, edges, thirds):
+def _sites_p2flip(t: Triangulation, edges):
     # with degree-4 links q v3 v4 v5 of p and p v3 v1 v5 of q: v1 is q's far
     # corner and v4 p's, so the pair's corners hold, and the faces hold
+    thirds = t._thirds
     for e1, e2, a, b in _pairs(t, edges):
         c, d = thirds[e1, e2]
         for q, p, v1, v4 in ((e1, e2, b, a), (e2, e1, a, b)):
@@ -584,21 +566,18 @@ def _map_site(site: FlipSite, sigma) -> FlipSite:
     return tuple.__new__(FlipSite, (site.kind, site.kind._form(image)))
 
 
-def _scan(t: Triangulation, kinds, source, whole: bool = False) -> list[FlipSite]:
+def _scan(t: Triangulation, kinds, source) -> list[FlipSite]:
     """The sites read off source, in enumerate_sites' order.
 
     source(elements, radius) gives the faces, edges or vertices of t to read
-    each kind's sites off, all of them when whole.  The readers share one
-    _Thirds, read whole when bes or nflip will ask for every edge.  As no
-    reader repeats a tuple, a kind's block is only sorted, and the bts and
-    btw blocks read off the sorted t.faces not even that.
+    each kind's sites off.  As no reader repeats a tuple, a kind's block is
+    only sorted, and the bts and btw blocks read off the sorted t.faces not
+    even that.
     """
-    want = _kinds(kinds)
-    thirds = _Thirds(t, whole and (FlipKind.BES in want or FlipKind.NFLIP in want))
     out: list[FlipSite] = []
-    for kind in want:
+    for kind in _kinds(kinds):
         found = source(kind._elements, kind._radius)
-        tups = kind._read(t, found, thirds)
+        tups = kind._read(t, found)
         tups = tups if found is t.faces else sorted(tups)
         out += [tuple.__new__(FlipSite, (kind, tup)) for tup in tups]
     return out
@@ -612,8 +591,8 @@ def enumerate_sites(t: Triangulation, kinds=None) -> list[FlipSite]:
     fan end for the splitting moves, least rotation for the hexagon move).
     Raises InvalidSite for a kind that is not a FlipKind.
     """
-    index = {"faces": t.faces, "edges": t._edge_faces, "vertices": t._links}
-    return _scan(t, kinds, lambda elements, radius: index[elements], whole=True)
+    index = {"faces": t.faces, "edges": t._thirds, "vertices": t._links}
+    return _scan(t, kinds, lambda elements, radius: index[elements])
 
 
 def _around(t: Triangulation, ring, elements: str):

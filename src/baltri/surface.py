@@ -15,26 +15,27 @@ closed surface, and validate() stays the reference the patch is tested
 against.
 
 A Triangulation keeps one index per fact: faces (the sorted face tuple),
-_edge_faces (each edge's two faces) and _links (each vertex's link cycle as
-its walk met it, from any start in either direction; link_cycle() alone
-rotates it into normal form, on read).  Vertices, edges, degrees, neighbors
-and face membership are read off those.  _links is keyed in ascending
-vertex order, so vertices comes out sorted and max_vertex_id is its last
-key: validate() builds it in that order, and a move only deletes keys or
-appends ids above max_vertex_id.
+_thirds (each edge's two thirds, the corners its two faces have off it,
+sorted) and _links (each vertex's link cycle as its walk met it, from any
+start in either direction; link_cycle() alone rotates it into normal form,
+on read).  Vertices, edges, degrees, neighbors and face membership are read
+off those: face abc is present when c is a third of ab.  _links is keyed in
+ascending vertex order, so vertices comes out sorted and max_vertex_id is
+its last key: validate() builds it in that order, and a move only deletes
+keys or appends ids above max_vertex_id.
 
 One walker, _walk_link, reads every link by going around the vertex over
-_edge_faces.  validate() indexes the sorted faces in one pass, _build.  A
+_thirds.  validate() indexes the sorted faces in one pass, _build.  A
 move patches copies of t's indexes with _index, which swaps some faces for
 others in place: its edge half, _swap_edges, checks that each touched edge
-keeps two faces or none (the search patches a child's edges with it alone),
+keeps two thirds or none (the search patches a child's edges with it alone),
 and each touched link is walked.  Only to name a fault _build found does
 validate() run _index, on empty indexes with every face.
 
 The two global facts, the 3-coloring and the orientability, are each forced
 once one face is fixed, so both are read off one face walk, _crossings,
 which crosses every edge of every face breadth first from t.faces[0]:
-find_coloring() forces each far corner's color, and is_orientable() each
+find_coloring() forces each far third's color, and is_orientable() each
 far face's orientation sign.
 
 Calls that check a supplied coloring do so in one gate, _coloring(): it
@@ -80,13 +81,13 @@ def face_key(a: int, b: int, c: int) -> Face:
 class Triangulation:
     """A closed-surface triangulation, immutable, its links kept as walked."""
 
-    __slots__ = ("faces", "_edge_faces", "_links", "_hash", "_orientable")
+    __slots__ = ("faces", "_thirds", "_links", "_hash", "_orientable")
 
-    def __init__(self, faces, edge_faces, links):
+    def __init__(self, faces, thirds, links):
         # Internal constructor; use validate().  links must be keyed in
         # ascending vertex order (see the module docstring).
         self.faces: tuple[Face, ...] = faces
-        self._edge_faces: dict[Edge, tuple[Face, Face]] = edge_faces
+        self._thirds: dict[Edge, tuple[int, int]] = thirds
         self._links: dict[int, tuple[int, ...]] = links
         self._hash: int | None = None  # hash(faces), on the first __hash__
         self._orientable: bool | None = None
@@ -105,7 +106,7 @@ class Triangulation:
 
     def __repr__(self):
         return (
-            f"Triangulation(V={len(self._links)}, E={len(self._edge_faces)}, "
+            f"Triangulation(V={len(self._links)}, E={len(self._thirds)}, "
             f"F={len(self.faces)})"
         )
 
@@ -117,7 +118,7 @@ class Triangulation:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self._edge_faces))
+        return tuple(sorted(self._thirds))
 
     @property
     def vertex_count(self) -> int:
@@ -125,7 +126,7 @@ class Triangulation:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edge_faces)
+        return len(self._thirds)
 
     @property
     def face_count(self) -> int:
@@ -142,24 +143,20 @@ class Triangulation:
         return frozenset(self._links[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self._edge_faces
+        return edge_key(u, v) in self._thirds
 
     def has_face(self, a: int, b: int, c: int) -> bool:
-        k = face_key(a, b, c)
-        return k in self._edge_faces.get(k[:2], ())
+        a, b, c = face_key(a, b, c)
+        return c in self._thirds.get((a, b), ())
 
     def edge_opposites(self, u: int, v: int) -> tuple[int, int]:
         """The two vertices completing the faces on edge uv, sorted."""
-        f, g = self._edge_faces[edge_key(u, v)]
-        a = f[0] + f[1] + f[2] - u - v
-        b = g[0] + g[1] + g[2] - u - v
-        return (a, b) if a < b else (b, a)
+        return self._thirds[edge_key(u, v)]
 
     def other_face_third(self, u: int, v: int, w: int) -> int:
         """Third vertex of the face on edge uv other than face uvw."""
-        f, g = self._edge_faces[edge_key(u, v)]
-        other = g if w in f else f
-        return other[0] + other[1] + other[2] - u - v
+        a, b = self._thirds[edge_key(u, v)]
+        return b if a == w else a
 
     def link_cycle(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in cyclic order, canonically rotated.
@@ -175,70 +172,71 @@ class Triangulation:
         return cycle[i:] + cycle[:i]
 
     def euler_characteristic(self) -> int:
-        return len(self._links) - len(self._edge_faces) + len(self.faces)
+        return len(self._links) - len(self._thirds) + len(self.faces)
 
 
-def _walk_link(v: int, w: int, edge_faces: Mapping[Edge, Sequence[Face]]) -> tuple[int, ...]:
+def _walk_link(v: int, w: int, thirds: Mapping[Edge, Sequence[int]]) -> tuple[int, ...]:
     """The link of v as walked from its neighbor w, unrotated.
 
-    Each step crosses the edge to the next face in edge_faces, which must
-    hold two faces on every edge at v.  Faces are compared with ==: an is
-    test would never close the walk on a face held as two equal tuples.
-    The walk closes on the one cycle through w: the callers compare its
-    length with v's face count, as a shorter one leaves v pinched.
+    Each step crosses edge vx to the third of vx it did not come from, so
+    thirds must hold two on every edge at v.  The walk closes on the one
+    cycle through w: the callers compare its length with v's face count, as
+    a shorter one leaves v pinched.
     """
     cycle = [w]
-    f = edge_faces[edge_key(v, w)][0]
-    x = f[0] + f[1] + f[2] - v - w
+    back, x = w, thirds[edge_key(v, w)][0]
     while x != w:
         cycle.append(x)
-        g, h = edge_faces[(v, x) if v < x else (x, v)]
-        f = h if g == f else g
-        x = f[0] + f[1] + f[2] - v - x
+        y, z = thirds[(v, x) if v < x else (x, v)]
+        back, x = x, (z if y == back else y)
     return tuple(cycle)
 
 
-def _swap_edges(edge_faces: dict, rem: Collection[Face], add: Sequence[Face]) -> dict:
+def _swap_edges(thirds: dict, rem: Collection[Face], add: Sequence[Face]) -> dict:
     """The edge half of _index, which returns per vertex of a kept touched
-    edge its other end.  The touched edges, those of add and then those only
-    rem has, are checked in insertion order: each must be left on two faces,
-    stored sorted, or on none, and is dropped; else NonManifoldEdge."""
-    around: dict[Edge, list[Face]] = {}
-    for f in add:
-        a, b, c = f
-        for e in ((a, b), (a, c), (b, c)):
-            around.setdefault(e, []).append(f)
+    edge its other end.  A touched edge starts from its stored thirds, gains
+    those of add and loses those of rem.  The touched edges, those of add
+    and then those only rem has, are checked in insertion order: each must
+    be left with two thirds, stored sorted, or none, and is dropped; else
+    NonManifoldEdge."""
+    around: dict[Edge, list[int]] = {}
+    for a, b, c in add:
+        for e, z in (((a, b), c), ((a, c), b), ((b, c), a)):
+            if e not in around:
+                around[e] = list(thirds.get(e, ()))
+            around[e].append(z)
     for a, b, c in rem:
-        for e in ((a, b), (a, c), (b, c)):
-            around.setdefault(e, [])
+        for e, z in (((a, b), c), ((a, c), b), ((b, c), a)):
+            if e not in around:
+                around[e] = list(thirds[e])
+            around[e].remove(z)
 
     neighbor: dict[int, int] = {}
-    for e, fs in around.items():
-        if e in edge_faces:
-            fs = sorted([g for g in edge_faces[e] if g not in rem] + fs)
-        if len(fs) != 2:
-            if fs:
-                raise NonManifoldEdge(
-                    f"edge {{{e[0] + 1},{e[1] + 1}}} lies in {len(fs)} face(s), expected 2"
-                )
-            del edge_faces[e]
-            continue
+    for e, zs in around.items():
         u, v = e
-        edge_faces[e] = (fs[0], fs[1])
+        if len(zs) != 2:
+            if zs:
+                raise NonManifoldEdge(
+                    f"edge {{{u + 1},{v + 1}}} lies in {len(zs)} face(s), expected 2"
+                )
+            del thirds[e]
+            continue
+        y, z = zs
+        thirds[e] = (y, z) if y < z else (z, y)
         neighbor[u], neighbor[v] = v, u
     return neighbor
 
 
 def _index(
-    edge_faces: dict, links: dict, rem: Collection[Face], add: Sequence[Face]
+    thirds: dict, links: dict, rem: Collection[Face], add: Sequence[Face]
 ) -> None:
     """Swap the faces rem for the sorted faces add in both indexes, in place:
     _swap_edges patches the edges, then the link of each vertex of rem or add
     is walked in ascending order with _walk_link, PinchedVertex naming the
     first that does not meet all the vertex's faces, or dropped with its last
-    face.  rem must be faces in edge_faces, and a vertex new to links must
+    face.  rem must be faces in thirds, and a vertex new to links must
     exceed its keys, so that they stay ascending."""
-    neighbor = _swap_edges(edge_faces, rem, add)
+    neighbor = _swap_edges(thirds, rem, add)
     # Past the edge check, a vertex with faces left has a kept edge to start
     # from: one of add, or one between a face of rem and a face that stays.
     count = Counter(chain.from_iterable(add))
@@ -248,7 +246,7 @@ def _index(
         if v in links:
             n += len(links[v])
         if n:
-            links[v] = link = _walk_link(v, neighbor[v], edge_faces)
+            links[v] = link = _walk_link(v, neighbor[v], thirds)
             if len(link) != n:
                 raise PinchedVertex(
                     f"link of vertex {v + 1} splits into more than one cycle"
@@ -261,29 +259,28 @@ def _build(faces: list[Face]) -> Triangulation | None:
     """The Triangulation on the sorted, distinct face keys faces, or None
     when an edge does not lie on two faces or a link is not one cycle.
 
-    Each edge takes its faces in order, so a pair is stored sorted, and with
-    at most two per edge 2E = 3F says none has one.  Each link is walked
-    once with _walk_link, from any neighbor; the links meet all 3F corners
-    only if no vertex is pinched.
+    An edge's faces come in sorted order, so its thirds come ascending, and
+    with at most two per edge 2E = 3F says none has one.  Each link is
+    walked once with _walk_link, from any neighbor; the links meet all 3F
+    corners only if no vertex is pinched.
     """
-    ef: dict = {}
-    for f in faces:
-        a, b, c = f
-        for e in ((a, b), (a, c), (b, c)):
-            g = ef.setdefault(e, f)
-            if g is not f:
-                if len(g) == 2:
+    thirds: dict = {}
+    for a, b, c in faces:
+        for e, z in (((a, b), c), ((a, c), b), ((b, c), a)):
+            x = thirds.setdefault(e, z)
+            if x != z:
+                if x.__class__ is tuple:
                     return None
-                ef[e] = (g, f)
-    if 2 * len(ef) != 3 * len(faces):
+                thirds[e] = (x, z)
+    if 2 * len(thirds) != 3 * len(faces):
         return None
     start: dict[int, int] = {}
-    for u, w in ef:
+    for u, w in thirds:
         start[u], start[w] = w, u
-    links = {v: _walk_link(v, start[v], ef) for v in sorted(start)}
+    links = {v: _walk_link(v, start[v], thirds) for v in sorted(start)}
     if sum(map(len, links.values())) != 3 * len(faces):
         return None
-    return Triangulation(tuple(faces), ef, links)
+    return Triangulation(tuple(faces), thirds, links)
 
 
 def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
@@ -297,7 +294,7 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
 
     Raises DegenerateFace, DuplicateFace, NonManifoldEdge, PinchedVertex,
     Disconnected or ImpossibleSurface; on success returns the Triangulation
-    with its edge faces and vertex links indexed.
+    with its edge thirds and vertex links indexed.
     """
     faces: list[Face] = []
     seen: set[Face] = set()
@@ -322,7 +319,7 @@ def validate(face_list: Iterable[Sequence[int]]) -> Triangulation:
     t = _build(faces)
     if t is None:  # some check fails: name the fault as _index meets it
         t = Triangulation(tuple(faces), {}, {})
-        _index(t._edge_faces, t._links, (), faces)
+        _index(t._thirds, t._links, (), faces)
 
     # The vertex graph must be connected (one surface at a time).
     links = t._links
@@ -360,23 +357,23 @@ def _swap_faces(t: Triangulation, rem: set[Face], add: Sequence[Face]) -> Triang
     characteristic.  rem must be faces of t, add must not repeat a face of t
     that stays, and a vertex of add not in t must exceed max_vertex_id.
     """
-    edge_faces, links = dict(t._edge_faces), dict(t._links)
-    _index(edge_faces, links, rem, sorted(add))
-    t2 = Triangulation(_swapped(t, rem, add, len(links), edge_faces), edge_faces, links)
+    thirds, links = dict(t._thirds), dict(t._links)
+    _index(thirds, links, rem, sorted(add))
+    t2 = Triangulation(_swapped(t, rem, add, len(links), thirds), thirds, links)
     t2._orientable = t._orientable
     return t2
 
 
-def _swapped(t: Triangulation, rem: Collection[Face], add: Sequence[Face], nv, edge_faces):
+def _swapped(t: Triangulation, rem: Collection[Face], add: Sequence[Face], nv, thirds):
     """t's sorted faces with rem exchanged for add, as a tuple, once nv
-    vertices and the patched edge_faces keep t's Euler characteristic, else
+    vertices and the patched thirds keep t's Euler characteristic, else
     ImpossibleSurface."""
     faces = list(t.faces)
     for f in rem:
         del faces[bisect_left(faces, f)]
     for f in add:
         insort(faces, f)
-    chi, after = t.euler_characteristic(), nv - len(edge_faces) + len(faces)
+    chi, after = t.euler_characteristic(), nv - len(thirds) + len(faces)
     if after != chi:
         raise ImpossibleSurface(
             f"swapping {len(rem)} faces for {len(add)} changes the Euler "
@@ -385,23 +382,25 @@ def _swapped(t: Triangulation, rem: Collection[Face], add: Sequence[Face], nv, e
     return tuple(faces)
 
 
-def _crossings(t: Triangulation) -> Iterator[tuple[Face, int, int, Face]]:
-    """The face walk: (f, x, y, g) for each edge xy of each face f, g across it.
+def _crossings(t: Triangulation) -> Iterator[tuple[Face, int, int, int, Face]]:
+    """The face walk: (f, x, y, z, g) for each edge xy of each face f, g
+    across it and z the third of xy on g.
 
     Visits the faces breadth first from t.faces[0], the edges of each sorted
     face f = (a, b, c) in the order ab, ac, bc, so x < y.  On a connected
     surface it reaches every face, crossing every edge once from each side.
     """
-    edge_faces = t._edge_faces
+    thirds = t._thirds
     order = [t.faces[0]]
     seen = set(order)
     for f in order:
         a, b, c = f
-        for x, y in ((a, b), (a, c), (b, c)):
-            g, h = edge_faces[(x, y)]
-            if g == f:
-                g = h
-            yield f, x, y, g
+        for x, y, w in ((a, b, c), (a, c, b), (b, c, a)):
+            z, u = thirds[(x, y)]
+            if z == w:
+                z = u
+            g = (z, x, y) if z < x else (x, z, y) if z < y else (x, y, z)
+            yield f, x, y, z, g
             if g not in seen:
                 seen.add(g)
                 order.append(g)
@@ -420,7 +419,7 @@ def is_orientable(t: Triangulation) -> bool:
     if t._orientable is None:
         sign = {t.faces[0]: 1}
         ok = True
-        for f, x, y, g in _crossings(t):
+        for f, x, y, _, g in _crossings(t):
             want = -sign[f] if (x != f[1] != y) == (x != g[1] != y) else sign[f]
             if sign.setdefault(g, want) != want:
                 ok = False
@@ -511,7 +510,7 @@ def is_proper(t: Triangulation, col: Coloring) -> bool:
     for v in t._links:
         if color.get(v) not in (0, 1, 2):
             return False
-    return all(color[u] != color[v] for u, v in t._edge_faces)
+    return all(color[u] != color[v] for u, v in t._thirds)
 
 
 def find_coloring(t: Triangulation) -> Coloring:
@@ -520,12 +519,11 @@ def find_coloring(t: Triangulation) -> Coloring:
     Seeds the lexicographically least face with colors (0, 1, 2) in
     ascending vertex order and propagates along the face walk _crossings:
     crossing edge xy forces 3 - color[x] - color[y], the color neither has,
-    onto the far face's third corner.  The walk reaches every face, so the
+    onto its far third.  The walk reaches every face, so the
     result is proper; it is unique up to permuting the colors, so canonical.
     """
     color = {v: c for c, v in enumerate(t.faces[0])}
-    for _, x, y, g in _crossings(t):
-        z = g[0] + g[1] + g[2] - x - y
+    for _, x, y, z, _ in _crossings(t):
         forced = 3 - color[x] - color[y]
         if color.setdefault(z, forced) != forced:
             raise NotBalanced(

@@ -30,6 +30,7 @@ from baltri.explorer import (
     build_octahedron,
 )
 from baltri.flips import FlipKind, FlipSite, apply_flip
+from baltri.surface import face_key
 
 _BUILDERS = {
     "octahedron": build_octahedron,
@@ -110,6 +111,17 @@ def assert_links_as_walked(t):
     for v, link in t._links.items():
         assert len(link) == len(set(link)) == count[v] == t.degree(v)
         assert all(t.has_face(v, link[i - 1], link[i]) for i in range(len(link)))
+
+
+def assert_thirds_indexed(t):
+    """Each key of the edge index is an edge u < v whose value is the two
+    thirds of its faces, sorted and distinct, each making a face of t with
+    uv; with 2E = 3F, that lists every edge of every face once."""
+    faces = set(t.faces)
+    for (u, v), (y, z) in t._thirds.items():
+        assert u < v and y < z
+        assert face_key(u, v, y) in faces and face_key(u, v, z) in faces
+    assert 2 * len(t._thirds) == 3 * len(t.faces)
 
 
 def sparse_relabeled(t, col, seed):

@@ -302,6 +302,8 @@ def eager_canonical(t, col, mode):
 
     from baltri.canon import CanonicalCode
 
+    _, edge_faces = _sorted_faces(t.faces)
+
     def sweep(face, u, v, best):
         label, out, visited, queue, head = {}, [], {face}, [(face, u, v)], 0
         tied = best is not None
@@ -316,7 +318,7 @@ def eager_canonical(t, col, mode):
                 tied = False
             out.append(triple)
             for x, y in ((a, b), (b, c), (c, a)):
-                g1, g2 = t._edge_faces[(x, y) if x < y else (y, x)]
+                g1, g2 = edge_faces[(x, y) if x < y else (y, x)]
                 g = g2 if g1 == f else g1
                 if g not in visited:
                     visited.add(g)
@@ -735,8 +737,8 @@ def reference_validate(face_list):
             f"face-adjacency graph has {len(faces) - len(seen_faces)} unreachable face(s)"
         )
 
-    ef = {e: (fs[0], fs[1]) for e, fs in edge_faces.items()}
-    t = Triangulation(tuple(faces), ef, links)
+    thirds = {e: tuple(sum(f) - sum(e) for f in fs) for e, fs in edge_faces.items()}
+    t = Triangulation(tuple(faces), thirds, links)
 
     # Closed-surface sanity: the classification forces chi <= 2, with even
     # chi on orientable surfaces.
@@ -835,6 +837,7 @@ def reference_is_orientable(t):
     or write t's cached answer."""
     from baltri.surface import edge_key
 
+    _, edge_faces = _sorted_faces(t.faces)
     orientation = {}
     first = t.faces[0]
     orientation[first] = first
@@ -843,7 +846,7 @@ def reference_is_orientable(t):
         f = queue.popleft()
         a, b, c = orientation[f]
         for x, y in ((a, b), (b, c), (c, a)):
-            g1, g2 = t._edge_faces[edge_key(x, y)]
+            g1, g2 = edge_faces[edge_key(x, y)]
             g = g2 if g1 == f else g1
             want = (y, x, g[0] + g[1] + g[2] - x - y)
             if g in orientation:
@@ -863,6 +866,7 @@ def reference_find_coloring(t):
     from baltri.errors import NotBalanced
     from baltri.surface import Coloring, is_proper
 
+    _, edge_faces = _sorted_faces(t.faces)
     color = {}
     first = t.faces[0]
     for c, v in enumerate(first):
@@ -873,7 +877,7 @@ def reference_find_coloring(t):
         f = queue.popleft()
         a, b, c = f
         for x, y in ((a, b), (a, c), (b, c)):
-            g1, g2 = t._edge_faces[(x, y)]
+            g1, g2 = edge_faces[(x, y)]
             g = g2 if g1 == f else g1
             z = next(w for w in g if w != x and w != y)
             forced = 3 - color[x] - color[y]

@@ -33,7 +33,12 @@ from baltri.explorer import (
 )
 from baltri.flips import FlipKind, FlipSite, apply_flip, enumerate_sites
 
-from conftest import assert_links_as_walked, grid_torus, sparse_relabeled
+from conftest import (
+    assert_links_as_walked,
+    assert_thirds_indexed,
+    grid_torus,
+    sparse_relabeled,
+)
 from oracles import (
     brute_isomorphism,
     color_permutations,
@@ -430,9 +435,9 @@ class TestFaceIndex:
         # theirs (at 5 states the cap admits no more, so the bfs stops there)
         real = explorer._canonical_parts
 
-        def recording(faces, edge_faces, deg, col, mode):
+        def recording(faces, thirds, deg, col, mode):
             parts.append((faces, dict(deg)))
-            return real(faces, edge_faces, deg, col, mode)
+            return real(faces, thirds, deg, col, mode)
 
         monkeypatch.setattr(explorer, "_canonical_parts", recording)
         kinds = [FlipKind(k) for k in ("bts", "btw", "bes", "bew", "ps", "pc")]
@@ -450,7 +455,7 @@ class TestFaceIndex:
             for site in enumerate_sites(t)[::10]:
                 child, ccol = apply_flip(t, site, col)
                 rebuilt = validate(child.faces)
-                reordered += list(child._edge_faces) != list(rebuilt._edge_faces)
+                reordered += list(child._thirds) != list(rebuilt._thirds)
                 for mode in ColorMode:
                     assert as_data(canon._canonical(child, ccol, mode)) == as_data(
                         canon._canonical(rebuilt, ccol, mode)
@@ -521,6 +526,7 @@ def check_decoding(code, want):
     form, fcol = canon._decode(code)
     assert form.faces == want[0].faces and form.vertices == want[0].vertices
     assert_links_as_walked(form)
+    assert_thirds_indexed(form)
     assert fcol == want[1]
     nv, nf, faces, colors = canon._unpack(code.data)
     assert (nv, nf, faces) == (form.vertex_count, form.face_count, list(form.faces))

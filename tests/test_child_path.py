@@ -74,6 +74,24 @@ class TestAgainstApplyFlip:
                 kinds.add(site.kind)
         assert kinds == set(FlipKind)
 
+    def test_the_patched_thirds_are_the_childs(self, child_inputs, monkeypatch):
+        # _child patches a copy of the parent's edge index for canon alone;
+        # the spy stops it there, so no child is canonicalized
+        class Handed(Exception):
+            pass
+
+        def spy(faces, thirds, deg, col, mode):
+            raise Handed(faces, thirds)
+
+        monkeypatch.setattr(explorer, "_canonical_parts", spy)
+        for t, _ in child_inputs:
+            deg = {v: t.degree(v) for v in t.vertices}
+            for site in enumerate_sites(t):
+                with pytest.raises(Handed) as handed:
+                    explorer._child(t, deg, site)
+                faces, thirds = handed.value.args
+                assert thirds == validate(faces)._thirds
+
     def test_the_forced_suffix_is_the_colorings(self, child_inputs):
         for t, col in child_inputs:
             children = [apply_flip(t, s, col) for s in enumerate_sites(t)[::7]]

@@ -1,5 +1,7 @@
 """Even embeddings, face subdivision, color-class deletion, obstructions."""
 
+from itertools import combinations
+
 import pytest
 
 from baltri import (
@@ -20,10 +22,12 @@ from baltri import surface
 from baltri.bipartite import BipGraph
 from baltri.embeddings import EvenEmbedding
 from baltri.explorer import (
+    bfs,
     build_cube_subdivision,
     build_k333_torus,
     build_octahedron,
 )
+from baltri.flips import FlipKind
 
 from oracles import reference_subdivision_obstruction
 
@@ -46,13 +50,20 @@ class TestConstruction:
         assert a.walk_count == 2
 
     def test_short_walk_rejected(self):
-        with pytest.raises(InvalidEmbedding):
+        # the walk is named 1-based, as the walk-step message names its step
+        with pytest.raises(
+            InvalidEmbedding, match="^walk 1-2 has length 2, need even and >= 4$"
+        ):
             EvenEmbedding(BipGraph({0: 0, 1: 1}, [(0, 1)]), [(0, 1)])
 
     def test_odd_walk_rejected(self):
         g = square()
         with pytest.raises(InvalidEmbedding):
             EvenEmbedding(g, [(0, 1, 2, 3), (0, 3, 2, 1, 0, 1)])
+        with pytest.raises(
+            InvalidEmbedding, match="^walk 1-2-3-4-5 has length 5, need even and >= 4$"
+        ):
+            EvenEmbedding(g, [(0, 1, 2, 3, 4)])
 
     def test_non_edge_step_rejected(self):
         g = square()
@@ -264,3 +275,20 @@ class TestObstruction:
                     assert subdivision_obstruction(t1, t2) is want
                     verdicts.append(want)
         assert Verdict.UNREACHABLE in verdicts and Verdict.INCONCLUSIVE in verdicts
+
+    @pytest.mark.parametrize("build, states", [
+        (build_octahedron, 54), (build_k333_torus, 21)
+    ])
+    def test_never_unreachable_within_a_stellar_ball(self, build, states):
+        # the stellar moves invert each other, so any two states of one ball
+        # are joined by flips: the verdict on them must never be UNREACHABLE;
+        # cap 14 holds the whole ball, 1,431 pairs on the octahedron and
+        # 210 on k333-torus
+        stellar = [FlipKind(k) for k in ("bts", "btw", "bes", "bew")]
+        view = bfs(build()[0], kinds=stellar, max_vertices=14, max_states=10**4)
+        assert not view.truncated and view.state_count == states
+        forms = [form for form, _ in view.states.values()]
+        pairs = list(combinations(forms, 2))
+        assert len(pairs) == states * (states - 1) // 2
+        for t1, t2 in pairs:
+            assert subdivision_obstruction(t1, t2) is not Verdict.UNREACHABLE

@@ -50,6 +50,7 @@ from baltri.surface import _swap_faces, face_key
 from conftest import (
     PROJECTIVE_PLANE,
     assert_links_as_walked,
+    assert_thirds_indexed,
     grid_torus,
     link_cycles,
     run_python,
@@ -440,9 +441,9 @@ class TestEachReaderYieldsATupleOnce:
     # _scan keeps every tuple a reader yields, so a repeat would be listed twice
 
     @staticmethod
-    def assert_no_repeats(t, source, thirds):
+    def assert_no_repeats(t, source):
         for kind in FlipKind:
-            tups = list(kind._read(t, source(kind._elements, kind._radius), thirds))
+            tups = list(kind._read(t, source(kind._elements, kind._radius)))
             assert len(tups) == len(set(tups)), kind
 
     def test_on_whole_surfaces(self, reader_starts):
@@ -451,21 +452,19 @@ class TestEachReaderYieldsATupleOnce:
         for t in reader_starts.values():
             states += seeded_walk(t, 3, 2)
         for t in states:
-            index = {"faces": t.faces, "edges": t._edge_faces, "vertices": t._links}
-            for whole in (True, False):
-                self.assert_no_repeats(
-                    t, lambda elements, radius: index[elements], flips._Thirds(t, whole)
-                )
+            index = {"faces": t.faces, "edges": t._thirds, "vertices": t._links}
+            self.assert_no_repeats(t, lambda elements, radius: index[elements])
 
     def test_on_the_local_element_sets(self, reader_starts, monkeypatch):
-        # the element sets _sites_after and expand_via_budget hand to _scan
+        # the element sets _sites_after and expand_via_budget hand to _scan,
+        # not the whole indexes enumerate_sites hands it
         calls = []
 
         def spy(real):
-            def scan(t, kinds, source, whole=False):
-                if not whole:
+            def scan(t, kinds, source):
+                if source.__qualname__ != "enumerate_sites.<locals>.<lambda>":
                     calls.append((t, source))
-                return real(t, kinds, source, whole)
+                return real(t, kinds, source)
             return scan
 
         monkeypatch.setattr(flips, "_scan", spy(flips._scan))
@@ -486,7 +485,7 @@ class TestEachReaderYieldsATupleOnce:
                     pass
         assert after_walks > 50 and len(calls) > after_walks + 20
         for t, source in calls:
-            self.assert_no_repeats(t, source, flips._Thirds(t, False))
+            self.assert_no_repeats(t, source)
 
 
 class TestKindsMustBeFlipKinds:
@@ -655,11 +654,12 @@ def assert_same_triangulation(got, want):
     assert got.faces == want.faces
     assert got.vertices == want.vertices
     assert got.edges == want.edges
-    assert got._edge_faces == want._edge_faces
+    assert got._thirds == want._thirds
     # the vertex index also keeps validate's (ascending) key order, and
     # each link, however it was walked, reads the same through link_cycle
     assert link_cycles(got) == link_cycles(want)
     assert_links_as_walked(got)
+    assert_thirds_indexed(got)
     for v in want.vertices:
         assert got.degree(v) == want.degree(v)
         assert got.neighbors(v) == want.neighbors(v)
@@ -723,7 +723,9 @@ class TestLinksAsWalkedAfterMoves:
     def test_after_every_listed_move(self, mixed_samples_14):
         for t, col in mixed_samples_14[::3]:
             for site in enumerate_sites(t):
-                assert_links_as_walked(apply_flip(t, site, col)[0])
+                child = apply_flip(t, site, col)[0]
+                assert_links_as_walked(child)
+                assert_thirds_indexed(child)
 
     @pytest.mark.parametrize(
         "build", [build_octahedron, build_k333_torus, build_cube_subdivision]
@@ -733,10 +735,12 @@ class TestLinksAsWalkedAfterMoves:
         for steps in (1, 4, 12, 30):
             got, _, sites = random_walk(t, col, steps=steps, seed=steps, max_vertices=30)
             assert_links_as_walked(got)
+            assert_thirds_indexed(got)
             cur = t
             for site in sites:
                 cur, _ = apply_flip(cur, site)
                 assert_links_as_walked(cur)
+                assert_thirds_indexed(cur)
             assert cur == got
 
 

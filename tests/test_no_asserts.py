@@ -17,6 +17,7 @@ OPTIMIZED_MODULES = (
     "test_surface.py",
     "test_child_path.py",
     "test_fileio.py",
+    "test_canon.py",
 )
 
 

@@ -32,6 +32,7 @@ from conftest import (
     KLEIN_BOTTLE,
     PROJECTIVE_PLANE,
     assert_links_as_walked,
+    assert_thirds_indexed,
     barycentric,
     grid_torus,
     grown_by_bts,
@@ -113,7 +114,7 @@ def _outcome(check, faces):
         t = check(list(faces))
     except TriangulationError as exc:
         return type(exc)
-    return t.faces, list(t._edge_faces.items()), link_cycles(t)
+    return t.faces, list(t._thirds.items()), link_cycles(t)
 
 
 def assert_validates_as_the_reference(faces):
@@ -128,7 +129,7 @@ def _told(check, faces):
         t = check(list(faces))
     except TriangulationError as exc:
         return type(exc), str(exc)
-    return t.faces, list(t._edge_faces.items()), link_cycles(t)
+    return t.faces, list(t._thirds.items()), link_cycles(t)
 
 
 def _indexed(faces):
@@ -303,6 +304,7 @@ class TestLinksAsWalked:
                 # the one-pass build and the fault-naming path alike
                 for t in (validate(copy), _indexed(copy)):
                     assert_links_as_walked(t)
+                    assert_thirds_indexed(t)
                     for v, link in t._links.items():
                         assert t.link_cycle(v) == _least_rotation(link)
 
